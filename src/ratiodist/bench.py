@@ -1,14 +1,16 @@
 """Benchmark harness: repeated grid evaluations, runtime statistics, accuracy.
 
-Method protocol: each registered method id maps to a factory that, given
-standardized-ratio parameters and the evaluation grid, returns a zero-argument
-callable producing the full PDF grid.  Factory construction is the setup phase
-(interpolant building lives there) and is timed separately from the
-realizations, which each call the evaluator once.  One untimed warm-up
-realization precedes the measured runs.  Timing uses the monotonic
-perf_counter clock; runtime_mean and runtime_cv pool all measured
-realizations, and eps_max comes from the final realization against the
-closed-form reference grid.
+Method protocol: each method id maps onto an entry of the CLI's engine table
+(``cli.ENGINES``) with fixed settings: analytic, mellin-de (Mellin, direct),
+mellin-de-cheb (Mellin with a 257-node Chebyshev interpolant) and broda-kan.
+The entry's pdf factory, given standardized-ratio parameters and the
+evaluation grid, returns a zero-argument callable producing the full PDF
+grid.  Factory construction is the setup phase (interpolant building lives
+there) and is timed separately from the realizations, which each call the
+evaluator once.  One untimed warm-up realization precedes the measured runs.
+Timing uses the monotonic perf_counter clock; runtime_mean and runtime_cv
+pool all measured realizations, and eps_max comes from the final realization
+against the closed-form reference grid.
 """
 
 from __future__ import annotations
@@ -18,29 +20,24 @@ import math
 import time
 from dataclasses import dataclass
 from statistics import fmean, pstdev
-from typing import Callable, Dict, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
-from .cf import auto_grid, broda_kan_pdf_indep, normal_cf
 from .errors import InvalidParamsError
-from .mellin import Chebyshev, Direct, normal_density, ratio_interpolant, ratio_pdf_grid
-from .normal_ratio import StdRatioParams, std_ratio_pdf
+from .normal_ratio import StdRatioParams
 from .oracle import reference_pdf_grid
-from .quadrature import QuadratureConfig, cheb_eval_many
 
 __all__ = [
     "BenchRecord",
     "BASELINE_METHOD",
     "BASELINE_REL_TOL",
+    "METHODS",
     "method_ids",
     "eps_max",
     "run_experiment",
     "export",
 ]
-
-Evaluator = Callable[[], np.ndarray]
-MethodFactory = Callable[..., Evaluator]
 
 BASELINE_METHOD = "mellin-de"
 BASELINE_REL_TOL = 1e-3
@@ -65,7 +62,6 @@ class BenchRecord:
     eps_max: float
     speedup_vs_baseline: float
     setup_time_s: float = 0.0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.runtime_cv < 0.0:
@@ -91,46 +87,19 @@ def eps_max(values: Sequence[float], reference: Sequence[float]) -> float:
     return float(np.max(np.abs(v - r)))
 
 
-def _analytic_factory(sr: StdRatioParams, xs: np.ndarray) -> Evaluator:
-    return lambda: np.array([std_ratio_pdf(sr, float(x)) for x in xs])
-
-
-def _mellin_factory(
-    sr: StdRatioParams, xs: np.ndarray, rel_tol: float = 1e-10, threads: int = 1
-) -> Evaluator:
-    f1 = normal_density(sr.a, 1.0)
-    f2 = normal_density(sr.b, 1.0)
-    cfg = QuadratureConfig(rel_tol=rel_tol)
-    return lambda: ratio_pdf_grid(f1, f2, xs, cfg, Direct(), threads=threads)
-
-
-def _mellin_cheb_factory(
-    sr: StdRatioParams, xs: np.ndarray, rel_tol: float = 1e-10, n_nodes: int = 257
-) -> Evaluator:
-    f1 = normal_density(sr.a, 1.0)
-    f2 = normal_density(sr.b, 1.0)
-    cfg = QuadratureConfig(rel_tol=rel_tol)
-    interp = ratio_interpolant(f1, f2, float(xs[0]), float(xs[-1]), n_nodes, cfg)
-    return lambda: cheb_eval_many(interp, xs)
-
-
-def _broda_kan_factory(sr: StdRatioParams, xs: np.ndarray, n: int = 500) -> Evaluator:
-    cf1 = normal_cf(sr.a, 1.0)
-    cf2 = normal_cf(sr.b, 1.0)
-    grid = auto_grid(cf1, cf2, n=n)
-    return lambda: np.array([broda_kan_pdf_indep(cf1, cf2, float(x), grid) for x in xs])
-
-
-_REGISTRY: Dict[str, MethodFactory] = {
-    "analytic": _analytic_factory,
-    "mellin-de": _mellin_factory,
-    "mellin-de-cheb": _mellin_cheb_factory,
-    "broda-kan": _broda_kan_factory,
+# method id -> (engine id in cli.ENGINES, the options it takes, with defaults)
+METHODS: Dict[str, Tuple[str, Dict[str, object]]] = {
+    "analytic": ("analytic", {}),
+    "mellin-de": ("mellin", {"rel_tol": 1e-10}),
+    "mellin-de-cheb": ("mellin", {"rel_tol": 1e-10, "n_nodes": 257}),
+    "broda-kan": ("broda-kan", {"n": 500}),
 }
+# run_experiment option -> cli.RunConfig field
+_FIELDS = {"rel_tol": "rel_tol", "n_nodes": "cheb_nodes", "n": "grid_n"}
 
 
 def method_ids() -> Tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
+    return tuple(sorted(METHODS))
 
 
 def _as_params(params: Union[StdRatioParams, Tuple[float, float]]) -> StdRatioParams:
@@ -155,15 +124,20 @@ def run_experiment(
 
     baseline is a mean runtime in seconds (or a BenchRecord carrying one);
     speedup_vs_baseline = baseline / runtime_mean_s, or NaN when absent.
-    Extra keyword options reach the method factory (rel_tol, n_nodes, n,
-    threads).  label, when given, replaces the registry id in the record so
-    tolerance-sweep rows stay distinguishable in the fixed CSV schema.
+    Extra keyword options set the method's engine: rel_tol (mellin-de,
+    mellin-de-cheb), n_nodes (mellin-de-cheb) and n (broda-kan).  label,
+    when given, replaces the method id in the record so tolerance-sweep rows
+    stay distinguishable in the fixed CSV schema.
     Any engine failure propagates; no partial record is produced.
     """
-    if method not in _REGISTRY:
+    if method not in METHODS:
         raise InvalidParamsError(
             f"unknown method {method!r}; registered: {', '.join(method_ids())}"
         )
+    engine, takes = METHODS[method]
+    unknown = sorted(set(opts) - set(takes))
+    if unknown:
+        raise InvalidParamsError(f"method {method!r} takes no option {', '.join(unknown)}")
     if runs < 1:
         raise InvalidParamsError(f"runs must be >= 1, got {runs!r}")
     if reps < 10:
@@ -174,11 +148,15 @@ def run_experiment(
     if not (lo < hi) or not math.isfinite(lo) or not math.isfinite(hi):
         raise InvalidParamsError(f"interval must be finite with lo < hi, got {interval!r}")
 
+    from .cli import ENGINES, RunConfig  # cli imports this module for its bench command
+
     sr = _as_params(params)
     xs = np.linspace(lo, hi, n_points)
+    fields = {_FIELDS[k]: v for k, v in {**takes, **opts}.items()}
+    cfg = RunConfig("pdf", engine=engine, std_ratio=sr, **fields)  # type: ignore[arg-type]
 
     t0 = time.perf_counter()
-    evaluate = _REGISTRY[method](sr, xs, **opts)
+    evaluate = ENGINES[engine].pdf(cfg, xs)
     setup_s = time.perf_counter() - t0
 
     evaluate()  # warm-up, excluded from statistics
@@ -209,7 +187,6 @@ def run_experiment(
         eps_max=err,
         speedup_vs_baseline=speedup,
         setup_time_s=setup_s,
-        threads=int(opts.get("threads", 1)),  # type: ignore[arg-type]
     )
 
 

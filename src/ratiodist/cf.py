@@ -57,8 +57,10 @@ _GP_CFG = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-13)
 class CharFn:
     """A characteristic function with optional derivative and decay hint.
 
-    decay_scale, when present, is a t beyond which |phi| stays below 1e-14;
-    it lets auto_grid skip the numeric decay search.
+    phi and dphi take a float or a NumPy array of t and return complex
+    values of the same shape; the inversions and auto_grid check phi on an
+    array.  decay_scale, when present, is a t beyond which |phi| stays
+    below 1e-14; it lets auto_grid skip the numeric decay search.
     """
 
     phi: Callable[[float], complex]
@@ -69,7 +71,10 @@ class CharFn:
 
 @dataclass(frozen=True)
 class JointCharFn:
-    """A bivariate characteristic function and its second-argument partial."""
+    """A bivariate characteristic function and its second-argument partial.
+
+    Both take two broadcastable NumPy arrays and return their broadcast shape.
+    """
 
     phi2d: Callable[[float, float], complex]
     dphi2d_dt2: Optional[Callable[[float, float], complex]] = None
@@ -87,7 +92,6 @@ class Grid2DConfig:
     N: int
     h1: float
     h2: float
-    auto_range: bool = False
 
     def __post_init__(self) -> None:
         if self.N < 1 or int(self.N) != self.N:
@@ -99,38 +103,18 @@ class Grid2DConfig:
 
 
 def _check_cf(cf: CharFn) -> None:
-    v = complex(cf.phi(0.0))
-    if abs(v - 1.0) > 1e-8:
+    """phi must map an array to a same-shape array, with phi(0) = 1."""
+    name = cf.label or "characteristic function"
+    try:
+        v = np.asarray(cf.phi(np.zeros(1)))
+    except TypeError as exc:
+        raise InvalidParamsError(f"phi must accept NumPy arrays; {name} raised: {exc}") from exc
+    if v.shape != (1,):
         raise InvalidParamsError(
-            f"phi(0) must equal 1, got {v!r} for {cf.label or 'characteristic function'}"
+            f"phi must map an array to an array of the same shape; {name} returned shape {v.shape}"
         )
-
-
-def _call_vec(fn: Callable, arr: np.ndarray) -> np.ndarray:
-    """Evaluate fn over an array, falling back to a scalar loop."""
-    try:
-        out = np.asarray(fn(arr))
-        if out.shape == arr.shape:
-            return out.astype(complex)
-    except Exception:
-        pass
-    flat = np.array([complex(fn(float(v))) for v in arr.ravel()])
-    return flat.reshape(arr.shape)
-
-
-def _call_vec2(fn: Callable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Evaluate a two-argument fn over broadcast arrays, loop fallback."""
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-    try:
-        out = np.asarray(fn(a, b))
-        if out.shape == shape:
-            return out.astype(complex)
-    except Exception:
-        pass
-    aa = np.broadcast_to(a, shape).ravel()
-    bb = np.broadcast_to(b, shape).ravel()
-    flat = np.array([complex(fn(float(s), float(t))) for s, t in zip(aa, bb)])
-    return flat.reshape(shape)
+    if abs(complex(v[0]) - 1.0) > 1e-8:
+        raise InvalidParamsError(f"phi(0) must equal 1, got {complex(v[0])!r} for {name}")
 
 
 def normal_cf(mu: float, sigma: float) -> CharFn:
@@ -191,8 +175,8 @@ def cf_derivative(cf: CharFn, t: float, h: float = _DERIV_H) -> complex:
 
 def _dphi_vec(cf: CharFn, arr: np.ndarray, h: float = _DERIV_H) -> np.ndarray:
     if cf.dphi is not None:
-        return _call_vec(cf.dphi, arr)
-    return (_call_vec(cf.phi, arr + h) - _call_vec(cf.phi, arr - h)) / (2.0 * h)
+        return cf.dphi(arr)
+    return (cf.phi(arr + h) - cf.phi(arr - h)) / (2.0 * h)
 
 
 def gil_pelaez_pdf(cf: CharFn, x: float, cfg: QuadratureConfig = _GP_CFG) -> float:
@@ -254,14 +238,10 @@ def product_joint_cf(cf1: CharFn, cf2: CharFn) -> JointCharFn:
     _check_cf(cf2)
 
     def phi2d(s, t):
-        return _call_vec(cf1.phi, np.asarray(s, dtype=float)) * _call_vec(
-            cf2.phi, np.asarray(t, dtype=float)
-        )
+        return cf1.phi(np.asarray(s, dtype=float)) * cf2.phi(np.asarray(t, dtype=float))
 
     def dphi2d_dt2(s, t):
-        return _call_vec(cf1.phi, np.asarray(s, dtype=float)) * _dphi_vec(
-            cf2, np.asarray(t, dtype=float)
-        )
+        return cf1.phi(np.asarray(s, dtype=float)) * _dphi_vec(cf2, np.asarray(t, dtype=float))
 
     return JointCharFn(phi2d, dphi2d_dt2, f"product({cf1.label}, {cf2.label})")
 
@@ -289,7 +269,7 @@ def broda_kan_pdf_indep(
         _check_cf(cf1)
         _check_cf(cf2)
     t1, t2 = _pdf_nodes(cfg)
-    phi1_row = _call_vec(cf1.phi, t1)
+    phi1_row = cf1.phi(t1)
     args = -(x * t1[None, :] + t2[:, None])
     vals = _dphi_vec(cf2, args) * phi1_row[None, :] / t2[:, None]
     inner = vals.real.sum(axis=1)
@@ -305,10 +285,10 @@ def broda_kan_pdf_joint(jcf: JointCharFn, w: float, cfg: Grid2DConfig) -> float:
     s = t1[None, :]
     tau = -(t2[:, None] + w * t1[None, :])
     if jcf.dphi2d_dt2 is not None:
-        vals = _call_vec2(jcf.dphi2d_dt2, s, tau)
+        vals = jcf.dphi2d_dt2(s, tau)
     else:
-        up = _call_vec2(jcf.phi2d, s, tau + _DERIV_H)
-        dn = _call_vec2(jcf.phi2d, s, tau - _DERIV_H)
+        up = jcf.phi2d(s, tau + _DERIV_H)
+        dn = jcf.phi2d(s, tau - _DERIV_H)
         vals = (up - dn) / (2.0 * _DERIV_H)
     vals = vals / t2[:, None]
     inner = vals.real.sum(axis=1)
@@ -323,8 +303,8 @@ def broda_kan_cdf(jcf: JointCharFn, r: float, cfg: Grid2DConfig) -> float:
     nu = np.arange(0, cfg.N + 1, dtype=float) + 0.5
     s = (cfg.h1 * nu)[None, :]
     t = (cfg.h2 * nu)[:, None]
-    plus = _call_vec2(jcf.phi2d, s, t - r * s)
-    minus = _call_vec2(jcf.phi2d, s, -t - r * s)
+    plus = jcf.phi2d(s, t - r * s)
+    minus = jcf.phi2d(s, -t - r * s)
     vals = (plus - minus).real / (s * t)
     inner = vals.sum(axis=1)
     total = inner.sum()
@@ -471,4 +451,4 @@ def auto_grid(
     d2 = cf_decay_range(cf2)
     t1 = min(d1, h_max * n)
     t2 = min(d1 + d2, h_max * n)
-    return Grid2DConfig(N=int(n), h1=t1 / n, h2=t2 / n, auto_range=True)
+    return Grid2DConfig(N=int(n), h1=t1 / n, h2=t2 / n)

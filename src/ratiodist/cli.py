@@ -2,12 +2,18 @@
 
 Subcommands: pdf and cdf write x,value CSV; modality prints the shape
 verdict; interval prints the chosen evaluation window; bench runs the
-timed accuracy protocol and exports records.
+timed accuracy protocol and exports records to the file named by --out
+(bench needs --out; it checks that before running anything).
 
-Engines: analytic (closed forms), mellin (DE Mellin convolution),
-broda-kan (2D CF inversion), gil-pelaez (1D CF inversion of a single
-distribution passed via --dist).  Engine errors exit with status 1 and a
-one-line diagnostic on stderr.
+Engines live in one table, ENGINES, keyed by the --engine id: analytic
+(closed forms), mellin (DE Mellin convolution, densities only), broda-kan
+(2D CF inversion) and gil-pelaez (1D CF inversion of a single distribution
+passed via --dist).  Each entry holds a pdf factory, a cdf factory (none for
+mellin) and the --auto-interval window.  A factory does the one-time work
+(densities, CFs, auto_grid, the Chebyshev build) and returns a zero-argument
+evaluator for the whole grid; the bench times the same entries.  Every
+subcommand computes its whole output first and then writes it once.  Engine
+errors exit with status 1 and a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -17,14 +23,14 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import bench as bench_mod
 from .cf import (
+    _GP_CFG,
     CharFn,
-    Grid2DConfig,
     auto_grid,
     bivariate_normal_joint_cf,
     broda_kan_cdf,
@@ -41,11 +47,10 @@ from .cf import (
 )
 from .errors import RatioDistError, InvalidParamsError
 from .mellin import (
-    Chebyshev,
     DensityFn,
-    Direct,
     chi_square_density,
     normal_density,
+    ratio_interpolant,
     ratio_pdf_grid,
     uniform_density,
 )
@@ -64,9 +69,9 @@ from .normal_ratio import (
     std_ratio_pdf,
     to_standard,
 )
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, cheb_eval_many
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["ENGINES", "Engine", "RunConfig", "main"]
 
 
 @dataclass
@@ -88,7 +93,6 @@ class RunConfig:
     rel_tol: float = 1e-10
     cheb_nodes: Optional[int] = None
     grid_n: int = 500
-    threads: int = 1
     out: str = "-"
     # bench-only settings
     methods: List[str] = field(default_factory=list)
@@ -97,7 +101,6 @@ class RunConfig:
     rel_tols: List[float] = field(default_factory=list)
     format: str = "csv"
     practical: bool = False
-    seed: Optional[int] = None  # reserved for sampling-based workflows
 
 
 def _parse_density(spec: List[str]) -> DensityFn:
@@ -128,11 +131,15 @@ def _parse_cf(spec: List[str]) -> CharFn:
 
 
 def _ratio_cfs(cfg: RunConfig) -> Tuple[CharFn, CharFn]:
+    """Marginal CFs of numerator and denominator; normal for --biv/--hake."""
+    p = _biv_like(cfg)
+    if p is not None:
+        return normal_cf(p.mu1, p.sigma1), normal_cf(p.mu2, p.sigma2)
     if cfg.std_ratio is not None:
         return normal_cf(cfg.std_ratio.a, 1.0), normal_cf(cfg.std_ratio.b, 1.0)
     if cfg.num is not None and cfg.den is not None:
         return _parse_cf(cfg.num), _parse_cf(cfg.den)
-    raise InvalidParamsError("this engine needs --std-ratio or --num/--den")
+    raise InvalidParamsError("this engine needs --std-ratio, --biv, --hake or --num/--den")
 
 
 def _biv_like(cfg: RunConfig) -> Optional[BivNormalParams]:
@@ -152,8 +159,137 @@ def _any_params(cfg: RunConfig) -> StdRatioParams:
     raise InvalidParamsError("needs --std-ratio, --biv or --hake")
 
 
+def _moment_window(cfg: RunConfig) -> Tuple[float, float]:
+    """--auto-interval from normal moments, k = 2 by default."""
+    p = _biv_like(cfg) or cfg.std_ratio
+    if p is not None:
+        return evaluation_interval(p, cfg.k or 2.0)
+    if cfg.num is not None and cfg.den is not None:
+        # densities carry no moments; fall back to the CF route
+        return six_sigma_interval(_parse_cf(cfg.num), _parse_cf(cfg.den), cfg.k or 6.0)
+    raise InvalidParamsError("auto interval needs a distribution spec")
+
+
+def _cf_window(cfg: RunConfig) -> Tuple[float, float]:
+    """--auto-interval from CF moments, k = 6 by default."""
+    k = cfg.k or 6.0
+    if cfg.dist is not None:
+        mu, var = cf_moments(_parse_cf(cfg.dist))
+        sd = math.sqrt(var)
+        return (mu - k * sd, mu + k * sd)
+    cf1, cf2 = _ratio_cfs(cfg)
+    return six_sigma_interval(cf1, cf2, k)
+
+
+# A grid factory does the one-time work and returns an evaluator for the whole
+# grid; library functions are looked up by global name when called, so a
+# wrapper installed on this module's names sees every call.
+Evaluator = Callable[[], np.ndarray]
+Factory = Callable[[RunConfig, np.ndarray], Evaluator]
+
+
+def _each(xs: np.ndarray, fn: Callable[[float], float]) -> Evaluator:
+    return lambda: np.array([fn(x) for x in xs.tolist()])
+
+
+def _std_ratio(cfg: RunConfig) -> StdRatioParams:
+    if cfg.std_ratio is None:
+        raise InvalidParamsError("analytic engine needs --std-ratio, --biv or --hake")
+    return cfg.std_ratio
+
+
+def _analytic_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
+    p = _biv_like(cfg)
+    if p is not None:
+        return _each(xs, lambda x: ratio_pdf_phamgia(p, x))
+    sr = _std_ratio(cfg)
+    return _each(xs, lambda x: std_ratio_pdf(sr, x))
+
+
+def _analytic_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
+    p = _biv_like(cfg)
+    if p is not None:
+        return _each(xs, lambda x: ratio_cdf(p, x))
+    sr = _std_ratio(cfg)
+    return _each(xs, lambda x: std_ratio_cdf(sr, x))
+
+
+def _mellin_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
+    p = _biv_like(cfg)
+    if cfg.std_ratio is not None:
+        f1, f2 = normal_density(cfg.std_ratio.a, 1.0), normal_density(cfg.std_ratio.b, 1.0)
+    elif cfg.num is not None and cfg.den is not None:
+        f1, f2 = _parse_density(cfg.num), _parse_density(cfg.den)
+    elif p is not None and p.rho == 0.0:
+        f1, f2 = normal_density(p.mu1, p.sigma1), normal_density(p.mu2, p.sigma2)
+    elif p is not None:
+        raise InvalidParamsError(
+            "mellin convolution requires independent factors (rho = 0); "
+            "use the analytic or broda-kan engine for correlated ratios"
+        )
+    else:
+        raise InvalidParamsError("mellin engine needs --std-ratio, --num/--den or --biv")
+    qcfg = QuadratureConfig(rel_tol=cfg.rel_tol)
+    if cfg.cheb_nodes and xs.size > 1:  # one point spans no interval to interpolate on
+        interp = ratio_interpolant(f1, f2, float(xs[0]), float(xs[-1]), cfg.cheb_nodes, qcfg)
+        return lambda: cheb_eval_many(interp, xs)
+    return lambda: ratio_pdf_grid(f1, f2, xs, qcfg)
+
+
+def _broda_kan_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
+    p = _biv_like(cfg)
+    cf1, cf2 = _ratio_cfs(cfg)
+    grid = auto_grid(cf1, cf2, n=cfg.grid_n)
+    if p is not None:
+        jcf = bivariate_normal_joint_cf(p)
+        return _each(xs, lambda x: broda_kan_pdf_joint(jcf, x, grid))
+    return _each(xs, lambda x: broda_kan_pdf_indep(cf1, cf2, x, grid))
+
+
+def _broda_kan_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
+    p = _biv_like(cfg)
+    cf1, cf2 = _ratio_cfs(cfg)
+    jcf = bivariate_normal_joint_cf(p) if p is not None else product_joint_cf(cf1, cf2)
+    grid = auto_grid(cf1, cf2, n=cfg.grid_n)
+    return _each(xs, lambda x: broda_kan_cdf(jcf, x, grid))
+
+
+def _gil_pelaez_setup(cfg: RunConfig) -> Tuple[CharFn, QuadratureConfig]:
+    if cfg.dist is None:
+        raise InvalidParamsError(
+            "gil-pelaez inverts a single characteristic function; pass --dist KIND ARGS"
+        )
+    return _parse_cf(cfg.dist), dataclasses.replace(_GP_CFG, rel_tol=cfg.rel_tol)
+
+
+def _gil_pelaez_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
+    cf, qcfg = _gil_pelaez_setup(cfg)
+    return _each(xs, lambda x: gil_pelaez_pdf(cf, x, qcfg))
+
+
+def _gil_pelaez_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
+    cf, qcfg = _gil_pelaez_setup(cfg)
+    return _each(xs, lambda x: gil_pelaez_cdf(cf, x, qcfg))
+
+
+class Engine(NamedTuple):
+    """One --engine id: its grid factories and its --auto-interval window."""
+
+    pdf: Factory
+    cdf: Optional[Factory]
+    window: Callable[[RunConfig], Tuple[float, float]]
+
+
+ENGINES: Dict[str, Engine] = {
+    "analytic": Engine(_analytic_pdf, _analytic_cdf, _moment_window),
+    "mellin": Engine(_mellin_pdf, None, _moment_window),
+    "broda-kan": Engine(_broda_kan_pdf, _broda_kan_cdf, _cf_window),
+    "gil-pelaez": Engine(_gil_pelaez_pdf, _gil_pelaez_cdf, _cf_window),
+}
+
+
 def _choose_interval(cfg: RunConfig) -> Tuple[float, float]:
-    """Explicit --interval wins; otherwise the engine's natural moment source."""
+    """Explicit --interval wins; otherwise the engine's auto window."""
     if cfg.interval is not None:
         lo, hi = cfg.interval
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
@@ -161,224 +297,74 @@ def _choose_interval(cfg: RunConfig) -> Tuple[float, float]:
         return cfg.interval
     if not cfg.auto_interval:
         raise InvalidParamsError("pass --interval LO HI or --auto-interval")
-    if cfg.engine in ("analytic", "mellin"):
-        p = _biv_like(cfg)
-        if p is not None:
-            return evaluation_interval(p, cfg.k or 2.0)
-        if cfg.std_ratio is not None:
-            return evaluation_interval(cfg.std_ratio, cfg.k or 2.0)
-        if cfg.num is not None and cfg.den is not None:
-            # densities carry no moments; fall back to the CF route
-            cf1, cf2 = _parse_cf(cfg.num), _parse_cf(cfg.den)
-            return six_sigma_interval(cf1, cf2, cfg.k or 6.0)
-        raise InvalidParamsError("auto interval needs a distribution spec")
-    if cfg.dist is not None:
-        mu, var = cf_moments(_parse_cf(cfg.dist))
-        k = cfg.k or 6.0
-        sd = math.sqrt(var)
-        return (mu - k * sd, mu + k * sd)
-    cf1, cf2 = _ratio_cfs(cfg)
-    return six_sigma_interval(cf1, cf2, cfg.k or 6.0)
+    return ENGINES[cfg.engine].window(cfg)
 
 
-def _open_out(path: str) -> TextIO:
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
+def _write(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
-def _write_xy(cfg: RunConfig, xs: np.ndarray, fn: Callable[[float], float]) -> None:
-    fh = _open_out(cfg.out)
-    try:
-        fh.write("x,value\n")
-        for x in xs:
-            fh.write(f"{float(x):.17g},{fn(float(x)):.17g}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
-
-
-def cmd_pdf(cfg: RunConfig) -> int:
+def cmd_grid(cfg: RunConfig) -> int:
+    """pdf or cdf (the subcommand) on n_points of the interval."""
     lo, hi = _choose_interval(cfg)
     xs = np.linspace(lo, hi, cfg.n_points)
-
-    if cfg.engine == "analytic":
-        p = _biv_like(cfg)
-        if p is not None:
-            _write_xy(cfg, xs, lambda x: ratio_pdf_phamgia(p, x))
-        elif cfg.std_ratio is not None:
-            sr = cfg.std_ratio
-            _write_xy(cfg, xs, lambda x: std_ratio_pdf(sr, x))
-        else:
-            raise InvalidParamsError("analytic engine needs --std-ratio, --biv or --hake")
-        return 0
-
-    if cfg.engine == "mellin":
-        p = _biv_like(cfg)
-        if cfg.std_ratio is not None:
-            f1, f2 = normal_density(cfg.std_ratio.a, 1.0), normal_density(cfg.std_ratio.b, 1.0)
-        elif cfg.num is not None and cfg.den is not None:
-            f1, f2 = _parse_density(cfg.num), _parse_density(cfg.den)
-        elif p is not None and p.rho == 0.0:
-            f1, f2 = normal_density(p.mu1, p.sigma1), normal_density(p.mu2, p.sigma2)
-        elif p is not None:
-            raise InvalidParamsError(
-                "mellin convolution requires independent factors (rho = 0); "
-                "use the analytic or broda-kan engine for correlated ratios"
-            )
-        else:
-            raise InvalidParamsError("mellin engine needs --std-ratio, --num/--den or --biv")
-        accel = Chebyshev(cfg.cheb_nodes) if cfg.cheb_nodes else Direct()
-        qcfg = QuadratureConfig(rel_tol=cfg.rel_tol)
-        vals = ratio_pdf_grid(f1, f2, xs, qcfg, accel, threads=cfg.threads)
-        fh = _open_out(cfg.out)
-        try:
-            fh.write("x,value\n")
-            for x, v in zip(xs, vals):
-                fh.write(f"{float(x):.17g},{float(v):.17g}\n")
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
-        return 0
-
-    if cfg.engine == "broda-kan":
-        p = _biv_like(cfg)
-        if p is not None:
-            jcf = bivariate_normal_joint_cf(p)
-            grid = auto_grid(normal_cf(p.mu1, p.sigma1), normal_cf(p.mu2, p.sigma2), n=cfg.grid_n)
-            _write_xy(cfg, xs, lambda x: broda_kan_pdf_joint(jcf, x, grid))
-        else:
-            cf1, cf2 = _ratio_cfs(cfg)
-            grid = auto_grid(cf1, cf2, n=cfg.grid_n)
-            _write_xy(cfg, xs, lambda x: broda_kan_pdf_indep(cf1, cf2, x, grid))
-        return 0
-
-    if cfg.engine == "gil-pelaez":
-        if cfg.dist is None:
-            raise InvalidParamsError(
-                "gil-pelaez inverts a single characteristic function; pass --dist KIND ARGS"
-            )
-        cf = _parse_cf(cfg.dist)
-        qcfg = QuadratureConfig(rel_tol=cfg.rel_tol)
-        _write_xy(cfg, xs, lambda x: gil_pelaez_pdf(cf, x, qcfg))
-        return 0
-
-    raise InvalidParamsError(f"unknown engine {cfg.engine!r}")
-
-
-def cmd_cdf(cfg: RunConfig) -> int:
-    lo, hi = _choose_interval(cfg)
-    xs = np.linspace(lo, hi, cfg.n_points)
-
-    if cfg.engine == "analytic":
-        p = _biv_like(cfg)
-        if p is not None:
-            _write_xy(cfg, xs, lambda x: ratio_cdf(p, x))
-        elif cfg.std_ratio is not None:
-            sr = cfg.std_ratio
-            _write_xy(cfg, xs, lambda x: std_ratio_cdf(sr, x))
-        else:
-            raise InvalidParamsError("analytic engine needs --std-ratio, --biv or --hake")
-        return 0
-
-    if cfg.engine == "broda-kan":
-        p = _biv_like(cfg)
-        if p is not None:
-            jcf = bivariate_normal_joint_cf(p)
-            grid = auto_grid(normal_cf(p.mu1, p.sigma1), normal_cf(p.mu2, p.sigma2), n=cfg.grid_n)
-        else:
-            cf1, cf2 = _ratio_cfs(cfg)
-            jcf = product_joint_cf(cf1, cf2)
-            grid = auto_grid(cf1, cf2, n=cfg.grid_n)
-        _write_xy(cfg, xs, lambda x: broda_kan_cdf(jcf, x, grid))
-        return 0
-
-    if cfg.engine == "gil-pelaez":
-        if cfg.dist is None:
-            raise InvalidParamsError(
-                "gil-pelaez inverts a single characteristic function; pass --dist KIND ARGS"
-            )
-        cf = _parse_cf(cfg.dist)
-        qcfg = QuadratureConfig(rel_tol=cfg.rel_tol)
-        _write_xy(cfg, xs, lambda x: gil_pelaez_cdf(cf, x, qcfg))
-        return 0
-
-    if cfg.engine == "mellin":
-        raise InvalidParamsError("the mellin engine computes densities only; use cdf with another engine")
-    raise InvalidParamsError(f"unknown engine {cfg.engine!r}")
+    factory = getattr(ENGINES[cfg.engine], cfg.subcommand)
+    if factory is None:
+        raise InvalidParamsError(
+            f"the {cfg.engine} engine computes densities only; use cdf with another engine"
+        )
+    values = factory(cfg, xs)()
+    rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(xs.tolist(), values.tolist()))
+    _write(cfg.out, "x,value\n" + rows)
+    return 0
 
 
 def cmd_modality(cfg: RunConfig) -> int:
     sr = _any_params(cfg)
-    verdict = classify_modality(sr, practical=cfg.practical)
-    fh = _open_out(cfg.out)
-    try:
-        fh.write(f"{verdict.value}\n")
-        if 1.0 <= sr.a < MODALITY_A0:
-            fh.write(f"b*({sr.a:.17g}) = {modality_curve(sr.a):.17g}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    text = f"{classify_modality(sr, practical=cfg.practical).value}\n"
+    if 1.0 <= sr.a < MODALITY_A0:
+        text += f"b*({sr.a:.17g}) = {modality_curve(sr.a):.17g}\n"
+    _write(cfg.out, text)
     return 0
 
 
 def cmd_interval(cfg: RunConfig) -> int:
     cfg.auto_interval = True
     lo, hi = _choose_interval(cfg)
-    fh = _open_out(cfg.out)
-    try:
-        fh.write(f"{lo:.17g},{hi:.17g}\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    _write(cfg.out, f"{lo:.17g},{hi:.17g}\n")
     return 0
 
 
 def cmd_bench(cfg: RunConfig) -> int:
+    if cfg.out == "-":
+        raise InvalidParamsError("bench needs --out PATH for the records file")
     if cfg.std_ratio is None:
         raise InvalidParamsError("bench needs --std-ratio A B")
-    if cfg.interval is not None:
-        lo, hi = cfg.interval
-    else:
-        lo, hi = evaluation_interval(cfg.std_ratio, cfg.k or 2.0)
+    interval = cfg.interval or evaluation_interval(cfg.std_ratio, cfg.k or 2.0)
 
-    base = bench_mod.run_experiment(
+    def run(method: str, **opts: object) -> bench_mod.BenchRecord:
+        return bench_mod.run_experiment(
+            method, cfg.std_ratio, interval, n_points=cfg.n_points, runs=cfg.runs,
+            reps=cfg.reps, **opts,
+        )
+
+    base = run(
         bench_mod.BASELINE_METHOD,
-        cfg.std_ratio,
-        (lo, hi),
-        n_points=cfg.n_points,
-        runs=cfg.runs,
-        reps=cfg.reps,
         rel_tol=bench_mod.BASELINE_REL_TOL,
         label=f"{bench_mod.BASELINE_METHOD}@{bench_mod.BASELINE_REL_TOL:g}",
     )
-    base = dataclasses.replace(base, speedup_vs_baseline=1.0)
-    records = [base]
-    for method in cfg.methods or []:
-        if method in ("mellin-de", "mellin-de-cheb") and cfg.rel_tols:
-            for tol in cfg.rel_tols:
-                opts = {"rel_tol": tol}
-                if method == "mellin-de-cheb" and cfg.cheb_nodes:
-                    opts["n_nodes"] = cfg.cheb_nodes
-                records.append(
-                    bench_mod.run_experiment(
-                        method, cfg.std_ratio, (lo, hi), n_points=cfg.n_points,
-                        runs=cfg.runs, reps=cfg.reps, baseline=base,
-                        label=f"{method}@{tol:g}", **opts,
-                    )
-                )
-        else:
-            opts = {}
-            if method == "broda-kan":
-                opts["n"] = cfg.grid_n
-            elif method == "mellin-de-cheb" and cfg.cheb_nodes:
-                opts["n_nodes"] = cfg.cheb_nodes
-            records.append(
-                bench_mod.run_experiment(
-                    method, cfg.std_ratio, (lo, hi), n_points=cfg.n_points,
-                    runs=cfg.runs, reps=cfg.reps, baseline=base, **opts,
-                )
-            )
-    if cfg.out == "-":
-        raise InvalidParamsError("bench needs --out PATH for the records file")
+    records = [dataclasses.replace(base, speedup_vs_baseline=1.0)]
+    given = {"n": cfg.grid_n, "n_nodes": cfg.cheb_nodes}
+    for method in cfg.methods:
+        takes = bench_mod.METHODS[method][1]
+        opts = {k: v for k, v in given.items() if k in takes and v is not None}
+        sweep = [{"rel_tol": t, "label": f"{method}@{t:g}"} for t in cfg.rel_tols]
+        for extra in (sweep if "rel_tol" in takes else []) or [{}]:
+            records.append(run(method, baseline=base, **opts, **extra))
     bench_mod.export(records, cfg.format, cfg.out)
     return 0
 
@@ -396,8 +382,7 @@ def _add_dist_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", choices=["analytic", "mellin", "broda-kan", "gil-pelaez"],
-                   default="analytic")
+    p.add_argument("--engine", choices=list(ENGINES), default="analytic")
     p.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"))
     p.add_argument("--auto-interval", action="store_true")
     p.add_argument("--n", type=int, default=1000, dest="n_points")
@@ -406,7 +391,6 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--cheb-nodes", type=int, default=None)
     p.add_argument("--grid-n", type=int, default=500)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="-")
 
 
@@ -469,8 +453,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     cfg = _build_config(args)
     handlers = {
-        "pdf": cmd_pdf,
-        "cdf": cmd_cdf,
+        "pdf": cmd_grid,
+        "cdf": cmd_grid,
         "modality": cmd_modality,
         "interval": cmd_interval,
         "bench": cmd_bench,

@@ -17,7 +17,6 @@ endpoints can never probe them out of domain.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -268,7 +267,6 @@ def ratio_pdf_grid(
     grid: Sequence[float],
     cfg: QuadratureConfig = _DEFAULT_CFG,
     accel: GridAccel = Direct(),
-    threads: int = 1,
 ) -> np.ndarray:
     """Ratio density over an ordered grid, directly or via one interpolant.
 
@@ -282,8 +280,6 @@ def ratio_pdf_grid(
         raise InvalidParamsError("grid must be nonempty")
     if np.any(np.diff(pts) < 0.0):
         raise InvalidParamsError("grid must be sorted ascending")
-    if threads < 1:
-        raise InvalidParamsError(f"threads must be >= 1, got {threads!r}")
 
     def eval_at(t: float) -> float:
         return ratio_pdf(f1, f2, t, cfg)
@@ -295,10 +291,7 @@ def ratio_pdf_grid(
         return cheb_eval_many(interp, pts)
     if not isinstance(accel, Direct):
         raise InvalidParamsError(f"unknown acceleration mode {accel!r}")
-    if threads == 1:
-        return np.array([eval_at(float(t)) for t in pts])
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return np.array(list(pool.map(eval_at, [float(t) for t in pts])))
+    return np.array([eval_at(float(t)) for t in pts])
 
 
 def ratio_interpolant(

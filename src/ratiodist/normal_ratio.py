@@ -93,19 +93,6 @@ class RatioTransform:
     scale: float
     shift: float
 
-    # canonical r, s, sign view: W = (1/r) T + s with 1/r = sign*(s1/s2)*sqrt(1-rho^2)
-    @property
-    def r(self) -> float:
-        return 1.0 / self.scale
-
-    @property
-    def s(self) -> float:
-        return self.shift
-
-    @property
-    def sign(self) -> int:
-        return 1 if self.scale > 0.0 else -1
-
 
 @dataclass(frozen=True)
 class HakeInputs:
@@ -266,41 +253,6 @@ def hake_params(h: HakeInputs) -> BivNormalParams:
         sigma2=h.sd_pre / root_n,
         rho=(h.sd_pre - h.rho_star * h.sd_post) / math.sqrt(s_sq),
     )
-
-
-def hake_ab(h: HakeInputs) -> StdRatioParams:
-    """Canonical (a, b) for the gain ratio, directly from score statistics.
-
-    Algebraically identical to to_standard(hake_params(h)): with
-    S^2 = sd_pre^2 + sd_post^2 - 2 sd_pre sd_post rho_star one finds
-    1 - rho^2 = sd_post^2 (1 - rho_star^2) / S^2, and the raw offset
-    collapses to
-
-        a0 = sqrt(n) [ (mu_post - mu_pre)/sd_post
-                       - (100 - mu_pre) (1/sd_post - rho_star/sd_pre) ]
-             / sqrt(1 - rho_star^2)
-        b0 = sqrt(n) (100 - mu_pre) / sd_pre
-
-    The grouping above stays finite as rho_star -> 0; near that point the
-    two-step route through hake_params is used, which is the same value
-    computed without any rho_star division at all.
-    """
-    if abs(h.rho_star) < 1e-8:
-        sr, _ = to_standard(hake_params(h))
-        return sr
-    root_n = math.sqrt(h.n)
-    b0 = root_n * (100.0 - h.mu_pre) / h.sd_pre
-    a0 = (
-        root_n
-        * (
-            (h.mu_post - h.mu_pre) / h.sd_post
-            - (100.0 - h.mu_pre) * (1.0 / h.sd_post - h.rho_star / h.sd_pre)
-        )
-        / math.sqrt(1.0 - h.rho_star**2)
-    )
-    if b0 < 0.0:
-        a0, b0 = -a0, -b0
-    return StdRatioParams(abs(a0), b0)
 
 
 def modality_curve(a: float) -> float:

@@ -314,22 +314,8 @@ def cheb_build(
     return ChebInterpolant(float(lo), float(hi), x, values, weights)
 
 
-def cheb_eval(interp: ChebInterpolant, x: float) -> float:
-    """Evaluate the interpolant at a single point inside [lo, hi]."""
-    if not (interp.lo <= x <= interp.hi):
-        raise InvalidParamsError(
-            f"x={x!r} is outside the interpolation interval [{interp.lo!r}, {interp.hi!r}]"
-        )
-    diff = x - interp.nodes
-    hit = diff == 0.0
-    if hit.any():
-        return float(interp.values[hit][0])
-    ratios = interp.weights / diff
-    return float(np.dot(ratios, interp.values) / ratios.sum())
-
-
 def cheb_eval_many(interp: ChebInterpolant, xs: Sequence[float]) -> np.ndarray:
-    """Vectorized cheb_eval over a sequence of points."""
+    """Evaluate the interpolant at points inside [lo, hi]; nodes give their values exactly."""
     x = np.asarray(xs, dtype=float)
     if x.size and (x.min() < interp.lo or x.max() > interp.hi):
         raise InvalidParamsError("evaluation points extend outside the interpolation interval")

@@ -112,6 +112,7 @@ def test_run_experiment_broda_kan():
         {"n_points": 0},
         {"interval": (1.0, 1.0)},
         {"interval": (0.0, math.inf)},
+        {"n": 64},  # analytic takes no options
     ],
 )
 def test_run_experiment_validation(kwargs):

@@ -90,9 +90,31 @@ def test_hermitian_symmetry():
 
 def test_invalid_cf_rejected():
     # phi(0) = 1 is the one property every CF must satisfy
-    bad = CharFn(lambda t: 0.5 + 0.0j)
-    with pytest.raises(InvalidParamsError):
+    bad = CharFn(lambda t: np.full(np.shape(t), 0.5 + 0.0j))
+    with pytest.raises(InvalidParamsError, match="phi\\(0\\) must equal 1"):
         gil_pelaez_pdf(bad, 0.0)
+
+
+@pytest.mark.parametrize(
+    "phi, match",
+    [
+        (lambda t: cmath.exp(-0.5 * t * t), "accept NumPy arrays"),  # one float at a time
+        (lambda t: 1.0 + 0.0j, "same shape"),  # ignores its argument
+    ],
+)
+def test_cf_must_map_arrays_to_arrays(phi, match):
+    # the inversions evaluate phi on whole grids; a scalar-only CF fails at the door
+    cf = CharFn(phi, label="scalar cf")
+    calls = (
+        lambda: gil_pelaez_pdf(cf, 0.0),
+        lambda: gil_pelaez_cdf(cf, 0.0),
+        lambda: auto_grid(cf, normal_cf(1.0, 1.0)),
+        lambda: product_joint_cf(normal_cf(1.0, 1.0), cf),
+        lambda: broda_kan_pdf_indep(normal_cf(1.0, 1.0), cf, 0.5, Grid2DConfig(8, 0.1, 0.1)),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParamsError, match=match):
+            call()
 
 
 def test_cf_derivative_matches_closed_form():

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from ratiodist import bench, cli
 from ratiodist.cli import main
 from ratiodist.normal_ratio import StdRatioParams, evaluation_interval, std_ratio_cdf, std_ratio_pdf
 
@@ -141,6 +142,29 @@ def test_bench_csv(tmp_path):
     assert float(rows[1]["speedup"]) > 0.0
 
 
+def test_bench_tolerance_sweep(tmp_path):
+    # only the methods that take a tolerance are swept; the others run once
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", "--std-ratio", "1.5", "1", "--method", "mellin-de", "--method", "analytic",
+               "--rel-tol", "1e-3", "1e-4", "--interval", "-1", "1", "--n", "5", "--runs", "1",
+               "--reps", "10", "--out", str(out)])
+    assert rc == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [r["method_id"] for r in rows] == [
+        "mellin-de@0.001", "mellin-de@0.001", "mellin-de@0.0001", "analytic"]
+
+
+def test_bench_checks_out_before_running(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench ran an experiment before checking --out")
+
+    monkeypatch.setattr(bench, "run_experiment", refuse)
+    rc = main(["bench", "--std-ratio", "1.5", "1", "--method", "broda-kan",
+               "--n", "50", "--runs", "1", "--reps", "10"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: bench needs --out PATH for the records file\n"
+
+
 def test_bench_json(tmp_path):
     out = tmp_path / "bench.json"
     rc = main(["bench", "--std-ratio", "1.5", "1", "--method", "analytic",
@@ -189,3 +213,65 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "x,value"
+
+
+def test_interval_broda_kan_hake(capsys):
+    # the window comes from the marginal normal CFs the Broda-Kan grid is built from
+    rc = main(["interval", "--engine", "broda-kan", "--hake", "40", "65", "15", "18", "0.5", "50"])
+    assert rc == 0
+    lo, hi = (float(v) for v in capsys.readouterr().out.strip().split(","))
+    assert abs(lo - 0.16445) <= 5e-6 and abs(hi - 0.66888) <= 5e-6
+    assert math.isclose(0.5 * (lo + hi), 25.0 / 60.0, rel_tol=1e-9)
+
+
+def test_gil_pelaez_far_tail_converges(capsys):
+    # the CLI keeps the library's abs_floor, so the N(0,1) tail at |x| = 6 converges
+    rc = main(["pdf", "--engine", "gil-pelaez", "--dist", "normal", "0", "1",
+               "--interval", "-6", "6", "--n", "13", "--rel-tol", "1e-10"])
+    assert rc == 0
+    rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 13
+    for x, v in rows:
+        assert abs(v - math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)) <= 1e-12
+
+
+_SPECS = {
+    "std-ratio": ["--std-ratio", "1.5", "1"],
+    "biv": ["--biv", "25", "60", "2.4", "2.1", "0.3"],
+    "hake": ["--hake", "40", "65", "15", "18", "0.5", "50"],
+    "num-den": ["--num", "normal", "1", "1", "--den", "chisq", "5"],
+    "dist": ["--dist", "normal", "0", "1"],
+}
+# (engine, subcommand) -> the spec kinds it accepts; every other pair exits 1
+_ACCEPTS = {
+    ("analytic", "pdf"): {"std-ratio", "biv", "hake"},
+    ("analytic", "cdf"): {"std-ratio", "biv", "hake"},
+    ("mellin", "pdf"): {"std-ratio", "num-den"},  # correlated --biv/--hake refused
+    ("mellin", "cdf"): set(),
+    ("broda-kan", "pdf"): {"std-ratio", "biv", "hake", "num-den"},
+    ("broda-kan", "cdf"): {"std-ratio", "biv", "hake", "num-den"},
+    ("gil-pelaez", "pdf"): {"dist"},
+    ("gil-pelaez", "cdf"): {"dist"},
+}
+
+
+def test_engine_table_covers_every_engine():
+    assert {e for e, _ in _ACCEPTS} == set(cli.ENGINES)
+
+
+@pytest.mark.parametrize("spec", sorted(_SPECS))
+@pytest.mark.parametrize("engine, sub", sorted(_ACCEPTS))
+def test_engine_table_spec_matrix(engine, sub, spec, capsys):
+    argv = [sub, "--engine", engine, *_SPECS[spec], "--auto-interval", "--n", "4",
+            "--grid-n", "64"]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    if spec in _ACCEPTS[(engine, sub)]:
+        assert rc == 0, captured.err
+        rows = _rows(captured.out)
+        assert len(rows) == 4
+        assert all(math.isfinite(x) and math.isfinite(v) for x, v in rows)
+    else:
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

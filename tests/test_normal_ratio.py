@@ -15,7 +15,6 @@ from ratiodist.normal_ratio import (
     classify_modality,
     cohens_d,
     evaluation_interval,
-    hake_ab,
     hake_params,
     modality_curve,
     normal_approx_cdf,
@@ -49,7 +48,6 @@ def test_to_standard_identity_case() -> None:
     sr, tr = to_standard(BivNormalParams(0.0, 0.0, 1.0, 1.0, 0.0))
     assert (sr.a, sr.b) == (0.0, 0.0)
     assert (tr.scale, tr.shift) == (1.0, 0.0)
-    assert (tr.r, tr.s, tr.sign) == (1.0, 0.0, 1)
 
 
 def test_to_standard_pilot_pair() -> None:
@@ -61,7 +59,7 @@ def test_to_standard_pilot_pair() -> None:
 def test_to_standard_sign_flip_keeps_a_nonnegative() -> None:
     sr, tr = to_standard(BivNormalParams(-1.5, 1.0, 1.0, 1.0, 0.0))
     assert math.isclose(sr.a, 1.5) and math.isclose(sr.b, 1.0)
-    assert tr.sign == -1
+    assert tr.scale < 0.0
     # density at w equals the reflected standardized density
     p = BivNormalParams(-1.5, 1.0, 1.0, 1.0, 0.0)
     for w in (-2.0, -0.3, 0.0, 1.1):
@@ -251,41 +249,15 @@ def test_hake_inputs_validation() -> None:
 
 
 def test_hake_ab_textbook_case() -> None:
-    sr = hake_ab(HakeInputs(50.0, 70.0, 10.0, 10.0, 0.0, 1))
+    sr = to_standard(hake_params(HakeInputs(50.0, 70.0, 10.0, 10.0, 0.0, 1)))[0]
     assert math.isclose(sr.b, 5.0, rel_tol=1e-14)
     assert math.isclose(sr.a, 3.0, rel_tol=1e-12)
-
-
-def test_hake_ab_matches_standardization_route() -> None:
-    rng = np.random.default_rng(44)
-    for _ in range(100):
-        h = HakeInputs(
-            mu_pre=float(rng.uniform(20.0, 80.0)),
-            mu_post=float(rng.uniform(20.0, 95.0)),
-            sd_pre=float(rng.uniform(2.0, 18.0)),
-            sd_post=float(rng.uniform(2.0, 18.0)),
-            rho_star=float(rng.uniform(-0.85, 0.85)),
-            n=int(rng.integers(1, 60)),
-        )
-        direct = hake_ab(h)
-        via = to_standard(hake_params(h))[0]
-        assert math.isclose(direct.a, via.a, rel_tol=1e-10, abs_tol=1e-12)
-        assert math.isclose(direct.b, via.b, rel_tol=1e-10, abs_tol=1e-12)
-
-
-def test_hake_ab_continuous_at_small_rho_star() -> None:
-    # the closed form delegates below |rho*| = 1e-8; both routes must agree
-    base = dict(mu_pre=45.0, mu_post=65.0, sd_pre=12.0, sd_post=11.0, n=20)
-    lo = hake_ab(HakeInputs(rho_star=-1e-9, **base))
-    hi = hake_ab(HakeInputs(rho_star=1e-7, **base))
-    assert math.isclose(lo.a, hi.a, rel_tol=1e-5)
-    assert math.isclose(lo.b, hi.b, rel_tol=1e-12)
 
 
 def test_hake_ab_realistic_course_scale() -> None:
     # strong-gain class sized so the standardized pair lands in the
     # typical windows a in (4,5), b in (20,25)
-    sr = hake_ab(HakeInputs(56.0, 91.0, 12.0, 12.0, 0.0, 36))
+    sr = to_standard(hake_params(HakeInputs(56.0, 91.0, 12.0, 12.0, 0.0, 36)))[0]
     assert 4.0 < sr.a < 5.0
     assert 20.0 < sr.b < 25.0
 
