@@ -43,7 +43,7 @@ BASELINE_METHOD = "mellin-de"
 BASELINE_REL_TOL = 1e-3
 
 CSV_COLUMNS = (
-    "method_id,a,b,n_points,lo,hi,runs,reps,runtime_mean_s,runtime_cv,eps_max,speedup"
+    "method_id,a,b,n_points,lo,hi,runs,reps,runtime_mean_s,runtime_cv,eps_max,speedup,setup_s"
 )
 
 
@@ -208,6 +208,7 @@ def _row(rec: BenchRecord) -> Dict[str, object]:
         "runtime_cv": rec.runtime_cv,
         "eps_max": rec.eps_max,
         "speedup": rec.speedup_vs_baseline,
+        "setup_s": rec.setup_time_s,
     }
 
 

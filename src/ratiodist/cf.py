@@ -188,8 +188,8 @@ def gil_pelaez_pdf(cf: CharFn, x: float, cfg: QuadratureConfig = _GP_CFG) -> flo
     """
     _check_cf(cf)
 
-    def integrand(t: float) -> float:
-        return (np.exp(-1j * t * x) * complex(cf.phi(t))).real
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return (np.exp(-1j * t * x) * cf.phi(t)).real
 
     r = de_integrate(integrand, DETransform.half_line(0.0), cfg)
     return r.value / math.pi
@@ -202,8 +202,8 @@ def gil_pelaez_cdf(cf: CharFn, x: float, cfg: QuadratureConfig = _GP_CFG) -> flo
     """
     _check_cf(cf)
 
-    def integrand(t: float) -> float:
-        return (np.exp(-1j * t * x) * complex(cf.phi(t))).imag / t
+    def integrand(t: np.ndarray) -> np.ndarray:
+        return (np.exp(-1j * t * x) * cf.phi(t)).imag / t
 
     r = de_integrate(integrand, DETransform.half_line(0.0), cfg)
     raw = 0.5 - r.value / math.pi

@@ -7,32 +7,42 @@ the product are one-dimensional integrals::
     product (f1 * f2)(t) = integral f1(x) f2(t/x) / |x| dx
 
 Both kernels are non-smooth at x = 0, so each integral is split there and the
-two sides are handled by separate double-exponential transforms, keeping the
-integrand analytic on each piece.  Support hints shrink the integration
-interval before any density is evaluated; a guard wrapper additionally pins
-the densities to zero outside their declared support so roundoff at interval
-endpoints can never probe them out of domain.
+two pieces are handled by separate double-exponential transforms, keeping the
+integrand analytic on each piece; the negative piece is reflected onto x > 0.
+Support hints shrink the integration interval before any density is
+evaluated; a guard wrapper additionally pins the densities to zero outside
+their declared support so roundoff at interval endpoints can never probe them
+out of domain.
+
+Every piece of every evaluation point is one row of the array DE sweep
+(quadrature.integrate_rows): a grid is integrated in equal blocks of about
+_BLOCK_POINTS points, each block in one sweep per map kind, and a single
+point is a block of one.  Rows are independent, so a point's value does not
+depend on the grid it is evaluated in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import InvalidParamsError, SingularProductError
 from .quadrature import (
     ChebInterpolant,
-    DETransform,
     QuadratureConfig,
     cheb_build,
     cheb_eval_many,
-    de_integrate,
+    integrate_rows,
 )
 
 _DEFAULT_CFG = QuadratureConfig(rel_tol=1e-10, abs_floor=1e-280)
+# about this many points per sweep; bounds the (rows x nodes) arrays of a level
+_BLOCK_POINTS = 64
+
+Density = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -63,14 +73,41 @@ class Support:
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
 
+    def inner_point(self) -> float:
+        """A point inside the support."""
+        if math.isfinite(self.lo) and math.isfinite(self.hi):
+            return 0.5 * (self.lo + self.hi)
+        if math.isfinite(self.lo):
+            return self.lo + 1.0
+        if math.isfinite(self.hi):
+            return self.hi - 1.0
+        return 0.0
+
 
 @dataclass(frozen=True)
 class DensityFn:
-    """A probability density together with its support hint."""
+    """A probability density together with its support hint.
 
-    f: Callable[[float], float]
+    f maps a NumPy array of points (any shape) to the density values, same
+    shape; the quadrature evaluates it on whole arrays of nodes.  It is
+    checked once, on a one-element array at a point inside the support.
+    """
+
+    f: Density
     support: Support
     label: str = ""
+
+    def __post_init__(self) -> None:
+        name = self.label or "density"
+        try:
+            v = np.asarray(self.f(np.array([self.support.inner_point()])))
+        except TypeError as exc:
+            raise InvalidParamsError(f"f must accept NumPy arrays; {name} raised: {exc}") from exc
+        if v.shape != (1,):
+            raise InvalidParamsError(
+                f"f must map an array to an array of the same shape; "
+                f"{name} returned shape {v.shape}"
+            )
 
 
 @dataclass(frozen=True)
@@ -94,9 +131,9 @@ def normal_density(mu: float = 0.0, sigma: float = 1.0) -> DensityFn:
     inv = 1.0 / sigma
     norm = inv / math.sqrt(2.0 * math.pi)
 
-    def f(x: float) -> float:
+    def f(x):
         z = (x - mu) * inv
-        return norm * math.exp(-0.5 * z * z)
+        return norm * np.exp(-0.5 * z * z)
 
     return DensityFn(f, Support.real_line(), f"normal({mu}, {sigma})")
 
@@ -106,12 +143,14 @@ def chi_square_density(k: float) -> DensityFn:
         raise InvalidParamsError(f"chi-square needs k > 0, got {k!r}")
     half_k = 0.5 * k
     log_norm = half_k * math.log(2.0) + math.lgamma(half_k)
+    # k = 2 is the lone finite nonzero boundary value
+    at_zero = 0.5 if k == 2.0 else 0.0
 
-    def f(x: float) -> float:
-        if x <= 0.0:
-            # k = 2 is the lone finite nonzero boundary value
-            return 0.5 if (x == 0.0 and k == 2.0) else 0.0
-        return math.exp((half_k - 1.0) * math.log(x) - 0.5 * x - log_norm)
+    def f(x):
+        inside = x > 0.0
+        y = np.where(inside, x, 1.0)
+        v = np.exp((half_k - 1.0) * np.log(y) - 0.5 * y - log_norm)
+        return np.where(inside, v, np.where(x == 0.0, at_zero, 0.0))
 
     return DensityFn(f, Support.half_line(0.0), f"chisq({k})")
 
@@ -121,19 +160,20 @@ def uniform_density(lo: float = 0.0, hi: float = 1.0) -> DensityFn:
         raise InvalidParamsError(f"uniform needs finite lo < hi, got ({lo!r}, {hi!r})")
     height = 1.0 / (hi - lo)
 
-    def f(x: float) -> float:
-        return height if lo <= x <= hi else 0.0
+    def f(x):
+        return np.where((x >= lo) & (x <= hi), height, 0.0)
 
     return DensityFn(f, Support.finite(lo, hi), f"uniform({lo}, {hi})")
 
 
-def _guarded(df: DensityFn) -> Callable[[float], float]:
+def _guarded(df: DensityFn) -> Density:
     lo, hi, f = df.support.lo, df.support.hi, df.f
+    if lo == -math.inf and hi == math.inf:
+        return f
 
-    def g(x: float) -> float:
-        if x < lo or x > hi:
-            return 0.0
-        return f(x)
+    def g(x):
+        # f sees only points of its support; the others are pinned to 0
+        return np.where((x >= lo) & (x <= hi), f(np.clip(x, lo, hi)), 0.0)
 
     return g
 
@@ -142,29 +182,65 @@ def _intersect(a: Tuple[float, float], b: Tuple[float, float]) -> Tuple[float, f
     return max(a[0], b[0]), min(a[1], b[1])
 
 
-def _integrate_signed_interval(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
+def _integrate_pieces(
+    f1: DensityFn,
+    f2: DensityFn,
+    product: bool,
+    t: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
     cfg: QuadratureConfig,
-) -> float:
-    """Integrate g over (lo, hi), an interval lying within one half-axis."""
-    if not lo < hi:
-        return 0.0
-    if lo == -math.inf:
-        return de_integrate(lambda y: g(-y), DETransform.half_line(-hi), cfg).value
-    if hi == math.inf:
-        return de_integrate(g, DETransform.half_line(lo), cfg).value
-    return de_integrate(g, DETransform.finite(lo, hi), cfg).value
+) -> np.ndarray:
+    """The Mellin kernel at every point of t, given each piece's x-interval.
+
+    lo[:n], hi[:n] bound the positive piece of the n points and lo[n:],
+    hi[n:] the negative piece reflected onto x > 0; an empty interval
+    contributes 0.  Each piece is one row of the DE sweep.
+    """
+    g1, g2 = _guarded(f1), _guarded(f2)
+    n = t.shape[0]
+    sign = np.repeat(np.array([1.0, -1.0]), n)[:, None]
+    tt = np.concatenate([t, t])[:, None]
+    values = np.zeros(2 * n)
+    nonempty = lo < hi
+    half = hi == math.inf
+    for kind, rows in (("half", nonempty & half), ("finite", nonempty & ~half)):
+        k = np.flatnonzero(rows)
+        if k.size == 0:
+            continue
+        s, u = sign[k], tt[k]
+
+        def kernel(idx, x, s=s, u=u):
+            z = x * s[idx]
+            if product:
+                return g1(z) * g2((s[idx] * u[idx]) / x) / x
+            return g1(z * u[idx]) * g2(z) * x
+
+        values[k] = integrate_rows(kernel, kind, lo[k], hi[k], cfg).value
+    return values[:n] + values[n:]
 
 
-def _ratio_preimage(sup1: Support, t: float) -> Tuple[float, float]:
-    # the set {x : t*x is inside sup1}; vacuous for t = 0 (constant factor f1(0))
-    if t > 0.0:
-        return sup1.lo / t, sup1.hi / t
-    if t < 0.0:
-        return sup1.hi / t, sup1.lo / t
-    return -math.inf, math.inf
+def _ratio_values(f1: DensityFn, f2: DensityFn, ts: np.ndarray,
+                  cfg: QuadratureConfig) -> np.ndarray:
+    """Ratio density at every point of ts (finite), in blocks of points."""
+    out = np.empty(ts.shape[0])
+    lo1, hi1 = f1.support.lo, f1.support.hi
+    lo2, hi2 = f2.support.lo, f2.support.hi
+    # equal blocks of about _BLOCK_POINTS points
+    size = -(-ts.shape[0] // max(1, round(ts.shape[0] / _BLOCK_POINTS)))
+    for i in range(0, ts.shape[0], size):
+        t = ts[i:i + size]
+        # the set {x : t*x is inside sup1}; vacuous for t = 0 (constant factor f1(0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a, b = lo1 / t, hi1 / t
+        pre_lo = np.where(t > 0.0, a, np.where(t < 0.0, b, -math.inf))
+        pre_hi = np.where(t > 0.0, b, np.where(t < 0.0, a, math.inf))
+        # positive piece, then the negative one reflected onto x > 0
+        lo = np.concatenate([np.maximum(max(0.0, lo2), pre_lo),
+                             -np.minimum(min(0.0, hi2), pre_hi)])
+        hi = np.concatenate([np.minimum(hi2, pre_hi), -np.maximum(lo2, pre_lo)])
+        out[i:i + size] = _integrate_pieces(f1, f2, False, t, lo, hi, cfg)
+    return out
 
 
 def ratio_pdf(
@@ -180,21 +256,7 @@ def ratio_pdf(
     """
     if not math.isfinite(t):
         raise InvalidParamsError(f"evaluation point must be finite, got {t!r}")
-    g1, g2 = _guarded(f1), _guarded(f2)
-    pre = _ratio_preimage(f1.support, t)
-
-    def integrand_pos(x: float) -> float:
-        return g1(x * t) * g2(x) * x
-
-    def integrand_neg(y: float) -> float:  # y = -x > 0
-        return g1(-y * t) * g2(-y) * y
-
-    lo_p, hi_p = _intersect(_intersect((0.0, math.inf), (f2.support.lo, f2.support.hi)), pre)
-    pos = _integrate_signed_interval(integrand_pos, lo_p, hi_p, cfg)
-    lo_n, hi_n = _intersect(_intersect((-math.inf, 0.0), (f2.support.lo, f2.support.hi)), pre)
-    # reflect the negative-x piece onto (0, inf)
-    neg = _integrate_signed_interval(integrand_neg, -hi_n, -lo_n, cfg) if lo_n < hi_n else 0.0
-    return pos + neg
+    return float(_ratio_values(f1, f2, np.array([float(t)]), cfg)[0])
 
 
 def _product_x_interval(
@@ -240,25 +302,14 @@ def product_pdf(
         raise SingularProductError(
             "product density at 0 may be singular when both supports include 0"
         )
-    g1, g2 = _guarded(f1), _guarded(f2)
-
-    def integrand_pos(x: float) -> float:
-        return g1(x) * g2(t / x) / x
-
-    def integrand_neg(y: float) -> float:  # y = -x > 0
-        return g1(-y) * g2(-t / y) / y
-
-    total = 0.0
     lo_p, hi_p = _intersect((f1.support.lo, f1.support.hi), (0.0, math.inf))
-    if t != 0.0:
-        lo_p, hi_p = _intersect((lo_p, hi_p), _product_x_interval(t, f2.support, True))
-    total += _integrate_signed_interval(integrand_pos, lo_p, hi_p, cfg)
     lo_n, hi_n = _intersect((f1.support.lo, f1.support.hi), (-math.inf, 0.0))
     if t != 0.0:
+        lo_p, hi_p = _intersect((lo_p, hi_p), _product_x_interval(t, f2.support, True))
         lo_n, hi_n = _intersect((lo_n, hi_n), _product_x_interval(t, f2.support, False))
-    if lo_n < hi_n:
-        total += _integrate_signed_interval(integrand_neg, -hi_n, -lo_n, cfg)
-    return total
+    value = _integrate_pieces(f1, f2, True, np.array([t]), np.array([lo_p, -hi_n]),
+                              np.array([hi_p, -lo_n]), cfg)
+    return float(value[0])
 
 
 def ratio_pdf_grid(
@@ -270,28 +321,27 @@ def ratio_pdf_grid(
 ) -> np.ndarray:
     """Ratio density over an ordered grid, directly or via one interpolant.
 
-    Chebyshev acceleration samples ratio_pdf at n_nodes Lobatto points over
-    [min(grid), max(grid)] and evaluates the barycentric interpolant at the
-    grid; for smooth densities this trades thousands of quadratures for a
-    few hundred with no visible accuracy loss.
+    Chebyshev acceleration samples the ratio density at n_nodes Lobatto
+    points over [min(grid), max(grid)] and evaluates the barycentric
+    interpolant at the grid; for smooth densities this trades thousands of
+    quadratures for a few hundred with no visible accuracy loss.
     """
     pts = np.asarray(grid, dtype=float)
     if pts.size == 0:
         raise InvalidParamsError("grid must be nonempty")
+    if not np.all(np.isfinite(pts)):
+        raise InvalidParamsError("grid points must be finite")
     if np.any(np.diff(pts) < 0.0):
         raise InvalidParamsError("grid must be sorted ascending")
-
-    def eval_at(t: float) -> float:
-        return ratio_pdf(f1, f2, t, cfg)
-
     if isinstance(accel, Chebyshev):
         if pts[0] == pts[-1]:
-            return np.full(pts.shape, eval_at(float(pts[0])))
-        interp = cheb_build(eval_at, float(pts[0]), float(pts[-1]), accel.n_nodes)
-        return cheb_eval_many(interp, pts)
+            return np.full(pts.shape, _ratio_values(f1, f2, pts[:1], cfg)[0])
+        return cheb_eval_many(
+            ratio_interpolant(f1, f2, float(pts[0]), float(pts[-1]), accel.n_nodes, cfg), pts
+        )
     if not isinstance(accel, Direct):
         raise InvalidParamsError(f"unknown acceleration mode {accel!r}")
-    return np.array([eval_at(float(t)) for t in pts])
+    return _ratio_values(f1, f2, pts, cfg)
 
 
 def ratio_interpolant(
@@ -303,4 +353,4 @@ def ratio_interpolant(
     cfg: QuadratureConfig = _DEFAULT_CFG,
 ) -> ChebInterpolant:
     """Reusable Chebyshev interpolant of the ratio density on [lo, hi]."""
-    return cheb_build(lambda t: ratio_pdf(f1, f2, t, cfg), lo, hi, n_nodes)
+    return cheb_build(lambda ts: _ratio_values(f1, f2, ts, cfg), lo, hi, n_nodes)

@@ -154,6 +154,8 @@ def to_standard(p: BivNormalParams) -> Tuple[StdRatioParams, RatioTransform]:
 
 def std_ratio_pdf(sr: StdRatioParams, t: float) -> float:
     """Density of T = (a + V1)/(b + V2) at t, overflow-safe for large a, b."""
+    if math.isinf(t):
+        return 0.0
     a, b = sr.a, sr.b
     one_plus_t2 = 1.0 + t * t
     q = (b + a * t) / math.sqrt(one_plus_t2)
@@ -209,15 +211,14 @@ def std_ratio_cdf(
     """
     cfg = cfg or _CDF_CFG
     center = sr.a / sr.b if sr.b > 0.0 else 0.0
-    if t <= center:
-        mass = de_integrate(
-            lambda u: std_ratio_pdf(sr, t - u), DETransform.half_line(0.0), cfg
-        ).value
-        return min(max(mass, 0.0), 1.0)
-    mass = de_integrate(
-        lambda u: std_ratio_pdf(sr, t + u), DETransform.half_line(0.0), cfg
-    ).value
-    return min(max(1.0 - mass, 0.0), 1.0)
+    side = -1.0 if t <= center else 1.0
+
+    def tail(u: np.ndarray) -> np.ndarray:
+        values = [std_ratio_pdf(sr, t + side * v) for v in u.ravel().tolist()]
+        return np.array(values).reshape(u.shape)
+
+    mass = de_integrate(tail, DETransform.half_line(0.0), cfg).value
+    return min(max(mass if side < 0.0 else 1.0 - mass, 0.0), 1.0)
 
 
 def ratio_cdf(

@@ -18,7 +18,9 @@ from ratiodist.bench import (
 )
 from ratiodist.errors import InvalidParamsError
 
-_CSV_HEADER = "method_id,a,b,n_points,lo,hi,runs,reps,runtime_mean_s,runtime_cv,eps_max,speedup"
+_CSV_HEADER = (
+    "method_id,a,b,n_points,lo,hi,runs,reps,runtime_mean_s,runtime_cv,eps_max,speedup,setup_s"
+)
 
 
 def test_registry():
@@ -160,6 +162,7 @@ def test_export_csv_round_trip(tmp_path):
     assert float(r["runtime_cv"]) == 0.014999999999999999
     assert float(r["eps_max"]) == 1.5000000000000001e-05
     assert float(r["speedup"]) == 2.0
+    assert float(r["setup_s"]) == 0.5
     assert math.isnan(float(rows[1]["speedup"]))
 
 

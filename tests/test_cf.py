@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -139,6 +140,18 @@ def test_gil_pelaez_cauchy():
     got = gil_pelaez_pdf(cauchy_cf(1.0, 2.0), 2.5)
     want = 2.0 / (math.pi * (4.0 + 1.5 ** 2))
     assert math.isclose(got, want, rel_tol=1e-9)
+
+
+def test_gil_pelaez_cauchy_raises_no_warnings():
+    cf = cauchy_cf(0.5, 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pdf = [gil_pelaez_pdf(cf, x) for x in (-4.0, 0.0, 0.5, 3.0)]
+        cdf = [gil_pelaez_cdf(cf, x) for x in (-4.0, 0.0, 0.5, 3.0)]
+    for x, p, c in zip((-4.0, 0.0, 0.5, 3.0), pdf, cdf):
+        z = (x - 0.5) / 1.5
+        assert math.isclose(p, 1.0 / (math.pi * 1.5 * (1.0 + z * z)), rel_tol=1e-9)
+        assert math.isclose(c, 0.5 + math.atan(z) / math.pi, rel_tol=1e-9)
 
 
 def test_gil_pelaez_slowly_decaying_cf():

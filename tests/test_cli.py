@@ -134,7 +134,7 @@ def test_bench_csv(tmp_path):
     assert rc == 0
     lines = out.read_text().splitlines()
     assert lines[0] == ("method_id,a,b,n_points,lo,hi,runs,reps,"
-                        "runtime_mean_s,runtime_cv,eps_max,speedup")
+                        "runtime_mean_s,runtime_cv,eps_max,speedup,setup_s")
     rows = list(csv.DictReader(lines))
     assert [r["method_id"] for r in rows] == ["mellin-de@0.001", "analytic"]
     # the baseline row is its own reference point

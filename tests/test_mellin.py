@@ -1,6 +1,7 @@
 """Mellin-convolution ratio and product densities against closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,3 +222,71 @@ def test_chebyshev_grid_samples_ratio_pdf_at_float_nodes():
     weights[[0, -1]] *= 0.5
     expected = cheb_eval_many(ChebInterpolant(lo, hi, nodes, want, weights), grid)
     assert np.array_equal(ratio_pdf_grid(f1, f2, grid, cfg, accel=Chebyshev(65)), expected)
+
+
+def test_density_must_map_arrays_to_arrays():
+    with pytest.raises(InvalidParamsError, match="NumPy arrays"):
+        DensityFn(lambda x: math.exp(-0.5 * x * x), Support.real_line(), "math-based")
+    with pytest.raises(InvalidParamsError, match="same shape"):
+        DensityFn(lambda x: 0.5, Support.finite(0.0, 2.0), "constant")
+    probes = []
+    DensityFn(lambda x: probes.append(x) or np.ones_like(x), Support.half_line(2.0))
+    assert len(probes) == 1 and probes[0].dtype == np.float64
+    assert probes[0].shape == (1,) and probes[0][0] > 2.0
+
+
+def _grid_with_zero(lo, hi, n):
+    return np.unique(np.append(np.linspace(lo, hi, n), 0.0))
+
+
+@pytest.mark.parametrize(
+    "f1, f2, grid",
+    [
+        # several blocks of points, t = 0 included
+        (normal_density(1.5, 1.0), normal_density(1.0, 1.0), _grid_with_zero(-5.0, 8.0, 150)),
+        # the negative piece is empty for t > 0 and the positive one for t < 0
+        (chi_square_density(5), normal_density(3.0, 1.0), _grid_with_zero(-3.0, 5.0, 90)),
+        # finite supports: each t has its own interval, half-line rows at t = 0
+        (uniform_density(0.0, 1.0), uniform_density(0.0, 1.0), _grid_with_zero(-1.0, 4.0, 70)),
+    ],
+)
+def test_grid_values_equal_single_point_values(f1, f2, grid):
+    vals = ratio_pdf_grid(f1, f2, grid)
+    single = np.array([ratio_pdf(f1, f2, float(t)) for t in grid])
+    assert np.array_equal(vals, single)
+    assert np.array_equal(ratio_pdf_grid(f1, f2, grid[::7]), single[::7])
+
+
+def _strict(df):
+    """df whose density raises when asked for any point outside its support."""
+    lo, hi = df.support.lo, df.support.hi
+
+    def f(x):
+        if np.any((x < lo) | (x > hi)):
+            raise AssertionError(f"density probed outside [{lo}, {hi}]")
+        return df.f(x)
+
+    return DensityFn(f, df.support, df.label)
+
+
+def test_densities_are_never_probed_outside_their_support():
+    x5, u = _strict(chi_square_density(5)), _strict(uniform_density(1.0, 2.0))
+    n0 = normal_density(0.5, 1.0)
+    grid = np.linspace(-4.0, 6.0, 81)
+    assert np.all(ratio_pdf_grid(x5, n0, grid) >= 0.0)
+    assert np.all(ratio_pdf_grid(n0, x5, grid) >= 0.0)
+    assert np.all(ratio_pdf_grid(u, x5, grid) >= 0.0)
+    for t in (-3.0, 0.5, 2.0, 7.0):
+        assert product_pdf(x5, u, t) >= 0.0
+        assert product_pdf(n0, u, t) >= 0.0
+    assert product_pdf(u, n0, 0.0) > 0.0
+
+
+def test_non_normal_ratios_raise_no_warnings():
+    fn, fx = normal_density(0.8, 1.1), chi_square_density(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = ratio_pdf_grid(fn, fx, np.linspace(-2.0, 2.0, 41))
+        b = ratio_pdf_grid(fx, fn, np.linspace(-30.0, 30.0, 41), accel=Chebyshev(65))
+        c = [product_pdf(fn, fx, t) for t in (-1.0, 0.5)]
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))

@@ -31,6 +31,11 @@ from ratiodist.quadrature import DETransform, QuadratureConfig, de_integrate
 INV_PI = 1.0 / math.pi
 
 
+def _elementwise(fn):
+    """An array integrand from a scalar closed form, one element at a time."""
+    return lambda x: np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
 def _random_biv(rng) -> BivNormalParams:
     return BivNormalParams(
         mu1=float(rng.uniform(-5.0, 5.0)),
@@ -124,11 +129,19 @@ def test_pdf_nonnegative_and_large_params_safe() -> None:
             assert v >= 0.0 and math.isfinite(v)
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+def test_density_vanishes_at_infinity(t) -> None:
+    for sr in (StdRatioParams(1.5, 1.0), StdRatioParams(0.0, 0.0), StdRatioParams(5.0, 25.0)):
+        assert std_ratio_pdf(sr, t) == 0.0
+    assert ratio_pdf_phamgia(BivNormalParams(1.0, 2.0, 0.5, 0.25, 0.3), t) == 0.0
+    assert ratio_pdf_phamgia(BivNormalParams(-1.5, 1.0, 1.0, 1.0, 0.0), t) == 0.0
+
+
 def test_normalization_all_pilot_pairs() -> None:
     cfg = QuadratureConfig(rel_tol=1e-10)
     for a, b in ((2.0, 0.25), (1.5, 1.0), (4.0, 7.0), (5.0, 25.0)):
         sr = StdRatioParams(a, b)
-        r = de_integrate(lambda t: std_ratio_pdf(sr, t), DETransform.real_line(), cfg)
+        r = de_integrate(_elementwise(lambda t: std_ratio_pdf(sr, t)), DETransform.real_line(), cfg)
         assert math.isclose(r.value, 1.0, rel_tol=1e-8)
 
 
@@ -174,7 +187,7 @@ def test_std_ratio_cdf_matches_integrated_pdf() -> None:
     cfg = QuadratureConfig(rel_tol=1e-12)
     for t1, t2 in ((-2.0, 0.5), (0.5, 3.0), (-6.0, 6.0)):
         mass = de_integrate(
-            lambda t: std_ratio_pdf(sr, t), DETransform.finite(t1, t2), cfg
+            _elementwise(lambda t: std_ratio_pdf(sr, t)), DETransform.finite(t1, t2), cfg
         ).value
         assert math.isclose(
             std_ratio_cdf(sr, t2) - std_ratio_cdf(sr, t1), mass, rel_tol=1e-9
@@ -201,10 +214,10 @@ def test_ratio_cdf_negative_scale_orientation() -> None:
     cfg = QuadratureConfig(rel_tol=1e-12)
     for w in (-1.0, 0.0, 0.8):
         mass = de_integrate(
-            lambda u: ratio_pdf_phamgia(p, u), DETransform.finite(-30.0, w), cfg
+            _elementwise(lambda u: ratio_pdf_phamgia(p, u)), DETransform.finite(-30.0, w), cfg
         ).value
         tail_below_minus30 = 1.0 - de_integrate(
-            lambda u: ratio_pdf_phamgia(p, u), DETransform.finite(-30.0, 40.0), cfg
+            _elementwise(lambda u: ratio_pdf_phamgia(p, u)), DETransform.finite(-30.0, 40.0), cfg
         ).value
         approx = mass + tail_below_minus30 * 0.5  # split leftover between tails
         assert abs(ratio_cdf(p, w) - approx) < 5e-3
