@@ -5,7 +5,9 @@ One-dimensional inversion uses the Gil-Pelaez (1951) formulas::
     f(x) = (1/pi) int_0^inf Re[e^{-itx} phi(t)] dt
     F(x) = 1/2 - (1/pi) int_0^inf Im[e^{-itx} phi(t)] / t dt
 
-evaluated by half-line double-exponential quadrature.
+evaluated by half-line double-exponential quadrature.  Both take a float
+(giving a float) or a NumPy array of points (giving an array of its shape);
+each point is a row of one batch of the DE sweep.
 
 The ratio W = X1/X2 is inverted in two dimensions following Broda and Kan
 (2013).  With the joint CF phi(s, tau) the density is
@@ -46,7 +48,8 @@ from .errors import (
     UndecayedCFError,
 )
 from .normal_ratio import BivNormalParams
-from .quadrature import DETransform, QuadratureConfig, de_integrate
+from .quadrature import QuadratureConfig, integrate_half_lines
+from .special import like, points
 
 _DECAY_THRESHOLD = 1e-14
 _DERIV_H = 1e-4
@@ -57,14 +60,14 @@ _GP_CFG = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-13)
 class CharFn:
     """A characteristic function with optional derivative and decay hint.
 
-    phi and dphi take a float or a NumPy array of t and return complex
-    values of the same shape; the inversions and auto_grid check phi on an
-    array.  decay_scale, when present, is a t beyond which |phi| stays
-    below 1e-14; it lets auto_grid skip the numeric decay search.
+    phi and dphi map a NumPy array of t to the complex values, same shape;
+    this module calls them on arrays only, and the inversions and auto_grid
+    check phi on an array.  decay_scale, when present, is a t beyond which
+    |phi| stays below 1e-14; it lets auto_grid skip the numeric decay search.
     """
 
-    phi: Callable[[float], complex]
-    dphi: Optional[Callable[[float], complex]] = None
+    phi: Callable[[np.ndarray], np.ndarray]
+    dphi: Optional[Callable[[np.ndarray], np.ndarray]] = None
     decay_scale: Optional[float] = None
     label: str = ""
 
@@ -164,57 +167,43 @@ def cauchy_cf(x0: float = 0.0, gamma: float = 1.0) -> CharFn:
     return CharFn(phi, None, decay, f"cauchy_cf({x0}, {gamma})")
 
 
-def cf_derivative(cf: CharFn, t: float, h: float = _DERIV_H) -> complex:
-    """d phi/dt at t: the closed form when present, else central difference."""
-    if h <= 0.0:
-        raise InvalidParamsError(f"step h must be positive, got {h!r}")
-    if cf.dphi is not None:
-        return complex(cf.dphi(t))
-    return (complex(cf.phi(t + h)) - complex(cf.phi(t - h))) / (2.0 * h)
+def _gil_pelaez(cf: CharFn, x, part: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                name: str, cfg: QuadratureConfig) -> np.ndarray:
+    """int_0^inf part(e^{-itx} phi(t)) dt at every point of x, each point one row."""
+    _check_cf(cf)
+    xx = points(x, name)
+    xs = xx.ravel()[:, None]
+    value = integrate_half_lines(lambda idx, t: part(np.exp(-1j * t * xs[idx]) * cf.phi(t), t),
+                                 xs.shape[0], cfg)
+    return value.reshape(xx.shape)
 
 
-def _dphi_vec(cf: CharFn, arr: np.ndarray, h: float = _DERIV_H) -> np.ndarray:
-    if cf.dphi is not None:
-        return cf.dphi(arr)
-    return (cf.phi(arr + h) - cf.phi(arr - h)) / (2.0 * h)
-
-
-def gil_pelaez_pdf(cf: CharFn, x: float, cfg: QuadratureConfig = _GP_CFG) -> float:
+def gil_pelaez_pdf(cf: CharFn, x, cfg: QuadratureConfig = _GP_CFG):
     """Density at x from one CF by half-line DE quadrature.
 
     The default cfg is tuned for rapidly decaying CFs.  A CF with only
     polynomial decay leaves the transformed integrand oscillatory over many
     scales; pass a looser tolerance (around 1e-8) and max_levels of 16-17.
     """
-    _check_cf(cf)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return (np.exp(-1j * t * x) * cf.phi(t)).real
-
-    r = de_integrate(integrand, DETransform.half_line(0.0), cfg)
-    return r.value / math.pi
+    value = _gil_pelaez(cf, x, lambda z, t: z.real, "gil_pelaez_pdf", cfg)
+    return like(x, value / math.pi)
 
 
-def gil_pelaez_cdf(cf: CharFn, x: float, cfg: QuadratureConfig = _GP_CFG) -> float:
+def gil_pelaez_cdf(cf: CharFn, x, cfg: QuadratureConfig = _GP_CFG):
     """CDF at x from one CF; clamped to [0, 1] with excursion warning.
 
     See gil_pelaez_pdf for the tolerance caveat on slowly decaying CFs.
     """
-    _check_cf(cf)
-
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return (np.exp(-1j * t * x) * cf.phi(t)).imag / t
-
-    r = de_integrate(integrand, DETransform.half_line(0.0), cfg)
-    raw = 0.5 - r.value / math.pi
-    if raw < -1e-8 or raw > 1.0 + 1e-8:
+    raw = 0.5 - _gil_pelaez(cf, x, lambda z, t: z.imag / t, "gil_pelaez_cdf", cfg) / math.pi
+    out = (raw < -1e-8) | (raw > 1.0 + 1e-8)
+    if out.any():
         warnings.warn(
-            f"CDF value {raw!r} exceeds [0, 1] by more than 1e-8 before clamping; "
-            "the integration grid or tolerance is likely inadequate",
+            f"CDF value {float(raw[out].flat[0])!r} exceeds [0, 1] by more than 1e-8 before "
+            "clamping; the integration grid or tolerance is likely inadequate",
             AccuracyWarning,
             stacklevel=2,
         )
-    return min(max(raw, 0.0), 1.0)
+    return like(x, np.minimum(np.maximum(raw, 0.0), 1.0))
 
 
 def bivariate_normal_joint_cf(p: BivNormalParams) -> JointCharFn:
@@ -241,15 +230,12 @@ def product_joint_cf(cf1: CharFn, cf2: CharFn) -> JointCharFn:
         return cf1.phi(np.asarray(s, dtype=float)) * cf2.phi(np.asarray(t, dtype=float))
 
     def dphi2d_dt2(s, t):
-        return cf1.phi(np.asarray(s, dtype=float)) * _dphi_vec(cf2, np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        h = _DERIV_H  # a CF without dphi gets the central difference
+        d2 = cf2.dphi(t) if cf2.dphi is not None else (cf2.phi(t + h) - cf2.phi(t - h)) / (2.0 * h)
+        return cf1.phi(np.asarray(s, dtype=float)) * d2
 
     return JointCharFn(phi2d, dphi2d_dt2, f"product({cf1.label}, {cf2.label})")
-
-
-def _pdf_nodes(cfg: Grid2DConfig) -> Tuple[np.ndarray, np.ndarray]:
-    nu1 = np.arange(-cfg.N, cfg.N + 1, dtype=float)
-    nu2 = np.arange(0, cfg.N + 1, dtype=float)
-    return cfg.h1 * (nu1 + 0.5), cfg.h2 * (nu2 + 0.5)
 
 
 def broda_kan_pdf_indep(
@@ -260,28 +246,17 @@ def broda_kan_pdf_indep(
 ) -> float:
     """Ratio density of X1/X2 at x from the two marginal CFs.
 
-    Midpoint trapezoidal sum of Re[phi2'(-(x t1 + t2)) phi1(t1) / t2] over
-    t1 in (-T1, T1), t2 in (0, T2); cfg defaults to auto_grid(cf1, cf2).
+    broda_kan_pdf_joint on their product joint CF: the midpoint trapezoidal
+    sum of Re[phi1(t1) phi2'(-(x t1 + t2)) / t2] over t1 in (-T1, T1),
+    t2 in (0, T2); cfg defaults to auto_grid(cf1, cf2).
     """
-    if cfg is None:
-        cfg = auto_grid(cf1, cf2)
-    else:
-        _check_cf(cf1)
-        _check_cf(cf2)
-    t1, t2 = _pdf_nodes(cfg)
-    phi1_row = cf1.phi(t1)
-    args = -(x * t1[None, :] + t2[:, None])
-    vals = _dphi_vec(cf2, args) * phi1_row[None, :] / t2[:, None]
-    inner = vals.real.sum(axis=1)
-    total = inner.sum()
-    if not math.isfinite(total):
-        raise IntegrandError(f"2D inversion sum is not finite at x={x!r}")
-    return cfg.h1 * cfg.h2 * total / (math.pi * math.pi)
+    return broda_kan_pdf_joint(product_joint_cf(cf1, cf2), x, cfg or auto_grid(cf1, cf2))
 
 
 def broda_kan_pdf_joint(jcf: JointCharFn, w: float, cfg: Grid2DConfig) -> float:
     """Ratio density at w from a joint CF of (X1, X2), correlated allowed."""
-    t1, t2 = _pdf_nodes(cfg)
+    t1 = cfg.h1 * (np.arange(-cfg.N, cfg.N + 1, dtype=float) + 0.5)
+    t2 = cfg.h2 * (np.arange(0, cfg.N + 1, dtype=float) + 0.5)
     s = t1[None, :]
     tau = -(t2[:, None] + w * t1[None, :])
     if jcf.dphi2d_dt2 is not None:
@@ -336,7 +311,7 @@ def cf_moments(cf: CharFn, h: float = _DERIV_H) -> Tuple[float, float]:
     """
     if h <= 0.0:
         raise InvalidParamsError(f"step h must be positive, got {h!r}")
-    vals = [complex(cf.phi(k * h)) for k in (1, 2, 3, 4)]
+    vals = np.asarray(cf.phi(h * np.array([1.0, 2.0, 3.0, 4.0]))).tolist()
     mu = sum(c * v.imag for c, v in zip(_MU_COEFFS, vals)) / h
     mu2 = (_MU2_CENTER + sum(c * v.real for c, v in zip(_MU2_COEFFS, vals))) / (h * h)
     return mu, mu2 - mu * mu
@@ -402,22 +377,17 @@ def cf_decay_range(cf: CharFn, threshold: float = _DECAY_THRESHOLD) -> float:
     if cf.decay_scale is not None and threshold == _DECAY_THRESHOLD:
         return cf.decay_scale
     ts = np.geomspace(1e-3, 1e6, 200)
-    below = None
-    prev = 0.0
-    for t in ts:
-        if abs(complex(cf.phi(float(t)))) < threshold:
-            below = float(t)
-            break
-        prev = float(t)
-    if below is None:
+    below = np.abs(cf.phi(ts)) < threshold
+    if not below.any():
         raise UndecayedCFError(
             f"|phi| did not fall below {threshold!r} up to t = 1e6 for "
             f"{cf.label or 'this CF'}; supply an explicit Grid2DConfig"
         )
-    lo, hi = prev, below
+    i = int(np.argmax(below))
+    lo, hi = (float(ts[i - 1]) if i else 0.0), float(ts[i])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if abs(complex(cf.phi(mid))) < threshold:
+        if abs(cf.phi(np.array([mid]))[0]) < threshold:
             hi = mid
         else:
             lo = mid

@@ -31,10 +31,11 @@ from . import bench as bench_mod
 from .cf import (
     _GP_CFG,
     CharFn,
+    Grid2DConfig,
+    JointCharFn,
     auto_grid,
     bivariate_normal_joint_cf,
     broda_kan_cdf,
-    broda_kan_pdf_indep,
     broda_kan_pdf_joint,
     cauchy_cf,
     cf_moments,
@@ -201,17 +202,17 @@ def _std_ratio(cfg: RunConfig) -> StdRatioParams:
 def _analytic_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
     p = _biv_like(cfg)
     if p is not None:
-        return _each(xs, lambda x: ratio_pdf_phamgia(p, x))
+        return lambda: ratio_pdf_phamgia(p, xs)
     sr = _std_ratio(cfg)
-    return _each(xs, lambda x: std_ratio_pdf(sr, x))
+    return lambda: std_ratio_pdf(sr, xs)
 
 
 def _analytic_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
     p = _biv_like(cfg)
     if p is not None:
-        return _each(xs, lambda x: ratio_cdf(p, x))
+        return lambda: ratio_cdf(p, xs)
     sr = _std_ratio(cfg)
-    return _each(xs, lambda x: std_ratio_cdf(sr, x))
+    return lambda: std_ratio_cdf(sr, xs)
 
 
 def _mellin_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
@@ -236,21 +237,21 @@ def _mellin_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
     return lambda: ratio_pdf_grid(f1, f2, xs, qcfg)
 
 
-def _broda_kan_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
-    p = _biv_like(cfg)
-    cf1, cf2 = _ratio_cfs(cfg)
-    grid = auto_grid(cf1, cf2, n=cfg.grid_n)
-    if p is not None:
-        jcf = bivariate_normal_joint_cf(p)
-        return _each(xs, lambda x: broda_kan_pdf_joint(jcf, x, grid))
-    return _each(xs, lambda x: broda_kan_pdf_indep(cf1, cf2, x, grid))
-
-
-def _broda_kan_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
+def _broda_kan_setup(cfg: RunConfig) -> Tuple[JointCharFn, Grid2DConfig]:
+    """The joint CF (bivariate normal for --biv/--hake) and the auto grid."""
     p = _biv_like(cfg)
     cf1, cf2 = _ratio_cfs(cfg)
     jcf = bivariate_normal_joint_cf(p) if p is not None else product_joint_cf(cf1, cf2)
-    grid = auto_grid(cf1, cf2, n=cfg.grid_n)
+    return jcf, auto_grid(cf1, cf2, n=cfg.grid_n)
+
+
+def _broda_kan_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
+    jcf, grid = _broda_kan_setup(cfg)
+    return _each(xs, lambda x: broda_kan_pdf_joint(jcf, x, grid))
+
+
+def _broda_kan_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
+    jcf, grid = _broda_kan_setup(cfg)
     return _each(xs, lambda x: broda_kan_cdf(jcf, x, grid))
 
 
@@ -264,12 +265,12 @@ def _gil_pelaez_setup(cfg: RunConfig) -> Tuple[CharFn, QuadratureConfig]:
 
 def _gil_pelaez_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
     cf, qcfg = _gil_pelaez_setup(cfg)
-    return _each(xs, lambda x: gil_pelaez_pdf(cf, x, qcfg))
+    return lambda: gil_pelaez_pdf(cf, xs, qcfg)
 
 
 def _gil_pelaez_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
     cf, qcfg = _gil_pelaez_setup(cfg)
-    return _each(xs, lambda x: gil_pelaez_cdf(cf, x, qcfg))
+    return lambda: gil_pelaez_cdf(cf, xs, qcfg)
 
 
 class Engine(NamedTuple):

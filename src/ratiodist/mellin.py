@@ -16,9 +16,9 @@ out of domain.
 
 Every piece of every evaluation point is one row of the array DE sweep
 (quadrature.integrate_rows): a grid is integrated in equal blocks of about
-_BLOCK_POINTS points, each block in one sweep per map kind, and a single
-point is a block of one.  Rows are independent, so a point's value does not
-depend on the grid it is evaluated in.
+_BLOCK_POINTS points (quadrature.blocks), each block in one sweep per map
+kind, and a single point is a block of one.  Rows are independent, so a
+point's value does not depend on the grid it is evaluated in.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .errors import InvalidParamsError, SingularProductError
 from .quadrature import (
     ChebInterpolant,
     QuadratureConfig,
+    blocks,
     cheb_build,
     cheb_eval_many,
     integrate_rows,
@@ -226,10 +227,8 @@ def _ratio_values(f1: DensityFn, f2: DensityFn, ts: np.ndarray,
     out = np.empty(ts.shape[0])
     lo1, hi1 = f1.support.lo, f1.support.hi
     lo2, hi2 = f2.support.lo, f2.support.hi
-    # equal blocks of about _BLOCK_POINTS points
-    size = -(-ts.shape[0] // max(1, round(ts.shape[0] / _BLOCK_POINTS)))
-    for i in range(0, ts.shape[0], size):
-        t = ts[i:i + size]
+    for rows in blocks(ts.shape[0], _BLOCK_POINTS):
+        t = ts[rows]
         # the set {x : t*x is inside sup1}; vacuous for t = 0 (constant factor f1(0))
         with np.errstate(divide="ignore", invalid="ignore"):
             a, b = lo1 / t, hi1 / t
@@ -239,7 +238,7 @@ def _ratio_values(f1: DensityFn, f2: DensityFn, ts: np.ndarray,
         lo = np.concatenate([np.maximum(max(0.0, lo2), pre_lo),
                              -np.minimum(min(0.0, hi2), pre_hi)])
         hi = np.concatenate([np.minimum(hi2, pre_hi), -np.maximum(lo2, pre_lo)])
-        out[i:i + size] = _integrate_pieces(f1, f2, False, t, lo, hi, cfg)
+        out[rows] = _integrate_pieces(f1, f2, False, t, lo, hi, cfg)
     return out
 
 

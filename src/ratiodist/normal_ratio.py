@@ -17,6 +17,10 @@ exponentials combined before exponentiating; since q^2 <= a^2 + b^2 by
 Cauchy-Schwarz the working exponent is never positive, so the density
 evaluates without overflow for arbitrarily large a and b.
 
+The densities and CDFs take a float (giving a float) or a NumPy array of
+points (giving an array of its shape); the densities vanish at +/-inf, and
+a CDF grid is one batch of the DE sweep, each point's tail a row.
+
 Also included: Marsaglia's (2006) modality rule of thumb, the practical
 moments and normal approximation of Diaz-Frances and Rubio (2013), and the
 mapping of Hake's (1998) normalized learning gain onto ratio parameters.
@@ -32,8 +36,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import InvalidParamsError
-from .quadrature import DETransform, QuadratureConfig, de_integrate
-from .special import SQRT_HALF_PI, INV_SQRT_2, erf, std_normal_cdf
+from .quadrature import QuadratureConfig, integrate_half_lines
+from .special import SQRT_HALF_PI, INV_SQRT_2, erf, like, points, std_normal_cdf
 
 # Marsaglia's bimodality onset: for a >= A0 the density has two modes for every b
 MODALITY_A0 = 2.256058904
@@ -152,48 +156,54 @@ def to_standard(p: BivNormalParams) -> Tuple[StdRatioParams, RatioTransform]:
     return StdRatioParams(abs(a0), b0), RatioTransform(scale, shift)
 
 
-def std_ratio_pdf(sr: StdRatioParams, t: float) -> float:
+def std_ratio_pdf(sr: StdRatioParams, t):
     """Density of T = (a + V1)/(b + V2) at t, overflow-safe for large a, b."""
-    if math.isinf(t):
-        return 0.0
+    tt = points(t, "std_ratio_pdf")
+    inf = np.isinf(tt)
+    tt = np.where(inf, 0.0, tt)
     a, b = sr.a, sr.b
-    one_plus_t2 = 1.0 + t * t
-    q = (b + a * t) / math.sqrt(one_plus_t2)
+    with np.errstate(over="ignore"):  # t^2 = inf for |t| > 1e154 gives q = 0, density 0
+        one_plus_t2 = 1.0 + tt * tt
+    q = (b + a * tt) / np.sqrt(one_plus_t2)
     half_c = 0.5 * (a * a + b * b)
     # q^2/2 - (a^2+b^2)/2 <= 0 always, so neither exponential can overflow
-    core = math.exp(0.5 * q * q - half_c) * SQRT_HALF_PI * q * erf(q * INV_SQRT_2)
-    return (core + math.exp(-half_c)) / (math.pi * one_plus_t2)
+    core = np.exp(0.5 * q * q - half_c) * SQRT_HALF_PI * q * erf(q * INV_SQRT_2)
+    density = (core + math.exp(-half_c)) / (math.pi * one_plus_t2)
+    return like(t, np.where(inf, 0.0, density))
 
 
-def ratio_pdf_phamgia(p: BivNormalParams, w: float) -> float:
+def ratio_pdf_phamgia(p: BivNormalParams, w):
     """Ratio density at w via standardization plus the affine change of variables."""
     sr, tr = to_standard(p)
     return std_ratio_pdf(sr, (w - tr.shift) / tr.scale) / abs(tr.scale)
 
 
-def ratio_pdf_hinkley(p: BivNormalParams, w: float) -> float:
+def ratio_pdf_hinkley(p: BivNormalParams, w):
     """Ratio density at w in Hinkley's (1969) direct parametrization.
 
     Agrees with ratio_pdf_phamgia to within a few ulps; both are kept so each
     can serve as a cross-check of the other.
     """
+    ww = points(w, "ratio_pdf_hinkley")
+    inf = np.isinf(ww)
+    ww = np.where(inf, 0.0, ww)
     s1, s2, rho = p.sigma1, p.sigma2, p.rho
     one_m_r2 = 1.0 - rho * rho
-    aw2 = w * w / (s1 * s1) - 2.0 * rho * w / (s1 * s2) + 1.0 / (s2 * s2)
-    aw = math.sqrt(aw2)
-    bw = p.mu1 * w / (s1 * s1) - rho * (p.mu1 + p.mu2 * w) / (s1 * s2) + p.mu2 / (s2 * s2)
+    aw2 = ww * ww / (s1 * s1) - 2.0 * rho * ww / (s1 * s2) + 1.0 / (s2 * s2)
+    aw = np.sqrt(aw2)
+    bw = p.mu1 * ww / (s1 * s1) - rho * (p.mu1 + p.mu2 * ww) / (s1 * s2) + p.mu2 / (s2 * s2)
     c = (
         p.mu1 * p.mu1 / (s1 * s1)
         - 2.0 * rho * p.mu1 * p.mu2 / (s1 * s2)
         + p.mu2 * p.mu2 / (s2 * s2)
     )
     # b(w)^2 <= c a(w)^2, so the exponent of d(w) is never positive
-    dw = math.exp((bw * bw - c * aw2) / (2.0 * one_m_r2 * aw2))
+    dw = np.exp((bw * bw - c * aw2) / (2.0 * one_m_r2 * aw2))
     z = bw / (math.sqrt(one_m_r2) * aw)
     leading = bw * dw / (math.sqrt(2.0 * math.pi) * s1 * s2 * aw2 * aw)
     first = leading * (std_normal_cdf(z) - std_normal_cdf(-z))
     second = math.sqrt(one_m_r2) / (math.pi * s1 * s2 * aw2) * math.exp(-c / (2.0 * one_m_r2))
-    return first + second
+    return like(w, np.where(inf, 0.0, first + second))
 
 
 _CDF_CFG = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-14)
@@ -201,35 +211,33 @@ _CDF_CFG = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-14)
 
 def std_ratio_cdf(
     sr: StdRatioParams,
-    t: float,
+    t,
     cfg: Optional[QuadratureConfig] = None,
-) -> float:
+):
     """CDF of T at t by adaptive integration of the closed-form density.
 
     The tail on the far side of the practical center is integrated, which
     keeps the quadrature short and the result accurate near both 0 and 1.
     """
     cfg = cfg or _CDF_CFG
+    tt = points(t, "std_ratio_cdf")
+    flat = tt.ravel()
     center = sr.a / sr.b if sr.b > 0.0 else 0.0
-    side = -1.0 if t <= center else 1.0
-
-    def tail(u: np.ndarray) -> np.ndarray:
-        values = [std_ratio_pdf(sr, t + side * v) for v in u.ravel().tolist()]
-        return np.array(values).reshape(u.shape)
-
-    mass = de_integrate(tail, DETransform.half_line(0.0), cfg).value
-    return min(max(mass if side < 0.0 else 1.0 - mass, 0.0), 1.0)
+    side = np.where(flat <= center, -1.0, 1.0)
+    mass = integrate_half_lines(
+        lambda idx, u: std_ratio_pdf(sr, flat[idx, None] + side[idx, None] * u), flat.shape[0], cfg)
+    cdf = np.minimum(np.maximum(np.where(side < 0.0, mass, 1.0 - mass), 0.0), 1.0)
+    return like(t, cdf.reshape(tt.shape))
 
 
 def ratio_cdf(
     p: BivNormalParams,
-    w: float,
+    w,
     cfg: Optional[QuadratureConfig] = None,
-) -> float:
+):
     """CDF of W = X1/X2 at w through the standardized representation."""
     sr, tr = to_standard(p)
-    t = (w - tr.shift) / tr.scale
-    ft = std_ratio_cdf(sr, t, cfg)
+    ft = std_ratio_cdf(sr, (w - tr.shift) / tr.scale, cfg)
     return ft if tr.scale > 0.0 else 1.0 - ft
 
 
@@ -275,12 +283,10 @@ def _count_visible_modes(sr: StdRatioParams, floor: float) -> int:
     # scan in theta = arctan(t); the compactified axis covers both tails
     theta = np.linspace(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, 16385)
     t = np.tan(theta)
-    f = np.array([std_ratio_pdf(sr, tt) for tt in t])
+    f = std_ratio_pdf(sr, t)
     d = np.sign(np.diff(f))
     # flat runs inherit the preceding trend so plateaus count once
-    for i in range(1, d.size):
-        if d[i] == 0.0:
-            d[i] = d[i - 1]
+    d = d[np.maximum.accumulate(np.where(d != 0.0, np.arange(d.size), 0))]
     flips = np.nonzero((d[:-1] > 0) & (d[1:] < 0))[0]
     peaks = f[flips + 1]
     return int(np.count_nonzero(peaks >= floor))

@@ -138,20 +138,19 @@ def mc_ratio_samples(dist1: Sampler, dist2: Sampler, n: int, seed: int) -> Sampl
     return SampleSet(values=out, seed=seed, n=n, redraws=redraws)
 
 
-def ks_distance(samples: SampleSet, cdf: Callable[[float], float]) -> float:
+def ks_distance(samples: SampleSet, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """Sup-norm distance between the empirical CDF and cdf.
 
-    cdf may be scalar or vectorized; a vectorized callable is evaluated
-    once on the sorted sample array.
+    cdf maps an array to an array of the same shape; it is called once, on
+    the sorted sample array, and whatever it raises propagates.
     """
     xs = np.sort(np.asarray(samples.values, dtype=float))
     n = xs.size
-    try:
-        fv = np.asarray(cdf(xs), dtype=float)
-        if fv.shape != xs.shape:
-            raise TypeError
-    except Exception:
-        fv = np.array([float(cdf(float(x))) for x in xs])
+    fv = np.asarray(cdf(xs), dtype=float)
+    if fv.shape != xs.shape:
+        raise InvalidParamsError(
+            f"cdf must map an array to an array of the same shape; got {fv.shape} for {xs.shape}"
+        )
     i = np.arange(1, n + 1)
     d_plus = np.max(i / n - fv)
     d_minus = np.max(fv - (i - 1) / n)
@@ -170,4 +169,4 @@ def reference_pdf_grid(a: float, b: float, grid: Sequence[float]) -> np.ndarray:
         raise InvalidParamsError(f"grid must be one-dimensional, got shape {xs.shape}")
     if not np.all(np.isfinite(xs)):
         raise InvalidParamsError("grid values must be finite")
-    return np.array([std_ratio_pdf(sr, float(x)) for x in xs])
+    return std_ratio_pdf(sr, xs)

@@ -71,6 +71,9 @@ _T_LIMIT = {
 # by _EXTRA nodes, then by doubling chunks
 _EXTRA = 1
 
+# about this many rows per sweep in integrate_half_lines
+_BLOCK_ROWS = 128
+
 # A row integrand: given the batch indices of the rows in x, the values at x.
 RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -446,6 +449,23 @@ def integrate_rows(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray,
         f"no convergence after {cfg.max_levels} levels; last err_est={float(e[0])!r}, "
         f"value={float(val[0])!r}"
     )
+
+
+def blocks(n: int, size: int) -> List[slice]:
+    """Equal blocks of about size covering range(n), as slices."""
+    step = max(1, -(-n // max(1, round(n / size))))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def integrate_half_lines(F: RowIntegrand, n: int, cfg: QuadratureConfig) -> np.ndarray:
+    """Integrals over (0, oo) of F(idx, u) for the rows idx of range(n), in
+    blocks of about _BLOCK_ROWS rows to bound the (rows x nodes) arrays."""
+    value = np.empty(n)
+    for b in blocks(n, _BLOCK_ROWS):
+        origin = np.zeros(b.stop - b.start)
+        value[b] = integrate_rows(lambda idx, u, a=b.start: F(idx + a, u), "half", origin,
+                                  origin + math.inf, cfg).value
+    return value
 
 
 def de_integrate(

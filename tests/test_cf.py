@@ -23,7 +23,6 @@ from ratiodist.cf import (
     broda_kan_pdf_joint,
     cauchy_cf,
     cf_decay_range,
-    cf_derivative,
     cf_moments,
     chi_square_cf,
     gil_pelaez_cdf,
@@ -119,12 +118,26 @@ def test_cf_must_map_arrays_to_arrays(phi, match):
 
 
 def test_cf_derivative_matches_closed_form():
+    # a CF without dphi gets the central difference (step 1e-4, error O(h^2))
+    # in the product joint CF's partial; phi1(0) = 1 isolates phi2'
+    n0 = normal_cf(0.0, 1.0)
+    zero = np.zeros(1)
     for cf, t in ((normal_cf(2.0, 1.5), 0.7), (chi_square_cf(5), 0.3)):
-        num = cf_derivative(cf, t, h=1e-5)
-        assert abs(num - cf.dphi(t)) <= 1e-8
-    assert abs(cf_derivative(normal_cf(0.0, 1.0), 0.0)) <= 1e-12
-    with pytest.raises(InvalidParamsError):
-        cf_derivative(normal_cf(0.0, 1.0), 0.0, h=0.0)
+        num = product_joint_cf(n0, CharFn(cf.phi)).dphi2d_dt2(zero, np.array([t]))[0]
+        assert abs(num - cf.dphi(np.array([t]))[0]) <= 1e-6
+    assert abs(product_joint_cf(n0, CharFn(n0.phi)).dphi2d_dt2(zero, zero)[0]) <= 1e-12
+
+
+def test_cf_moments_and_ranges_call_phi_on_arrays_only():
+    # phi reads t.shape, so a call on a Python float raises AttributeError
+    n0 = CharFn(lambda t: np.exp(-t * t / 2) * np.ones(t.shape), label="array-only N(0,1)")
+    mean, var = cf_moments(n0)
+    assert abs(mean) <= 1e-12 and abs(var - 1.0) <= 1e-5
+    assert math.isclose(cf_decay_range(n0), 8.029469634031459, rel_tol=1e-12)
+    lo, hi = six_sigma_interval(normal_cf(1.5, 1.0), n0)
+    assert math.isclose(lo, -6.0, rel_tol=1e-6) and math.isclose(hi, 7.5, rel_tol=1e-6)
+    assert math.isclose(auto_grid(n0, n0).h1, auto_grid(normal_cf(0.0, 1.0), n0).h1,
+                        rel_tol=1e-12)
 
 
 def test_gil_pelaez_normal():

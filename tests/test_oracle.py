@@ -90,11 +90,23 @@ def test_ks_distance_trivial_cases():
     assert ks_distance(three, const) == 0.5
 
 
-def test_ks_distance_scalar_cdf_fallback():
+def test_ks_distance_propagates_cdf_errors():
     n0 = normal_sampler(0.0, 1.0)
     ss = mc_ratio_samples(n0, n0, 500, 7)
-    scalar = lambda x: math.atan(x) / math.pi + 0.5
-    assert ks_distance(ss, scalar) == ks_distance(ss, _CAUCHY_CDF)
+    calls = []
+
+    def failing(x):
+        calls.append(np.shape(x))
+        raise ValueError("cdf failed")
+
+    with pytest.raises(ValueError, match="cdf failed"):
+        ks_distance(ss, failing)
+    assert calls == [(500,)]  # one call on the whole sample, no point-by-point rerun
+    # a scalar-only cdf raises too, instead of being rerun point by point
+    with pytest.raises(TypeError):
+        ks_distance(ss, lambda x: math.atan(x) / math.pi + 0.5)
+    with pytest.raises(InvalidParamsError):
+        ks_distance(ss, lambda x: 0.5)
 
 
 def test_ks_self_consistency_over_seeds():
