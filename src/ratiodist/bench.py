@@ -3,7 +3,8 @@
 Method protocol: each method id maps onto an entry of the CLI's engine table
 (``cli.ENGINES``) with fixed settings: analytic, mellin-de (Mellin, direct),
 mellin-de-cheb (Mellin with a 257-node Chebyshev interpolant) and broda-kan.
-The entry's pdf factory, given standardized-ratio parameters and the
+The entry's pdf factory, given a ``cli.RunConfig`` whose spec is the normal
+pair N(a, 1)/N(b, 1) of the standardized-ratio parameters and the
 evaluation grid, returns a zero-argument callable producing the full PDF
 grid.  Factory construction is the setup phase (interpolant building lives
 there) and is timed separately from the realizations, which each call the
@@ -148,12 +149,12 @@ def run_experiment(
     if not (lo < hi) or not math.isfinite(lo) or not math.isfinite(hi):
         raise InvalidParamsError(f"interval must be finite with lo < hi, got {interval!r}")
 
-    from .cli import ENGINES, RunConfig  # cli imports this module for its bench command
+    from .cli import ENGINES, RunConfig, Spec  # cli imports this module for its bench command
 
     sr = _as_params(params)
     xs = np.linspace(lo, hi, n_points)
     fields = {_FIELDS[k]: v for k, v in {**takes, **opts}.items()}
-    cfg = RunConfig("pdf", engine=engine, std_ratio=sr, **fields)  # type: ignore[arg-type]
+    cfg = RunConfig(engine, Spec.std_ratio(sr), **fields)  # type: ignore[arg-type]
 
     t0 = time.perf_counter()
     evaluate = ENGINES[engine].pdf(cfg, xs)

@@ -79,8 +79,8 @@ class JointCharFn:
     Both take two broadcastable NumPy arrays and return their broadcast shape.
     """
 
-    phi2d: Callable[[float, float], complex]
-    dphi2d_dt2: Optional[Callable[[float, float], complex]] = None
+    phi2d: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    dphi2d_dt2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str = ""
 
 
@@ -139,7 +139,7 @@ def normal_cf(mu: float, sigma: float) -> CharFn:
 
 def chi_square_cf(k: int) -> CharFn:
     """CF of chi-square with k degrees of freedom: (1 - 2it)^(-k/2)."""
-    if int(k) != k or k < 1:
+    if not (math.isfinite(k) and k >= 1 and int(k) == k):
         raise InvalidParamsError(f"chi-square CF needs integer k >= 1, got {k!r}")
     k = int(k)
 
@@ -241,9 +241,9 @@ def product_joint_cf(cf1: CharFn, cf2: CharFn) -> JointCharFn:
 def broda_kan_pdf_indep(
     cf1: CharFn,
     cf2: CharFn,
-    x: float,
+    x,
     cfg: Optional[Grid2DConfig] = None,
-) -> float:
+):
     """Ratio density of X1/X2 at x from the two marginal CFs.
 
     broda_kan_pdf_joint on their product joint CF: the midpoint trapezoidal
@@ -253,47 +253,47 @@ def broda_kan_pdf_indep(
     return broda_kan_pdf_joint(product_joint_cf(cf1, cf2), x, cfg or auto_grid(cf1, cf2))
 
 
-def broda_kan_pdf_joint(jcf: JointCharFn, w: float, cfg: Grid2DConfig) -> float:
+def _grid_sums(x, name: str, cfg: Grid2DConfig, cells: Callable[[float], np.ndarray]):
+    """h1 h2 / pi^2 times the sum of a point's grid cells, at every point of
+    x; one point's (2N+1)(N+1) complex cells at a time bound the memory."""
+    xx = points(x, name)
+    total = np.array([cells(v).sum(axis=1).sum() for v in xx.ravel().tolist()])
+    bad = ~np.isfinite(total)
+    if bad.any():
+        raise IntegrandError(f"2D inversion sum is not finite at {float(xx.ravel()[bad][0])!r}")
+    return cfg.h1 * cfg.h2 * total.reshape(xx.shape) / (math.pi * math.pi)
+
+
+def broda_kan_pdf_joint(jcf: JointCharFn, w, cfg: Grid2DConfig):
     """Ratio density at w from a joint CF of (X1, X2), correlated allowed."""
     t1 = cfg.h1 * (np.arange(-cfg.N, cfg.N + 1, dtype=float) + 0.5)
     t2 = cfg.h2 * (np.arange(0, cfg.N + 1, dtype=float) + 0.5)
-    s = t1[None, :]
-    tau = -(t2[:, None] + w * t1[None, :])
-    if jcf.dphi2d_dt2 is not None:
-        vals = jcf.dphi2d_dt2(s, tau)
-    else:
-        up = jcf.phi2d(s, tau + _DERIV_H)
-        dn = jcf.phi2d(s, tau - _DERIV_H)
-        vals = (up - dn) / (2.0 * _DERIV_H)
-    vals = vals / t2[:, None]
-    inner = vals.real.sum(axis=1)
-    total = inner.sum()
-    if not math.isfinite(total):
-        raise IntegrandError(f"2D inversion sum is not finite at w={w!r}")
-    return cfg.h1 * cfg.h2 * total / (math.pi * math.pi)
+
+    def cells(x: float) -> np.ndarray:
+        return (jcf.dphi2d_dt2(t1[None, :], -(t2[:, None] + x * t1[None, :])) / t2[:, None]).real
+
+    return like(w, _grid_sums(w, "broda_kan_pdf_joint", cfg, cells))
 
 
-def broda_kan_cdf(jcf: JointCharFn, r: float, cfg: Grid2DConfig) -> float:
+def broda_kan_cdf(jcf: JointCharFn, r, cfg: Grid2DConfig):
     """Ratio CDF at r from a joint CF, positive-quadrant inversion sum."""
     nu = np.arange(0, cfg.N + 1, dtype=float) + 0.5
     s = (cfg.h1 * nu)[None, :]
     t = (cfg.h2 * nu)[:, None]
-    plus = jcf.phi2d(s, t - r * s)
-    minus = jcf.phi2d(s, -t - r * s)
-    vals = (plus - minus).real / (s * t)
-    inner = vals.sum(axis=1)
-    total = inner.sum()
-    if not math.isfinite(total):
-        raise IntegrandError(f"2D inversion sum is not finite at r={r!r}")
-    raw = 0.5 + cfg.h1 * cfg.h2 * total / (math.pi * math.pi)
-    if raw < -1e-8 or raw > 1.0 + 1e-8:
+
+    def cells(x: float) -> np.ndarray:
+        return (jcf.phi2d(s, t - x * s) - jcf.phi2d(s, -t - x * s)).real / (s * t)
+
+    raw = 0.5 + _grid_sums(r, "broda_kan_cdf", cfg, cells)
+    out = (raw < -1e-8) | (raw > 1.0 + 1e-8)
+    if out.any():
         warnings.warn(
-            f"CDF value {raw!r} exceeds [0, 1] by more than 1e-8 before clamping; "
-            "the integration grid is likely inadequate",
+            f"CDF value {float(raw[out].flat[0])!r} exceeds [0, 1] by more than 1e-8 before "
+            "clamping; the integration grid is likely inadequate",
             AccuracyWarning,
             stacklevel=2,
         )
-    return min(max(raw, 0.0), 1.0)
+    return like(r, np.minimum(np.maximum(raw, 0.0), 1.0))
 
 
 # eighth-order central-difference stencils; Hermitian symmetry folds the

@@ -5,15 +5,21 @@ verdict; interval prints the chosen evaluation window; bench runs the
 timed accuracy protocol and exports records to the file named by --out
 (bench needs --out; it checks that before running anything).
 
+The other subcommands read exactly one distribution spec into a Spec of
+one of three kinds: "normal" (a BivNormalParams from --biv, --hake, or
+--std-ratio A B, which stands for N(A, 1)/N(B, 1)), "num-den" (the --num
+and --den spec lists) or "dist" (the --dist spec list).
+
 Engines live in one table, ENGINES, keyed by the --engine id: analytic
 (closed forms), mellin (DE Mellin convolution, densities only), broda-kan
-(2D CF inversion) and gil-pelaez (1D CF inversion of a single distribution
-passed via --dist).  Each entry holds a pdf factory, a cdf factory (none for
-mellin) and the --auto-interval window.  A factory does the one-time work
-(densities, CFs, auto_grid, the Chebyshev build) and returns a zero-argument
-evaluator for the whole grid; the bench times the same entries.  Every
-subcommand computes its whole output first and then writes it once.  Engine
-errors exit with status 1 and a one-line diagnostic on stderr.
+(2D CF inversion) and gil-pelaez (1D CF inversion).  Each entry states the
+spec kinds it takes and holds a pdf factory, a cdf factory (none for mellin)
+and the --auto-interval window.  A factory reads a RunConfig, does the
+one-time work (densities, CFs, auto_grid, the Chebyshev build) and returns a
+zero-argument evaluator for the whole grid; the bench times the same
+entries.  Every subcommand computes its whole output first and then writes
+it once.  Bad specs, bad settings and engine errors exit with status 1 and a
+one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -22,8 +28,8 @@ import argparse
 import dataclasses
 import math
 import sys
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,46 +72,72 @@ from .normal_ratio import (
     modality_curve,
     ratio_cdf,
     ratio_pdf_phamgia,
-    std_ratio_cdf,
-    std_ratio_pdf,
     to_standard,
 )
 from .quadrature import QuadratureConfig, cheb_eval_many
 
-__all__ = ["ENGINES", "Engine", "RunConfig", "main"]
+__all__ = ["ENGINES", "Engine", "RunConfig", "Spec", "main"]
+
+# spec kind -> the flags that give it
+_FLAGS = {"normal": "--std-ratio/--biv/--hake", "num-den": "--num/--den", "dist": "--dist"}
 
 
-@dataclass
+class Spec(NamedTuple):
+    """One distribution: a kind from _FLAGS and its parsed value."""
+
+    kind: str
+    value: object  # BivNormalParams, (num, den) spec lists, or one spec list
+
+    @classmethod
+    def std_ratio(cls, sr: StdRatioParams) -> "Spec":
+        """N(a, 1)/N(b, 1), the independent normal pair that T stands for."""
+        return cls("normal", BivNormalParams(sr.a, sr.b, 1.0, 1.0, 0.0))
+
+
+@dataclass(frozen=True)
 class RunConfig:
-    """Parsed invocation: one subcommand, one engine, one distribution spec."""
+    """What an engine reads: its id, the distribution and its settings."""
 
-    subcommand: str
-    engine: str = "analytic"
-    std_ratio: Optional[StdRatioParams] = None
-    biv: Optional[BivNormalParams] = None
-    hake: Optional[HakeInputs] = None
-    num: Optional[List[str]] = None
-    den: Optional[List[str]] = None
-    dist: Optional[List[str]] = None
-    interval: Optional[Tuple[float, float]] = None
-    auto_interval: bool = False
-    n_points: int = 1000
+    engine: str
+    spec: Spec
     k: Optional[float] = None
     rel_tol: float = 1e-10
     cheb_nodes: Optional[int] = None
     grid_n: int = 500
-    out: str = "-"
-    # bench-only settings
-    methods: List[str] = field(default_factory=list)
-    runs: int = 3
-    reps: int = 10
-    rel_tols: List[float] = field(default_factory=list)
-    format: str = "csv"
-    practical: bool = False
+
+
+def _spec(args: argparse.Namespace) -> Spec:
+    """The one distribution spec among the spec flags of the command line."""
+    given = [flag for flag, v in (("--std-ratio", args.std_ratio), ("--biv", args.biv),
+                                  ("--hake", args.hake), ("--num/--den", args.num or args.den),
+                                  ("--dist", args.dist)) if v is not None]
+    if len(given) != 1:
+        raise InvalidParamsError(
+            f"pass exactly one distribution spec ({', '.join(_FLAGS.values())}), "
+            f"got {' and '.join(given) or 'none'}"
+        )
+    if args.std_ratio is not None:
+        return Spec.std_ratio(StdRatioParams(*args.std_ratio))
+    if args.biv is not None:
+        return Spec("normal", BivNormalParams(*args.biv))
+    if args.hake is not None:
+        return Spec("normal", hake_params(HakeInputs(*args.hake)))
+    if args.dist is not None:
+        return Spec("dist", args.dist)
+    if args.num is None or args.den is None:
+        raise InvalidParamsError("--num and --den go together")
+    return Spec("num-den", (args.num, args.den))
+
+
+def _numbers(spec: List[str]) -> List[float]:
+    try:
+        return [float(v) for v in spec[1:]]
+    except ValueError:
+        raise InvalidParamsError(f"spec {spec!r} holds a value that is not a number") from None
 
 
 def _parse_density(spec: List[str]) -> DensityFn:
-    kind, args = spec[0], [float(v) for v in spec[1:]]
+    kind, args = spec[0], _numbers(spec)
     if kind == "normal" and len(args) == 2:
         return normal_density(args[0], args[1])
     if kind == "chisq" and len(args) == 1:
@@ -118,11 +150,11 @@ def _parse_density(spec: List[str]) -> DensityFn:
 
 
 def _parse_cf(spec: List[str]) -> CharFn:
-    kind, args = spec[0], [float(v) for v in spec[1:]]
+    kind, args = spec[0], _numbers(spec)
     if kind == "normal" and len(args) == 2:
         return normal_cf(args[0], args[1])
     if kind == "chisq" and len(args) == 1:
-        return chi_square_cf(int(args[0]))
+        return chi_square_cf(args[0])
     if kind == "cauchy" and len(args) == 2:
         return cauchy_cf(args[0], args[1])
     raise InvalidParamsError(
@@ -131,55 +163,31 @@ def _parse_cf(spec: List[str]) -> CharFn:
     )
 
 
-def _ratio_cfs(cfg: RunConfig) -> Tuple[CharFn, CharFn]:
-    """Marginal CFs of numerator and denominator; normal for --biv/--hake."""
-    p = _biv_like(cfg)
-    if p is not None:
+def _ratio_cfs(spec: Spec) -> Tuple[CharFn, CharFn]:
+    """Marginal CFs of numerator and denominator of a normal or num-den spec."""
+    if spec.kind == "normal":
+        p = spec.value
         return normal_cf(p.mu1, p.sigma1), normal_cf(p.mu2, p.sigma2)
-    if cfg.std_ratio is not None:
-        return normal_cf(cfg.std_ratio.a, 1.0), normal_cf(cfg.std_ratio.b, 1.0)
-    if cfg.num is not None and cfg.den is not None:
-        return _parse_cf(cfg.num), _parse_cf(cfg.den)
-    raise InvalidParamsError("this engine needs --std-ratio, --biv, --hake or --num/--den")
-
-
-def _biv_like(cfg: RunConfig) -> Optional[BivNormalParams]:
-    if cfg.biv is not None:
-        return cfg.biv
-    if cfg.hake is not None:
-        return hake_params(cfg.hake)
-    return None
-
-
-def _any_params(cfg: RunConfig) -> StdRatioParams:
-    p = _biv_like(cfg)
-    if p is not None:
-        return to_standard(p)[0]
-    if cfg.std_ratio is not None:
-        return cfg.std_ratio
-    raise InvalidParamsError("needs --std-ratio, --biv or --hake")
+    num, den = spec.value
+    return _parse_cf(num), _parse_cf(den)
 
 
 def _moment_window(cfg: RunConfig) -> Tuple[float, float]:
     """--auto-interval from normal moments, k = 2 by default."""
-    p = _biv_like(cfg) or cfg.std_ratio
-    if p is not None:
-        return evaluation_interval(p, cfg.k or 2.0)
-    if cfg.num is not None and cfg.den is not None:
-        # densities carry no moments; fall back to the CF route
-        return six_sigma_interval(_parse_cf(cfg.num), _parse_cf(cfg.den), cfg.k or 6.0)
-    raise InvalidParamsError("auto interval needs a distribution spec")
+    if cfg.spec.kind == "normal":
+        return evaluation_interval(cfg.spec.value, 2.0 if cfg.k is None else cfg.k)
+    # densities carry no moments; fall back to the CF route
+    return six_sigma_interval(*_ratio_cfs(cfg.spec), 6.0 if cfg.k is None else cfg.k)
 
 
 def _cf_window(cfg: RunConfig) -> Tuple[float, float]:
     """--auto-interval from CF moments, k = 6 by default."""
-    k = cfg.k or 6.0
-    if cfg.dist is not None:
-        mu, var = cf_moments(_parse_cf(cfg.dist))
+    k = 6.0 if cfg.k is None else cfg.k
+    if cfg.spec.kind == "dist":
+        mu, var = cf_moments(_parse_cf(cfg.spec.value))
         sd = math.sqrt(var)
         return (mu - k * sd, mu + k * sd)
-    cf1, cf2 = _ratio_cfs(cfg)
-    return six_sigma_interval(cf1, cf2, k)
+    return six_sigma_interval(*_ratio_cfs(cfg.spec), k)
 
 
 # A grid factory does the one-time work and returns an evaluator for the whole
@@ -189,47 +197,25 @@ Evaluator = Callable[[], np.ndarray]
 Factory = Callable[[RunConfig, np.ndarray], Evaluator]
 
 
-def _each(xs: np.ndarray, fn: Callable[[float], float]) -> Evaluator:
-    return lambda: np.array([fn(x) for x in xs.tolist()])
-
-
-def _std_ratio(cfg: RunConfig) -> StdRatioParams:
-    if cfg.std_ratio is None:
-        raise InvalidParamsError("analytic engine needs --std-ratio, --biv or --hake")
-    return cfg.std_ratio
-
-
 def _analytic_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
-    p = _biv_like(cfg)
-    if p is not None:
-        return lambda: ratio_pdf_phamgia(p, xs)
-    sr = _std_ratio(cfg)
-    return lambda: std_ratio_pdf(sr, xs)
+    return lambda: ratio_pdf_phamgia(cfg.spec.value, xs)
 
 
 def _analytic_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
-    p = _biv_like(cfg)
-    if p is not None:
-        return lambda: ratio_cdf(p, xs)
-    sr = _std_ratio(cfg)
-    return lambda: std_ratio_cdf(sr, xs)
+    return lambda: ratio_cdf(cfg.spec.value, xs)
 
 
 def _mellin_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
-    p = _biv_like(cfg)
-    if cfg.std_ratio is not None:
-        f1, f2 = normal_density(cfg.std_ratio.a, 1.0), normal_density(cfg.std_ratio.b, 1.0)
-    elif cfg.num is not None and cfg.den is not None:
-        f1, f2 = _parse_density(cfg.num), _parse_density(cfg.den)
-    elif p is not None and p.rho == 0.0:
+    p = cfg.spec.value
+    if cfg.spec.kind == "num-den":
+        f1, f2 = (_parse_density(s) for s in p)
+    elif p.rho == 0.0:
         f1, f2 = normal_density(p.mu1, p.sigma1), normal_density(p.mu2, p.sigma2)
-    elif p is not None:
+    else:
         raise InvalidParamsError(
             "mellin convolution requires independent factors (rho = 0); "
             "use the analytic or broda-kan engine for correlated ratios"
         )
-    else:
-        raise InvalidParamsError("mellin engine needs --std-ratio, --num/--den or --biv")
     qcfg = QuadratureConfig(rel_tol=cfg.rel_tol)
     if cfg.cheb_nodes and xs.size > 1:  # one point spans no interval to interpolate on
         interp = ratio_interpolant(f1, f2, float(xs[0]), float(xs[-1]), cfg.cheb_nodes, qcfg)
@@ -238,29 +224,26 @@ def _mellin_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
 
 
 def _broda_kan_setup(cfg: RunConfig) -> Tuple[JointCharFn, Grid2DConfig]:
-    """The joint CF (bivariate normal for --biv/--hake) and the auto grid."""
-    p = _biv_like(cfg)
-    cf1, cf2 = _ratio_cfs(cfg)
-    jcf = bivariate_normal_joint_cf(p) if p is not None else product_joint_cf(cf1, cf2)
+    """The joint CF (bivariate normal when correlated) and the auto grid."""
+    cf1, cf2 = _ratio_cfs(cfg.spec)
+    p = cfg.spec.value
+    correlated = cfg.spec.kind == "normal" and p.rho != 0.0
+    jcf = bivariate_normal_joint_cf(p) if correlated else product_joint_cf(cf1, cf2)
     return jcf, auto_grid(cf1, cf2, n=cfg.grid_n)
 
 
 def _broda_kan_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
     jcf, grid = _broda_kan_setup(cfg)
-    return _each(xs, lambda x: broda_kan_pdf_joint(jcf, x, grid))
+    return lambda: broda_kan_pdf_joint(jcf, xs, grid)
 
 
 def _broda_kan_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
     jcf, grid = _broda_kan_setup(cfg)
-    return _each(xs, lambda x: broda_kan_cdf(jcf, x, grid))
+    return lambda: broda_kan_cdf(jcf, xs, grid)
 
 
 def _gil_pelaez_setup(cfg: RunConfig) -> Tuple[CharFn, QuadratureConfig]:
-    if cfg.dist is None:
-        raise InvalidParamsError(
-            "gil-pelaez inverts a single characteristic function; pass --dist KIND ARGS"
-        )
-    return _parse_cf(cfg.dist), dataclasses.replace(_GP_CFG, rel_tol=cfg.rel_tol)
+    return _parse_cf(cfg.spec.value), dataclasses.replace(_GP_CFG, rel_tol=cfg.rel_tol)
 
 
 def _gil_pelaez_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
@@ -274,29 +257,50 @@ def _gil_pelaez_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
 
 
 class Engine(NamedTuple):
-    """One --engine id: its grid factories and its --auto-interval window."""
+    """One --engine id: the spec kinds it takes, its grid factories and its
+    --auto-interval window."""
 
+    takes: FrozenSet[str]
     pdf: Factory
     cdf: Optional[Factory]
     window: Callable[[RunConfig], Tuple[float, float]]
 
 
+_TWO_FACTORS = frozenset({"normal", "num-den"})
+
 ENGINES: Dict[str, Engine] = {
-    "analytic": Engine(_analytic_pdf, _analytic_cdf, _moment_window),
-    "mellin": Engine(_mellin_pdf, None, _moment_window),
-    "broda-kan": Engine(_broda_kan_pdf, _broda_kan_cdf, _cf_window),
-    "gil-pelaez": Engine(_gil_pelaez_pdf, _gil_pelaez_cdf, _cf_window),
+    "analytic": Engine(frozenset({"normal"}), _analytic_pdf, _analytic_cdf, _moment_window),
+    "mellin": Engine(_TWO_FACTORS, _mellin_pdf, None, _moment_window),
+    "broda-kan": Engine(_TWO_FACTORS, _broda_kan_pdf, _broda_kan_cdf, _cf_window),
+    "gil-pelaez": Engine(frozenset({"dist"}), _gil_pelaez_pdf, _gil_pelaez_cdf, _cf_window),
 }
 
 
-def _choose_interval(cfg: RunConfig) -> Tuple[float, float]:
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    """The spec and the settings the engine reads; the engine must take the spec."""
+    if args.n_points < 0:
+        raise InvalidParamsError(f"--n must be >= 0, got {args.n_points!r}")
+    if args.k is not None and not args.k > 0.0:
+        raise InvalidParamsError(f"--k must be > 0, got {args.k!r}")
+    cfg = RunConfig(args.engine, _spec(args), args.k, args.rel_tol, args.cheb_nodes, args.grid_n)
+    takes = ENGINES[cfg.engine].takes
+    if cfg.spec.kind not in takes:
+        raise InvalidParamsError(
+            f"the {cfg.engine} engine takes {' or '.join(_FLAGS[k] for k in sorted(takes))}, "
+            f"not {_FLAGS[cfg.spec.kind]}"
+        )
+    return cfg
+
+
+def _choose_interval(cfg: RunConfig, interval: Optional[List[float]], auto: bool
+                     ) -> Tuple[float, float]:
     """Explicit --interval wins; otherwise the engine's auto window."""
-    if cfg.interval is not None:
-        lo, hi = cfg.interval
+    if interval is not None:
+        lo, hi = interval
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise InvalidParamsError(f"interval must be finite with lo < hi, got ({lo!r}, {hi!r})")
-        return cfg.interval
-    if not cfg.auto_interval:
+        return lo, hi
+    if not auto:
         raise InvalidParamsError("pass --interval LO HI or --auto-interval")
     return ENGINES[cfg.engine].window(cfg)
 
@@ -309,48 +313,51 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def cmd_grid(cfg: RunConfig) -> int:
-    """pdf or cdf (the subcommand) on n_points of the interval."""
-    lo, hi = _choose_interval(cfg)
-    xs = np.linspace(lo, hi, cfg.n_points)
-    factory = getattr(ENGINES[cfg.engine], cfg.subcommand)
+def cmd_grid(args: argparse.Namespace) -> int:
+    """pdf or cdf (the subcommand) on --n points of the interval."""
+    cfg = _run_config(args)
+    factory = getattr(ENGINES[cfg.engine], args.subcommand)
     if factory is None:
         raise InvalidParamsError(
             f"the {cfg.engine} engine computes densities only; use cdf with another engine"
         )
+    lo, hi = _choose_interval(cfg, args.interval, args.auto_interval)
+    xs = np.linspace(lo, hi, args.n_points)
     values = factory(cfg, xs)()
     rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(xs.tolist(), values.tolist()))
-    _write(cfg.out, "x,value\n" + rows)
+    _write(args.out, "x,value\n" + rows)
     return 0
 
 
-def cmd_modality(cfg: RunConfig) -> int:
-    sr = _any_params(cfg)
-    text = f"{classify_modality(sr, practical=cfg.practical).value}\n"
+def cmd_modality(args: argparse.Namespace) -> int:
+    spec = _spec(args)
+    if spec.kind != "normal":
+        raise InvalidParamsError(f"modality takes {_FLAGS['normal']}, not {_FLAGS[spec.kind]}")
+    sr = to_standard(spec.value)[0]
+    text = f"{classify_modality(sr, practical=args.practical).value}\n"
     if 1.0 <= sr.a < MODALITY_A0:
         text += f"b*({sr.a:.17g}) = {modality_curve(sr.a):.17g}\n"
-    _write(cfg.out, text)
+    _write(args.out, text)
     return 0
 
 
-def cmd_interval(cfg: RunConfig) -> int:
-    cfg.auto_interval = True
-    lo, hi = _choose_interval(cfg)
-    _write(cfg.out, f"{lo:.17g},{hi:.17g}\n")
+def cmd_interval(args: argparse.Namespace) -> int:
+    lo, hi = _choose_interval(_run_config(args), args.interval, True)
+    _write(args.out, f"{lo:.17g},{hi:.17g}\n")
     return 0
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    if cfg.out == "-":
+def cmd_bench(args: argparse.Namespace) -> int:
+    if args.out == "-":
         raise InvalidParamsError("bench needs --out PATH for the records file")
-    if cfg.std_ratio is None:
+    if args.std_ratio is None:
         raise InvalidParamsError("bench needs --std-ratio A B")
-    interval = cfg.interval or evaluation_interval(cfg.std_ratio, cfg.k or 2.0)
+    sr = StdRatioParams(*args.std_ratio)
+    interval = args.interval or evaluation_interval(sr, 2.0 if args.k is None else args.k)
 
     def run(method: str, **opts: object) -> bench_mod.BenchRecord:
         return bench_mod.run_experiment(
-            method, cfg.std_ratio, interval, n_points=cfg.n_points, runs=cfg.runs,
-            reps=cfg.reps, **opts,
+            method, sr, interval, n_points=args.n_points, runs=args.runs, reps=args.reps, **opts,
         )
 
     base = run(
@@ -359,14 +366,14 @@ def cmd_bench(cfg: RunConfig) -> int:
         label=f"{bench_mod.BASELINE_METHOD}@{bench_mod.BASELINE_REL_TOL:g}",
     )
     records = [dataclasses.replace(base, speedup_vs_baseline=1.0)]
-    given = {"n": cfg.grid_n, "n_nodes": cfg.cheb_nodes}
-    for method in cfg.methods:
+    given = {"n": args.grid_n, "n_nodes": args.cheb_nodes}
+    for method in args.methods:
         takes = bench_mod.METHODS[method][1]
         opts = {k: v for k, v in given.items() if k in takes and v is not None}
-        sweep = [{"rel_tol": t, "label": f"{method}@{t:g}"} for t in cfg.rel_tols]
+        sweep = [{"rel_tol": t, "label": f"{method}@{t:g}"} for t in args.rel_tols]
         for extra in (sweep if "rel_tol" in takes else []) or [{}]:
             records.append(run(method, baseline=base, **opts, **extra))
-    bench_mod.export(records, cfg.format, cfg.out)
+    bench_mod.export(records, args.format, args.out)
     return 0
 
 
@@ -393,23 +400,6 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cheb-nodes", type=int, default=None)
     p.add_argument("--grid-n", type=int, default=500)
     p.add_argument("--out", default="-")
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    for name in vars(cfg):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "std_ratio", None) is not None:
-        cfg.std_ratio = StdRatioParams(*args.std_ratio)
-    if getattr(args, "biv", None) is not None:
-        cfg.biv = BivNormalParams(*args.biv)
-    if getattr(args, "hake", None) is not None:
-        h = args.hake
-        cfg.hake = HakeInputs(h[0], h[1], h[2], h[3], h[4], int(h[5]))
-    if getattr(args, "interval", None) is not None:
-        cfg.interval = (args.interval[0], args.interval[1])
-    return cfg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -452,7 +442,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_bench.add_argument("--out", default="-")
 
     args = parser.parse_args(argv)
-    cfg = _build_config(args)
     handlers = {
         "pdf": cmd_grid,
         "cdf": cmd_grid,
@@ -461,7 +450,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "bench": cmd_bench,
     }
     try:
-        return handlers[cfg.subcommand](cfg)
+        return handlers[args.subcommand](args)
     except RatioDistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -114,7 +114,7 @@ class HakeInputs:
     n: int
 
     def __post_init__(self) -> None:
-        for name in ("mu_pre", "mu_post", "sd_pre", "sd_post", "rho_star"):
+        for name in ("mu_pre", "mu_post", "sd_pre", "sd_post", "rho_star", "n"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParamsError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.mu_pre >= 100.0:
@@ -162,13 +162,15 @@ def std_ratio_pdf(sr: StdRatioParams, t):
     inf = np.isinf(tt)
     tt = np.where(inf, 0.0, tt)
     a, b = sr.a, sr.b
-    with np.errstate(over="ignore"):  # t^2 = inf for |t| > 1e154 gives q = 0, density 0
+    # 1 + t^2 or pi (1 + t^2) is inf for |t| above about 7.6e153: q = 0, density 0
+    with np.errstate(over="ignore"):
         one_plus_t2 = 1.0 + tt * tt
+        pi_one_plus_t2 = math.pi * one_plus_t2
     q = (b + a * tt) / np.sqrt(one_plus_t2)
     half_c = 0.5 * (a * a + b * b)
     # q^2/2 - (a^2+b^2)/2 <= 0 always, so neither exponential can overflow
     core = np.exp(0.5 * q * q - half_c) * SQRT_HALF_PI * q * erf(q * INV_SQRT_2)
-    density = (core + math.exp(-half_c)) / (math.pi * one_plus_t2)
+    density = (core + math.exp(-half_c)) / pi_one_plus_t2
     return like(t, np.where(inf, 0.0, density))
 
 
@@ -186,12 +188,18 @@ def ratio_pdf_hinkley(p: BivNormalParams, w):
     """
     ww = points(w, "ratio_pdf_hinkley")
     inf = np.isinf(ww)
+    # a(w)^2 and b(w) are m^2 and m times the same forms in v = w/m and 1/m for
+    # w and 1; with m = max(1, |w|) nothing overflows, d(w) and z keep their
+    # values, and the density is m^-2 times the scaled expression
     ww = np.where(inf, 0.0, ww)
+    m = np.maximum(1.0, np.abs(ww))
+    v, im = ww / m, 1.0 / m
     s1, s2, rho = p.sigma1, p.sigma2, p.rho
     one_m_r2 = 1.0 - rho * rho
-    aw2 = ww * ww / (s1 * s1) - 2.0 * rho * ww / (s1 * s2) + 1.0 / (s2 * s2)
+    aw2 = v * v / (s1 * s1) - 2.0 * rho * v * im / (s1 * s2) + im * im / (s2 * s2)
     aw = np.sqrt(aw2)
-    bw = p.mu1 * ww / (s1 * s1) - rho * (p.mu1 + p.mu2 * ww) / (s1 * s2) + p.mu2 / (s2 * s2)
+    bw = (p.mu1 * v / (s1 * s1) - rho * (p.mu1 * im + p.mu2 * v) / (s1 * s2)
+          + p.mu2 * im / (s2 * s2))
     c = (
         p.mu1 * p.mu1 / (s1 * s1)
         - 2.0 * rho * p.mu1 * p.mu2 / (s1 * s2)
@@ -203,7 +211,7 @@ def ratio_pdf_hinkley(p: BivNormalParams, w):
     leading = bw * dw / (math.sqrt(2.0 * math.pi) * s1 * s2 * aw2 * aw)
     first = leading * (std_normal_cdf(z) - std_normal_cdf(-z))
     second = math.sqrt(one_m_r2) / (math.pi * s1 * s2 * aw2) * math.exp(-c / (2.0 * one_m_r2))
-    return like(w, np.where(inf, 0.0, first + second))
+    return like(w, np.where(inf, 0.0, (first + second) * im * im))
 
 
 _CDF_CFG = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-14)
@@ -282,8 +290,8 @@ def modality_curve(a: float) -> float:
 def _count_visible_modes(sr: StdRatioParams, floor: float) -> int:
     # scan in theta = arctan(t); the compactified axis covers both tails
     theta = np.linspace(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, 16385)
-    t = np.tan(theta)
-    f = std_ratio_pdf(sr, t)
+    # four chunks keep the temporaries of one std_ratio_pdf call small
+    f = np.concatenate([std_ratio_pdf(sr, np.tan(part)) for part in np.array_split(theta, 4)])
     d = np.sign(np.diff(f))
     # flat runs inherit the preceding trend so plateaus count once
     d = d[np.maximum.accumulate(np.where(d != 0.0, np.arange(d.size), 0))]

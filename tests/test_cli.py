@@ -176,6 +176,9 @@ def test_bench_json(tmp_path):
     assert {r["method_id"] for r in rows} == {"mellin-de@0.001", "analytic"}
 
 
+_HAKE = ["40", "65", "15", "18", "0.5", "50"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -190,13 +193,41 @@ def test_bench_json(tmp_path):
          "--interval", "1", "1", "--n", "2"],
         ["pdf", "--engine", "analytic", "--num", "normal", "0", "0",
          "--den", "normal", "0", "1", "--interval", "0", "1", "--n", "2"],
+        # exactly one spec
+        ["pdf", "--std-ratio", "1.5", "1", "--hake", *_HAKE, "--auto-interval", "--n", "3"],
+        ["pdf", "--engine", "mellin", "--std-ratio", "1.5", "1", "--hake", *_HAKE,
+         "--auto-interval", "--n", "3"],
+        ["cdf", "--engine", "broda-kan", "--biv", "1", "2", "1", "1", "0",
+         "--num", "normal", "0", "1", "--den", "chisq", "5", "--interval", "0", "1", "--n", "2"],
+        ["modality", "--std-ratio", "1.5", "1", "--dist", "normal", "0", "1"],
+        ["interval", "--engine", "gil-pelaez", "--dist", "normal", "0", "1", "--num", "normal",
+         "0", "1"],
+        ["pdf", "--engine", "mellin", "--num", "normal", "0", "1", "--interval", "0", "1"],
+        # bad values, each on a spec's own flags
+        ["pdf", "--std-ratio", "-1", "1", "--interval", "0", "1", "--n", "2"],
+        ["modality", "--std-ratio", "-1", "1"],
+        ["pdf", "--biv", "1", "2", "1", "1", "1.5", "--interval", "0", "1", "--n", "2"],
+        ["pdf", "--hake", *_HAKE[:-1], "0", "--interval", "0", "1", "--n", "2"],
+        ["pdf", "--hake", *_HAKE[:-1], "50.7", "--interval", "0", "1", "--n", "2"],
+        ["interval", "--engine", "broda-kan", "--hake", *_HAKE[:-1], "inf"],
+        ["pdf", "--engine", "broda-kan", "--num", "normal", "x", "1", "--den", "chisq", "5",
+         "--auto-interval", "--n", "2"],
+        ["pdf", "--engine", "gil-pelaez", "--dist", "chisq", "inf", "--auto-interval", "--n", "2"],
+        # --n >= 0, and --k > 0 when given
+        ["pdf", "--std-ratio", "1.5", "1", "--interval", "0", "1", "--n", "-3"],
+        ["pdf", "--std-ratio", "1.5", "1", "--auto-interval", "--k", "0"],
+        ["interval", "--engine", "broda-kan", "--std-ratio", "1.5", "1", "--k", "-1"],
+        # interval refuses a spec its engine does not take
+        ["interval", "--engine", "gil-pelaez", "--std-ratio", "1.5", "1"],
+        ["interval", "--engine", "analytic", "--num", "normal", "1", "1", "--den", "chisq", "5"],
     ],
 )
 def test_errors_exit_one(argv, capsys):
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_bad_choice_exits_two():

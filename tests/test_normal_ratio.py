@@ -124,9 +124,11 @@ def test_pdf_nonnegative_and_large_params_safe() -> None:
             assert v >= 0.0 and math.isfinite(v)
         # t^2 overflows, silently: the density there is below the smallest double
         assert std_ratio_pdf(sr, -1e200) == 0.0
+        # pi (1 + t^2) overflows first, also silently
+        assert 0.0 <= std_ratio_pdf(sr, 1e154) <= 1e-300
 
 
-@pytest.mark.parametrize("t", [math.inf, -math.inf])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, 1e200, -1e200])
 def test_density_vanishes_at_infinity(t) -> None:
     for sr in (StdRatioParams(1.5, 1.0), StdRatioParams(0.0, 0.0), StdRatioParams(5.0, 25.0)):
         assert std_ratio_pdf(sr, t) == 0.0
@@ -158,6 +160,10 @@ def test_cross_formula_specific_points() -> None:
     assert abs(ratio_pdf_hinkley(p, 0.7) - ratio_pdf_phamgia(p, 0.7)) <= 1e-10
     far = BivNormalParams(0.0, 5.0, 1.0, 1.0, 0.0)
     assert abs(ratio_pdf_hinkley(far, 0.0) - ratio_pdf_phamgia(far, 0.0)) <= 1e-10
+    # far tail: a(w)^2 a(w) overflows from |w| ~ 1e103 unless the terms are scaled
+    for w in (1e120, -1e140):
+        assert math.isclose(ratio_pdf_hinkley(p, w), ratio_pdf_phamgia(p, w), rel_tol=1e-12)
+    assert 0.0 <= ratio_pdf_hinkley(p, 1.3e154) <= 1e-300
 
 
 def test_cross_formula_equality_random_sweep() -> None:

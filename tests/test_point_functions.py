@@ -1,5 +1,5 @@
 """One protocol for every public point function of the closed forms and the
-1D inversions: a float in gives a float out, an array gives an array of the
+CF inversions: a float in gives a float out, an array gives an array of the
 same shape, equal to the float calls, and NaN raises InvalidParamsError."""
 
 import math
@@ -7,7 +7,16 @@ import math
 import numpy as np
 import pytest
 
-from ratiodist.cf import gil_pelaez_cdf, gil_pelaez_pdf, normal_cf
+from ratiodist.cf import (
+    auto_grid,
+    bivariate_normal_joint_cf,
+    broda_kan_cdf,
+    broda_kan_pdf_indep,
+    broda_kan_pdf_joint,
+    gil_pelaez_cdf,
+    gil_pelaez_pdf,
+    normal_cf,
+)
 from ratiodist.errors import InvalidParamsError
 from ratiodist.normal_ratio import (
     BivNormalParams,
@@ -23,6 +32,9 @@ from ratiodist.special import erf, erfc, kummer_1f1_half, std_normal_cdf
 _SR = StdRatioParams(1.5, 1.0)
 _BIV = BivNormalParams(1.0, 2.0, 0.5, 0.25, -0.3)
 _CF = normal_cf(0.5, 1.2)
+_JCF = bivariate_normal_joint_cf(_BIV)
+_BK_CFS = (normal_cf(_BIV.mu1, _BIV.sigma1), normal_cf(_BIV.mu2, _BIV.sigma2))
+_BK_GRID = auto_grid(*_BK_CFS, n=64)
 
 FUNCTIONS = {
     "erf": erf,
@@ -36,6 +48,9 @@ FUNCTIONS = {
     "ratio_cdf": lambda x: ratio_cdf(_BIV, x),
     "gil_pelaez_pdf": lambda x: gil_pelaez_pdf(_CF, x),
     "gil_pelaez_cdf": lambda x: gil_pelaez_cdf(_CF, x),
+    "broda_kan_pdf_joint": lambda x: broda_kan_pdf_joint(_JCF, x, _BK_GRID),
+    "broda_kan_cdf": lambda x: broda_kan_cdf(_JCF, x, _BK_GRID),
+    "broda_kan_pdf_indep": lambda x: broda_kan_pdf_indep(*_BK_CFS, x, _BK_GRID),
 }
 
 # both sides of erf's switch at 1.2 and of the ratio densities' modes
