@@ -48,8 +48,8 @@ from .errors import (
     UndecayedCFError,
 )
 from .normal_ratio import BivNormalParams
-from .quadrature import QuadratureConfig, integrate_half_lines
-from .special import like, points
+from .quadrature import QuadratureConfig, integrate_rows
+from .special import clamp_cdf, like, points
 
 _DECAY_THRESHOLD = 1e-14
 _DERIV_H = 1e-4
@@ -173,8 +173,9 @@ def _gil_pelaez(cf: CharFn, x, part: Callable[[np.ndarray, np.ndarray], np.ndarr
     _check_cf(cf)
     xx = points(x, name)
     xs = xx.ravel()[:, None]
-    value = integrate_half_lines(lambda idx, t: part(np.exp(-1j * t * xs[idx]) * cf.phi(t), t),
-                                 xs.shape[0], cfg)
+    origin = np.zeros(xs.shape[0])
+    value = integrate_rows(lambda idx, t: part(np.exp(-1j * t * xs[idx]) * cf.phi(t), t),
+                           origin, origin + math.inf, cfg).value
     return value.reshape(xx.shape)
 
 
@@ -195,15 +196,7 @@ def gil_pelaez_cdf(cf: CharFn, x, cfg: QuadratureConfig = _GP_CFG):
     See gil_pelaez_pdf for the tolerance caveat on slowly decaying CFs.
     """
     raw = 0.5 - _gil_pelaez(cf, x, lambda z, t: z.imag / t, "gil_pelaez_cdf", cfg) / math.pi
-    out = (raw < -1e-8) | (raw > 1.0 + 1e-8)
-    if out.any():
-        warnings.warn(
-            f"CDF value {float(raw[out].flat[0])!r} exceeds [0, 1] by more than 1e-8 before "
-            "clamping; the integration grid or tolerance is likely inadequate",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    return like(x, np.minimum(np.maximum(raw, 0.0), 1.0))
+    return like(x, clamp_cdf(raw))
 
 
 def bivariate_normal_joint_cf(p: BivNormalParams) -> JointCharFn:
@@ -284,16 +277,7 @@ def broda_kan_cdf(jcf: JointCharFn, r, cfg: Grid2DConfig):
     def cells(x: float) -> np.ndarray:
         return (jcf.phi2d(s, t - x * s) - jcf.phi2d(s, -t - x * s)).real / (s * t)
 
-    raw = 0.5 + _grid_sums(r, "broda_kan_cdf", cfg, cells)
-    out = (raw < -1e-8) | (raw > 1.0 + 1e-8)
-    if out.any():
-        warnings.warn(
-            f"CDF value {float(raw[out].flat[0])!r} exceeds [0, 1] by more than 1e-8 before "
-            "clamping; the integration grid is likely inadequate",
-            AccuracyWarning,
-            stacklevel=2,
-        )
-    return like(r, np.minimum(np.maximum(raw, 0.0), 1.0))
+    return like(r, clamp_cdf(0.5 + _grid_sums(r, "broda_kan_cdf", cfg, cells)))
 
 
 # eighth-order central-difference stencils; Hermitian symmetry folds the

@@ -14,11 +14,11 @@ evaluated; a guard wrapper additionally pins the densities to zero outside
 their declared support so roundoff at interval endpoints can never probe them
 out of domain.
 
-Every piece of every evaluation point is one row of the array DE sweep
-(quadrature.integrate_rows): a grid is integrated in equal blocks of about
-_BLOCK_POINTS points (quadrature.blocks), each block in one sweep per map
-kind, and a single point is a block of one.  Rows are independent, so a
-point's value does not depend on the grid it is evaluated in.
+Every nonempty piece of every evaluation point is one row of one batch of
+the array DE sweep (quadrature.integrate_rows); the piece's x-interval picks
+the map and the sweep blocks the rows itself.  A point's two pieces are
+adjacent rows.  Rows are independent, so a point's value does not depend on
+the grid it is evaluated in.
 """
 
 from __future__ import annotations
@@ -33,15 +33,13 @@ from .errors import InvalidParamsError, SingularProductError
 from .quadrature import (
     ChebInterpolant,
     QuadratureConfig,
-    blocks,
     cheb_build,
     cheb_eval_many,
     integrate_rows,
 )
+from .special import like, points
 
 _DEFAULT_CFG = QuadratureConfig(rel_tol=1e-10, abs_floor=1e-280)
-# about this many points per sweep; bounds the (rows x nodes) arrays of a level
-_BLOCK_POINTS = 64
 
 Density = Callable[[np.ndarray], np.ndarray]
 
@@ -194,68 +192,59 @@ def _integrate_pieces(
 ) -> np.ndarray:
     """The Mellin kernel at every point of t, given each piece's x-interval.
 
-    lo[:n], hi[:n] bound the positive piece of the n points and lo[n:],
-    hi[n:] the negative piece reflected onto x > 0; an empty interval
-    contributes 0.  Each piece is one row of the DE sweep.
+    lo[2i], hi[2i] bound the positive piece of point i and lo[2i+1],
+    hi[2i+1] its negative piece reflected onto x > 0; an empty interval
+    contributes 0.  Each nonempty piece is one row of the DE sweep.
     """
     g1, g2 = _guarded(f1), _guarded(f2)
-    n = t.shape[0]
-    sign = np.repeat(np.array([1.0, -1.0]), n)[:, None]
-    tt = np.concatenate([t, t])[:, None]
-    values = np.zeros(2 * n)
-    nonempty = lo < hi
-    half = hi == math.inf
-    for kind, rows in (("half", nonempty & half), ("finite", nonempty & ~half)):
-        k = np.flatnonzero(rows)
-        if k.size == 0:
-            continue
-        s, u = sign[k], tt[k]
+    k = np.flatnonzero(lo < hi)
+    s = np.where(k % 2, -1.0, 1.0)[:, None]
+    u = t[k // 2, None]
 
-        def kernel(idx, x, s=s, u=u):
-            z = x * s[idx]
-            if product:
-                return g1(z) * g2((s[idx] * u[idx]) / x) / x
-            return g1(z * u[idx]) * g2(z) * x
+    def kernel(idx, x):
+        z = x * s[idx]
+        if product:
+            return g1(z) * g2((s[idx] * u[idx]) / x) / x
+        return g1(z * u[idx]) * g2(z) * x
 
-        values[k] = integrate_rows(kernel, kind, lo[k], hi[k], cfg).value
-    return values[:n] + values[n:]
+    values = np.zeros(2 * t.shape[0])
+    values[k] = integrate_rows(kernel, lo[k], hi[k], cfg).value
+    return values[0::2] + values[1::2]
 
 
-def _ratio_values(f1: DensityFn, f2: DensityFn, ts: np.ndarray,
+def _ratio_values(f1: DensityFn, f2: DensityFn, t: np.ndarray,
                   cfg: QuadratureConfig) -> np.ndarray:
-    """Ratio density at every point of ts (finite), in blocks of points."""
-    out = np.empty(ts.shape[0])
+    """Ratio density at every point of t (finite, 1-D), one batch of rows."""
     lo1, hi1 = f1.support.lo, f1.support.hi
     lo2, hi2 = f2.support.lo, f2.support.hi
-    for rows in blocks(ts.shape[0], _BLOCK_POINTS):
-        t = ts[rows]
-        # the set {x : t*x is inside sup1}; vacuous for t = 0 (constant factor f1(0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a, b = lo1 / t, hi1 / t
-        pre_lo = np.where(t > 0.0, a, np.where(t < 0.0, b, -math.inf))
-        pre_hi = np.where(t > 0.0, b, np.where(t < 0.0, a, math.inf))
-        # positive piece, then the negative one reflected onto x > 0
-        lo = np.concatenate([np.maximum(max(0.0, lo2), pre_lo),
-                             -np.minimum(min(0.0, hi2), pre_hi)])
-        hi = np.concatenate([np.minimum(hi2, pre_hi), -np.maximum(lo2, pre_lo)])
-        out[rows] = _integrate_pieces(f1, f2, False, t, lo, hi, cfg)
-    return out
+    # the set {x : t*x is inside sup1}; vacuous for t = 0 (constant factor f1(0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a, b = lo1 / t, hi1 / t
+    pre_lo = np.where(t > 0.0, a, np.where(t < 0.0, b, -math.inf))
+    pre_hi = np.where(t > 0.0, b, np.where(t < 0.0, a, math.inf))
+    # each point's positive piece, then its negative one reflected onto x > 0
+    lo, hi = np.empty((2, 2 * t.shape[0]))
+    lo[0::2], hi[0::2] = np.maximum(max(0.0, lo2), pre_lo), np.minimum(hi2, pre_hi)
+    lo[1::2], hi[1::2] = -np.minimum(min(0.0, hi2), pre_hi), -np.maximum(lo2, pre_lo)
+    return _integrate_pieces(f1, f2, False, t, lo, hi, cfg)
 
 
 def ratio_pdf(
     f1: DensityFn,
     f2: DensityFn,
-    t: float,
+    t,
     cfg: QuadratureConfig = _DEFAULT_CFG,
-) -> float:
+):
     """Density of X1/X2 at t for independent X1 ~ f1, X2 ~ f2.
 
     Evaluates integral f1(x t) f2(x) |x| dx, split at x = 0 because |x| is
-    not analytic there.
+    not analytic there.  t is a float (giving a float) or an array of finite
+    points (giving an array of its shape).
     """
-    if not math.isfinite(t):
-        raise InvalidParamsError(f"evaluation point must be finite, got {t!r}")
-    return float(_ratio_values(f1, f2, np.array([float(t)]), cfg)[0])
+    tt = points(t, "ratio_pdf")
+    if not np.isfinite(tt).all():
+        raise InvalidParamsError("ratio_pdf needs finite evaluation points")
+    return like(t, _ratio_values(f1, f2, tt.ravel(), cfg).reshape(tt.shape))
 
 
 def _product_x_interval(

@@ -13,9 +13,11 @@ whose density is
     q(t) = (b + a t) / sqrt(1 + t^2).
 
 The Kummer function is expanded through its erf closed form with the two
-exponentials combined before exponentiating; since q^2 <= a^2 + b^2 by
-Cauchy-Schwarz the working exponent is never positive, so the density
-evaluates without overflow for arbitrarily large a and b.
+exponentials combined before exponentiating.  With r(t) = (a - b t) /
+sqrt(1 + t^2), q^2 + r^2 = a^2 + b^2 exactly, so the working exponent
+q^2/2 - (a^2+b^2)/2 is -r^2/2: never positive, so the density evaluates
+without overflow for arbitrarily large a and b, and formed without the
+cancellation of two large terms.
 
 The densities and CDFs take a float (giving a float) or a NumPy array of
 points (giving an array of its shape); the densities vanish at +/-inf, and
@@ -36,8 +38,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import InvalidParamsError
-from .quadrature import QuadratureConfig, integrate_half_lines
-from .special import SQRT_HALF_PI, INV_SQRT_2, erf, like, points, std_normal_cdf
+from .quadrature import QuadratureConfig, integrate_rows
+from .special import SQRT_HALF_PI, INV_SQRT_2, clamp_cdf, erf, like, points, std_normal_cdf
 
 # Marsaglia's bimodality onset: for a >= A0 the density has two modes for every b
 MODALITY_A0 = 2.256058904
@@ -159,25 +161,27 @@ def to_standard(p: BivNormalParams) -> Tuple[StdRatioParams, RatioTransform]:
 def std_ratio_pdf(sr: StdRatioParams, t):
     """Density of T = (a + V1)/(b + V2) at t, overflow-safe for large a, b."""
     tt = points(t, "std_ratio_pdf")
-    inf = np.isinf(tt)
-    tt = np.where(inf, 0.0, tt)
     a, b = sr.a, sr.b
-    # 1 + t^2 or pi (1 + t^2) is inf for |t| above about 7.6e153: q = 0, density 0
+    # pi (1 + t^2) is inf for |t| above about 7.6e153: the density is 0 there
     with np.errstate(over="ignore"):
-        one_plus_t2 = 1.0 + tt * tt
-        pi_one_plus_t2 = math.pi * one_plus_t2
-    q = (b + a * tt) / np.sqrt(one_plus_t2)
-    half_c = 0.5 * (a * a + b * b)
-    # q^2/2 - (a^2+b^2)/2 <= 0 always, so neither exponential can overflow
-    core = np.exp(0.5 * q * q - half_c) * SQRT_HALF_PI * q * erf(q * INV_SQRT_2)
-    density = (core + math.exp(-half_c)) / pi_one_plus_t2
-    return like(t, np.where(inf, 0.0, density))
+        pi_one_plus_t2 = math.pi * (1.0 + tt * tt)
+    far = np.isinf(pi_one_plus_t2)
+    tt = np.where(far, 0.0, tt)
+    root = np.sqrt(1.0 + tt * tt)
+    q = (b + a * tt) / root
+    r = (a - b * tt) / root
+    # q^2/2 - (a^2+b^2)/2 = -r^2/2 <= 0, so neither exponential can overflow
+    core = np.exp(-0.5 * r * r) * SQRT_HALF_PI * q * erf(q * INV_SQRT_2)
+    density = (core + math.exp(-0.5 * (a * a + b * b))) / pi_one_plus_t2
+    return like(t, np.where(far, 0.0, density))
 
 
 def ratio_pdf_phamgia(p: BivNormalParams, w):
     """Ratio density at w via standardization plus the affine change of variables."""
     sr, tr = to_standard(p)
-    return std_ratio_pdf(sr, (w - tr.shift) / tr.scale) / abs(tr.scale)
+    with np.errstate(over="ignore"):  # an infinite t is the density's limit
+        t = (w - tr.shift) / tr.scale
+    return std_ratio_pdf(sr, t) / abs(tr.scale)
 
 
 def ratio_pdf_hinkley(p: BivNormalParams, w):
@@ -205,8 +209,11 @@ def ratio_pdf_hinkley(p: BivNormalParams, w):
         - 2.0 * rho * p.mu1 * p.mu2 / (s1 * s2)
         + p.mu2 * p.mu2 / (s2 * s2)
     )
-    # b(w)^2 <= c a(w)^2, so the exponent of d(w) is never positive
-    dw = np.exp((bw * bw - c * aw2) / (2.0 * one_m_r2 * aw2))
+    # b(w)^2 - c a(w)^2 = -(1 - rho^2) (mu1 - mu2 w)^2 / (s1 s2)^2 exactly, so
+    # the exponent of d(w) is -e^2 / (2 a(w)^2), never positive, with no
+    # cancellation of two large terms
+    e = (p.mu1 * im - p.mu2 * v) / (s1 * s2)
+    dw = np.exp(-e * e / (2.0 * aw2))
     z = bw / (math.sqrt(one_m_r2) * aw)
     leading = bw * dw / (math.sqrt(2.0 * math.pi) * s1 * s2 * aw2 * aw)
     first = leading * (std_normal_cdf(z) - std_normal_cdf(-z))
@@ -232,9 +239,10 @@ def std_ratio_cdf(
     flat = tt.ravel()
     center = sr.a / sr.b if sr.b > 0.0 else 0.0
     side = np.where(flat <= center, -1.0, 1.0)
-    mass = integrate_half_lines(
-        lambda idx, u: std_ratio_pdf(sr, flat[idx, None] + side[idx, None] * u), flat.shape[0], cfg)
-    cdf = np.minimum(np.maximum(np.where(side < 0.0, mass, 1.0 - mass), 0.0), 1.0)
+    origin = np.zeros(flat.shape[0])
+    mass = integrate_rows(lambda idx, u: std_ratio_pdf(sr, flat[idx, None] + side[idx, None] * u),
+                          origin, origin + math.inf, cfg).value
+    cdf = clamp_cdf(np.where(side < 0.0, mass, 1.0 - mass))
     return like(t, cdf.reshape(tt.shape))
 
 
@@ -245,7 +253,9 @@ def ratio_cdf(
 ):
     """CDF of W = X1/X2 at w through the standardized representation."""
     sr, tr = to_standard(p)
-    ft = std_ratio_cdf(sr, (w - tr.shift) / tr.scale, cfg)
+    with np.errstate(over="ignore"):  # an infinite t is the CDF's limit
+        t = (w - tr.shift) / tr.scale
+    ft = std_ratio_cdf(sr, t, cfg)
     return ft if tr.scale > 0.0 else 1.0 - ft
 
 

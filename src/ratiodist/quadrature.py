@@ -3,11 +3,15 @@
 The integrator follows the tanh-sinh family of substitutions: a smooth map
 x = psi(t) pulls the integration domain onto the whole real t-axis while the
 transformed integrand decays doubly exponentially, so the plain trapezoid
-rule converges at an extreme rate.  Three maps cover the supported domains::
+rule converges at an extreme rate.  The interval of an integral picks one
+of three maps::
 
     finite (lo, hi):   x = (hi-lo)/2 * tanh((pi/2) sinh t) + (hi+lo)/2
     half line (a, oo): x = a + exp((pi/2) sinh t)
     real line:         x = sinh((pi/2) sinh t)
+
+A new map kind plugs in at _T_LIMIT, _table and _Lanes, and a location or
+scale of a map at _Lanes; callers name only the interval.
 
 Refinement halves the step h and evaluates only the new odd-index nodes;
 previous work is reused through I_new = I_old/2 + h * (odd-node sum), so no
@@ -23,21 +27,22 @@ additionally refuses to stop before reaching the extent covered by earlier
 levels, so mass sitting beyond a valley of negligible terms is not lost once
 any level has stepped across the valley.
 
-The sweep is array-native: it integrates a batch of integrals ("rows") of
-one map kind at once, each row with its own origin or interval.  Integrands
-take and return NumPy arrays.  The node offsets and weights of each (map
-kind, h, side) depend on nothing else, so they are tabulated on first use
-and cached.  Each level makes one integrand call on an (active rows x
-nodes) array holding both t-sides, each side out to the furthest reach of
-earlier levels over the active rows plus _EXTRA nodes (level 0 takes all of
-its few nodes): the tail rule cannot fire inside a row's reach, so those
-nodes are needed anyway.  Rows whose rule has not fired by then are extended
-alone, in chunks that double.  The rule reads running sums taken in sweep
-order (np.cumsum), so every row sums exactly the nodes, in exactly the
+The sweep is array-native: integrate_rows takes a batch of integrals
+("rows"), each with its own interval, groups them by map and sweeps each
+group in equal blocks of about _BLOCK_ROWS rows, which bounds memory.
+Integrands take and return NumPy arrays.  The node offsets and weights of
+each (map kind, h, side) depend on nothing else, so they are tabulated on
+first use and cached.  Each level makes one integrand call on an (active
+rows x nodes) array holding both t-sides, each side out to the furthest
+reach of earlier levels over the active rows plus _EXTRA nodes (level 0
+takes all of its few nodes): the tail rule cannot fire inside a row's reach,
+so those nodes are needed anyway.  Rows whose rule has not fired by then are
+extended alone, in chunks that double.  The rule reads running sums taken in
+sweep order (np.cumsum), so every row sums exactly the nodes, in exactly the
 order, that a node-by-node sweep would, whatever else is in the batch;
 values past a row's stop are ignored.  Each row keeps its own scale, reach
-and convergence test and leaves the batch once it converges.  Callers with
-many rows pass them in blocks to bound memory.
+and convergence test and leaves the batch once it converges.  de_integrate
+is a batch of one row.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +76,10 @@ _T_LIMIT = {
 # by _EXTRA nodes, then by doubling chunks
 _EXTRA = 1
 
-# about this many rows per sweep in integrate_half_lines
+# the step of level 0, and the most nodes one t-side of a row may sum
+_INITIAL_H = 1.0
+_MAX_NODES_PER_SIDE = 1_000_000
+# about this many rows per sweep; bounds the (rows x nodes) arrays of a level
 _BLOCK_ROWS = 128
 
 # A row integrand: given the batch indices of the rows in x, the values at x.
@@ -80,7 +88,7 @@ RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and refinement limits for de_integrate.
+    """Tolerances and the refinement limit of the DE sweep.
 
     rel_tol drives both the convergence test and the tail truncation
     threshold.  abs_floor is an absolute escape hatch for integrals whose
@@ -90,21 +98,15 @@ class QuadratureConfig:
 
     rel_tol: float = 1e-10
     abs_floor: float = 1e-300
-    initial_h: float = 1.0
     max_levels: int = 12
-    max_nodes_per_side: int = 1_000_000
 
     def __post_init__(self) -> None:
         if not (1e-15 <= self.rel_tol <= 1e-1):
             raise InvalidParamsError(f"rel_tol must lie in [1e-15, 1e-1], got {self.rel_tol!r}")
         if not (self.abs_floor >= 0.0):
             raise InvalidParamsError(f"abs_floor must be >= 0, got {self.abs_floor!r}")
-        if not (self.initial_h > 0.0):
-            raise InvalidParamsError(f"initial_h must be > 0, got {self.initial_h!r}")
         if self.max_levels < 1:
             raise InvalidParamsError(f"max_levels must be >= 1, got {self.max_levels!r}")
-        if self.max_nodes_per_side < 8:
-            raise InvalidParamsError("max_nodes_per_side is too small to be useful")
 
 
 @dataclass(frozen=True)
@@ -113,38 +115,6 @@ class QuadratureResult:
     err_est: float
     n_evals: int
     levels: int
-    level_errs: Tuple[float, ...]
-
-
-class DETransform:
-    """One of the three double-exponential substitutions and its domain."""
-
-    __slots__ = ("kind", "lo", "hi")
-
-    def __init__(self, kind: str, lo: float, hi: float):
-        if kind == "finite":
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise InvalidParamsError(f"finite transform needs lo < hi, got ({lo!r}, {hi!r})")
-        elif kind == "half":
-            if not math.isfinite(lo):
-                raise InvalidParamsError(f"half-line origin must be finite, got {lo!r}")
-        elif kind != "real":  # pragma: no cover - factory methods prevent this
-            raise InvalidParamsError(f"unknown transform kind {kind!r}")
-        self.kind = kind
-        self.lo = lo
-        self.hi = hi
-
-    @classmethod
-    def finite(cls, lo: float, hi: float) -> "DETransform":
-        return cls("finite", float(lo), float(hi))
-
-    @classmethod
-    def half_line(cls, origin: float = 0.0) -> "DETransform":
-        return cls("half", float(origin), math.inf)
-
-    @classmethod
-    def real_line(cls) -> "DETransform":
-        return cls("real", -math.inf, math.inf)
 
 
 class _Table(NamedTuple):
@@ -253,11 +223,11 @@ class _Tail:
     def __init__(self, lanes: _Lanes, tab: _Table, reach: np.ndarray, h: float,
                  cfg: QuadratureConfig):
         n = reach.shape[0]
-        self.lanes, self.tab, self.reach, self.h, self.cfg = lanes, tab, reach, h, cfg
+        self.lanes, self.tab, self.reach, self.h = lanes, tab, reach, h
         self.scale: Optional[np.ndarray] = None  # per lane, set before the first scan
         self.c_tol, self.floor = cfg.rel_tol * 1e-2, 0.1 * cfg.abs_floor
         # a lane can exceed the node cap only if the map has more nodes
-        self.capped = tab.t.shape[0] > cfg.max_nodes_per_side
+        self.capped = tab.t.shape[0] > _MAX_NODES_PER_SIDE
         self.total = np.zeros(n)
         self.count = np.zeros(n, dtype=np.int64)
         self.stop_t = np.zeros(n)
@@ -297,9 +267,9 @@ class _Tail:
         if not math.isfinite(np.add.reduce(tot)):  # a summed value may be non-finite
             self._check_finite(ol, fv, a, end)
         self.count[ol] += end
-        if self.capped and self.count[ol].max() > self.cfg.max_nodes_per_side:
+        if self.capped and self.count[ol].max() > _MAX_NODES_PER_SIDE:
             raise NonConvergenceError(
-                f"exceeded {self.cfg.max_nodes_per_side} nodes on one side at h={h!r}"
+                f"exceeded {_MAX_NODES_PER_SIDE} nodes on one side at h={h!r}"
             )
         self.total[ol] = tot
         self.stop_t[ol] = t[k]
@@ -395,25 +365,15 @@ class _Batch(NamedTuple):
     err: np.ndarray
     n_evals: np.ndarray
     levels: np.ndarray
-    level_errs: List[Tuple[np.ndarray, np.ndarray]]  # per level: (rows, their errors)
 
 
-def integrate_rows(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray,
-                   cfg: QuadratureConfig) -> _Batch:
-    """Integrate a batch of rows of one map kind by level-doubled DE trapezoid.
-
-    Row i spans (lo[i], hi[i]) (finite), (lo[i], oo) (half) or the real line.
-    F(idx, x) returns the integrand of rows idx at x, shape (len(idx), n).
-    Every row must converge: NonConvergenceError otherwise, and
-    IntegrandError on any non-finite value at a summed node.
-    """
-    n = lo.shape[0]
-    value, err = np.empty(n), np.empty(n)
-    n_evals, levels = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    level_errs = []
-    rows = np.arange(n)
+def _sweep(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
+           cfg: QuadratureConfig, out: _Batch) -> None:
+    """Integrate the rows of one map kind in one sweep, into their entries of out."""
+    value, err, n_evals, levels = out
+    n = rows.shape[0]
     lanes = _Lanes(kind, lo, hi, rows)
-    h = cfg.initial_h
+    h = _INITIAL_H
     # values past a lane's stop may overflow or be nan; they are never summed
     with np.errstate(all="ignore"):
         tail, f0 = _level(F, lanes, h, 1, np.zeros(2 * n), None, cfg)
@@ -431,7 +391,6 @@ def integrate_rows(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray,
             new = 0.5 * val + h * (total[:m] + total[m:])
             e = np.abs(new - val)
             val = new
-            level_errs.append((rows, e))
             size = np.abs(new)
             done = (e <= cfg.rel_tol * size + cfg.abs_floor) | (e <= _MACHINE_FLOOR * size)
             n_done = np.count_nonzero(done)
@@ -440,7 +399,7 @@ def integrate_rows(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray,
                 value[fin], err[fin], levels[fin] = new[done], e[done], level
                 n_evals[fin] = evals[done]
                 if n_done == m:
-                    return _Batch(value, err, n_evals, levels, level_errs)
+                    return
                 keep = ~done
                 rows, val, e, evals = rows[keep], val[keep], e[keep], evals[keep]
                 reach = reach[np.concatenate([keep, keep])]
@@ -451,40 +410,55 @@ def integrate_rows(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray,
     )
 
 
-def blocks(n: int, size: int) -> List[slice]:
-    """Equal blocks of about size covering range(n), as slices."""
-    step = max(1, -(-n // max(1, round(n / size))))
-    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+def integrate_rows(F: RowIntegrand, lo, hi, cfg: QuadratureConfig) -> _Batch:
+    """Integrate a batch of rows by level-doubled DE trapezoid.
 
-
-def integrate_half_lines(F: RowIntegrand, n: int, cfg: QuadratureConfig) -> np.ndarray:
-    """Integrals over (0, oo) of F(idx, u) for the rows idx of range(n), in
-    blocks of about _BLOCK_ROWS rows to bound the (rows x nodes) arrays."""
-    value = np.empty(n)
-    for b in blocks(n, _BLOCK_ROWS):
-        origin = np.zeros(b.stop - b.start)
-        value[b] = integrate_rows(lambda idx, u, a=b.start: F(idx + a, u), "half", origin,
-                                  origin + math.inf, cfg).value
-    return value
+    Row i spans (lo[i], hi[i]); its interval picks its map: tanh-sinh when
+    both ends are finite, exp-sinh on (lo, oo) and sinh-sinh on the real
+    line.  F(idx, x) returns the integrand of rows idx at x, shape
+    (len(idx), n).  Every row must converge: NonConvergenceError otherwise,
+    and IntegrandError on any non-finite value at a summed node.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lo_finite, half = lo > -math.inf, hi == math.inf
+    ok = (lo < hi) & (lo_finite | half)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise InvalidParamsError(
+            f"need lo < hi with lo finite or (lo, hi) the real line, "
+            f"got ({float(lo[i])!r}, {float(hi[i])!r})"
+        )
+    n = lo.shape[0]
+    out = _Batch(np.empty(n), np.empty(n), np.empty(n, dtype=np.int64),
+                 np.empty(n, dtype=np.int64))
+    for kind, rows in (("finite", ~half), ("half", half & lo_finite), ("real", ~lo_finite)):
+        k = rows.nonzero()[0]
+        if k.shape[0]:
+            # equal blocks of about _BLOCK_ROWS rows
+            step = -(-k.shape[0] // max(1, round(k.shape[0] / _BLOCK_ROWS)))
+            for a in range(0, k.shape[0], step):
+                _sweep(F, kind, lo, hi, k[a:a + step], cfg, out)
+    return out
 
 
 def de_integrate(
     f: Callable[[np.ndarray], np.ndarray],
-    transform: DETransform,
+    lo: float,
+    hi: float,
     cfg: QuadratureConfig = QuadratureConfig(),
 ) -> QuadratureResult:
-    """Integrate f over the transform's domain by level-doubled DE trapezoid.
+    """Integrate f over (lo, hi) by level-doubled DE trapezoid.
 
     f maps a NumPy array of abscissae to the integrand values, same shape.
-    Converges when successive levels differ by at most
-    rel_tol*|value| + abs_floor (or by a few ulps, whichever is met first).
-    Raises NonConvergenceError when max_levels is exhausted and
-    IntegrandError on any non-finite integrand value.
+    The interval picks the map, as in integrate_rows.  Converges when
+    successive levels differ by at most rel_tol*|value| + abs_floor (or by
+    a few ulps, whichever is met first).  Raises NonConvergenceError when
+    max_levels is exhausted and IntegrandError on any non-finite integrand
+    value.
     """
-    r = integrate_rows(lambda idx, x: f(x), transform.kind, np.array([transform.lo]),
-                       np.array([transform.hi]), cfg)
+    r = integrate_rows(lambda idx, x: f(x), np.array([lo]), np.array([hi]), cfg)
     return QuadratureResult(float(r.value[0]), float(r.err[0]), int(r.n_evals[0]),
-                            int(r.levels[0]), tuple(float(e[0]) for _, e in r.level_errs))
+                            int(r.levels[0]))
 
 
 @dataclass(frozen=True)

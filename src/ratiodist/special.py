@@ -28,10 +28,11 @@ shape, point by point.  Two classical representations are combined:
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
-from .errors import InvalidParamsError, OverflowRangeError
+from .errors import AccuracyWarning, InvalidParamsError, OverflowRangeError
 
 TWO_OVER_SQRT_PI = 1.1283791670955126  # 2/sqrt(pi)
 SQRT_HALF_PI = 1.2533141373155003      # sqrt(pi/2)
@@ -57,6 +58,20 @@ def points(x, name: str) -> np.ndarray:
 def like(x, values: np.ndarray):
     """values as a float when x is a scalar, else as an array of x's shape."""
     return float(values) if np.ndim(x) == 0 else values
+
+
+def clamp_cdf(raw: np.ndarray) -> np.ndarray:
+    """CDF values clamped to [0, 1]; AccuracyWarning when one lies outside
+    by more than 1e-8, which an adequate integration never gives."""
+    out = (raw < -1e-8) | (raw > 1.0 + 1e-8)
+    if out.any():
+        warnings.warn(
+            f"CDF value {float(raw[out].flat[0])!r} exceeds [0, 1] by more than 1e-8 before "
+            "clamping; the integration grid or tolerance is likely inadequate",
+            AccuracyWarning,
+            stacklevel=3,
+        )
+    return np.minimum(np.maximum(raw, 0.0), 1.0)
 
 
 def _series(x: np.ndarray) -> np.ndarray:

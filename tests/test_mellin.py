@@ -181,6 +181,13 @@ def test_grid_validation():
         ratio_pdf_grid(f, f, np.array([0.0, 1.0]), accel="fast")
 
 
+@pytest.mark.parametrize("t", [math.inf, -math.inf, np.array([0.5, math.inf])])
+def test_ratio_pdf_refuses_infinite_points(t):
+    f = normal_density(0.0, 1.0)
+    with pytest.raises(InvalidParamsError):
+        ratio_pdf(f, f, t)
+
+
 @pytest.mark.parametrize("accel", [Direct(), Chebyshev(65)])
 def test_grid_single_point(accel):
     f = normal_density(0.0, 1.0)

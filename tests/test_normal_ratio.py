@@ -1,11 +1,13 @@
 """Closed forms for normal ratios, Hake parameterization, modality, moments."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from ratiodist.errors import InvalidParamsError
+from ratiodist import normal_ratio
+from ratiodist.errors import AccuracyWarning, InvalidParamsError
 from ratiodist.normal_ratio import (
     MODALITY_A0,
     BivNormalParams,
@@ -26,7 +28,7 @@ from ratiodist.normal_ratio import (
     std_ratio_pdf,
     to_standard,
 )
-from ratiodist.quadrature import DETransform, QuadratureConfig, de_integrate
+from ratiodist.quadrature import QuadratureConfig, de_integrate
 
 INV_PI = 1.0 / math.pi
 
@@ -128,10 +130,14 @@ def test_pdf_nonnegative_and_large_params_safe() -> None:
         assert 0.0 <= std_ratio_pdf(sr, 1e154) <= 1e-300
 
 
-@pytest.mark.parametrize("t", [math.inf, -math.inf, 1e200, -1e200])
+@pytest.mark.parametrize("t", [math.inf, -math.inf, 1e200, -1e200, 1e308, -1e308])
 def test_density_vanishes_at_infinity(t) -> None:
     for sr in (StdRatioParams(1.5, 1.0), StdRatioParams(0.0, 0.0), StdRatioParams(5.0, 25.0)):
         assert std_ratio_pdf(sr, t) == 0.0
+    # (w - shift)/scale overflows to +/-inf on an array too, silently
+    narrow = BivNormalParams(100.0, 2.0, 0.01, 0.25, 0.3)
+    assert ratio_pdf_phamgia(narrow, np.array([t])).tolist() == [0.0]
+    assert ratio_cdf(narrow, np.array([t])).tolist() == [1.0 if t > 0.0 else 0.0]
     assert ratio_pdf_phamgia(BivNormalParams(1.0, 2.0, 0.5, 0.25, 0.3), t) == 0.0
     assert ratio_pdf_phamgia(BivNormalParams(-1.5, 1.0, 1.0, 1.0, 0.0), t) == 0.0
     assert ratio_pdf_hinkley(BivNormalParams(1.0, 2.0, 0.5, 0.25, 0.3), t) == 0.0
@@ -142,7 +148,7 @@ def test_normalization_all_pilot_pairs() -> None:
     cfg = QuadratureConfig(rel_tol=1e-10)
     for a, b in ((2.0, 0.25), (1.5, 1.0), (4.0, 7.0), (5.0, 25.0)):
         sr = StdRatioParams(a, b)
-        r = de_integrate(lambda t: std_ratio_pdf(sr, t), DETransform.real_line(), cfg)
+        r = de_integrate(lambda t: std_ratio_pdf(sr, t), -math.inf, math.inf, cfg)
         assert math.isclose(r.value, 1.0, rel_tol=1e-8)
 
 
@@ -164,6 +170,24 @@ def test_cross_formula_specific_points() -> None:
     for w in (1e120, -1e140):
         assert math.isclose(ratio_pdf_hinkley(p, w), ratio_pdf_phamgia(p, w), rel_tol=1e-12)
     assert 0.0 <= ratio_pdf_hinkley(p, 1.3e154) <= 1e-300
+
+
+@pytest.mark.parametrize(
+    ("p", "w", "want", "phamgia_tol"),
+    [
+        # narrow, strongly correlated denominator: Pham-Gia's standardization
+        # is ill-conditioned here (a ~ 4e5)
+        (BivNormalParams(1.0, 200.0, 0.5, 0.001, -0.9), -0.00328, 0.66219848502471407, 1e-9),
+        (BivNormalParams(100.0, 2.0, 0.01, 0.25, 0.3), 44.3, 0.047872948978271737, 1e-14),
+        (BivNormalParams(500.0, 500.0, 1.0, 1.0, 0.0), 1.0, 141.04739588693907, 1e-14),
+    ],
+)
+def test_closed_forms_match_high_precision_references(p, w, want, phamgia_tol) -> None:
+    # references: 40-digit integration of the bivariate normal density; the
+    # exponents of both forms are differences of two huge terms unless they
+    # are formed by the exact identities
+    assert abs(ratio_pdf_hinkley(p, w) - want) <= 1e-14 * want
+    assert abs(ratio_pdf_phamgia(p, w) - want) <= phamgia_tol * want
 
 
 def test_cross_formula_equality_random_sweep() -> None:
@@ -191,7 +215,7 @@ def test_std_ratio_cdf_matches_integrated_pdf() -> None:
     cfg = QuadratureConfig(rel_tol=1e-12)
     for t1, t2 in ((-2.0, 0.5), (0.5, 3.0), (-6.0, 6.0)):
         mass = de_integrate(
-            lambda t: std_ratio_pdf(sr, t), DETransform.finite(t1, t2), cfg
+            lambda t: std_ratio_pdf(sr, t), t1, t2, cfg
         ).value
         assert math.isclose(
             std_ratio_cdf(sr, t2) - std_ratio_cdf(sr, t1), mass, rel_tol=1e-9
@@ -218,10 +242,10 @@ def test_ratio_cdf_negative_scale_orientation() -> None:
     cfg = QuadratureConfig(rel_tol=1e-12)
     for w in (-1.0, 0.0, 0.8):
         mass = de_integrate(
-            lambda u: ratio_pdf_phamgia(p, u), DETransform.finite(-30.0, w), cfg
+            lambda u: ratio_pdf_phamgia(p, u), -30.0, w, cfg
         ).value
         tail_below_minus30 = 1.0 - de_integrate(
-            lambda u: ratio_pdf_phamgia(p, u), DETransform.finite(-30.0, 40.0), cfg
+            lambda u: ratio_pdf_phamgia(p, u), -30.0, 40.0, cfg
         ).value
         approx = mass + tail_below_minus30 * 0.5  # split leftover between tails
         assert abs(ratio_cdf(p, w) - approx) < 5e-3
@@ -234,6 +258,18 @@ def test_ratio_cdf_monotone_random_params() -> None:
         grid = np.linspace(-6.0, 6.0, 25)
         vals = [ratio_cdf(p, float(w)) for w in grid]
         assert all(b >= a - 1e-10 for a, b in zip(vals, vals[1:]))
+
+
+def test_std_ratio_cdf_warns_on_mass_outside_unit_interval(monkeypatch) -> None:
+    # a tail mass above 1 + 1e-8 means an inadequate integration: clamped, with a warning
+    monkeypatch.setattr(
+        normal_ratio, "integrate_rows",
+        lambda F, lo, hi, cfg: SimpleNamespace(value=np.full(lo.shape, 1.5)),
+    )
+    with pytest.warns(AccuracyWarning):
+        assert std_ratio_cdf(StdRatioParams(1.5, 1.0), -3.0) == 1.0
+    with pytest.warns(AccuracyWarning):
+        assert std_ratio_cdf(StdRatioParams(1.5, 1.0), 3.0) == 0.0
 
 
 # ---------------------------------------------------------------------- hake

@@ -1,6 +1,7 @@
-"""One protocol for every public point function of the closed forms and the
-CF inversions: a float in gives a float out, an array gives an array of the
-same shape, equal to the float calls, and NaN raises InvalidParamsError."""
+"""One protocol for every public point function of the closed forms, the
+Mellin ratio density and the CF inversions: a float in gives a float out, an
+array gives an array of the same shape, equal to the float calls, and NaN
+raises InvalidParamsError."""
 
 import math
 
@@ -18,6 +19,7 @@ from ratiodist.cf import (
     normal_cf,
 )
 from ratiodist.errors import InvalidParamsError
+from ratiodist.mellin import normal_density, ratio_pdf
 from ratiodist.normal_ratio import (
     BivNormalParams,
     StdRatioParams,
@@ -35,6 +37,7 @@ _CF = normal_cf(0.5, 1.2)
 _JCF = bivariate_normal_joint_cf(_BIV)
 _BK_CFS = (normal_cf(_BIV.mu1, _BIV.sigma1), normal_cf(_BIV.mu2, _BIV.sigma2))
 _BK_GRID = auto_grid(*_BK_CFS, n=64)
+_DENSITIES = (normal_density(1.5, 1.0), normal_density(1.0, 1.0))
 
 FUNCTIONS = {
     "erf": erf,
@@ -51,6 +54,7 @@ FUNCTIONS = {
     "broda_kan_pdf_joint": lambda x: broda_kan_pdf_joint(_JCF, x, _BK_GRID),
     "broda_kan_cdf": lambda x: broda_kan_cdf(_JCF, x, _BK_GRID),
     "broda_kan_pdf_indep": lambda x: broda_kan_pdf_indep(*_BK_CFS, x, _BK_GRID),
+    "ratio_pdf": lambda x: ratio_pdf(*_DENSITIES, x),
 }
 
 # both sides of erf's switch at 1.2 and of the ratio densities' modes

@@ -15,38 +15,41 @@ import pytest
 
 from ratiodist.errors import IntegrandError, NonConvergenceError
 from ratiodist.mellin import normal_density, chi_square_density, ratio_pdf
-from ratiodist.quadrature import DETransform, QuadratureConfig, de_integrate
+from ratiodist.quadrature import _BLOCK_ROWS, QuadratureConfig, de_integrate, integrate_rows
 
 _HALF_PI = math.pi / 2.0
 _MACHINE_FLOOR = 4.0 * 2.220446049250313e-16
 _T_LIMIT = {"finite": math.asinh(350.0 / _HALF_PI), "half": math.asinh(700.0 / _HALF_PI),
             "real": math.asinh(700.0 / _HALF_PI)}
+_INITIAL_H = 1.0
+_MAX_NODES_PER_SIDE = 1_000_000
 
 
 def _node(tr, t):
-    if abs(t) > _T_LIMIT[tr.kind]:
+    kind, lo, hi = tr
+    if abs(t) > _T_LIMIT[kind]:
         return None
     u = _HALF_PI * math.sinh(t)
     cosh_t = math.cosh(t)
-    if tr.kind == "finite":
-        halfw = 0.5 * (tr.hi - tr.lo)
+    if kind == "finite":
+        halfw = 0.5 * (hi - lo)
         offset = 2.0 * halfw / (math.exp(2.0 * abs(u)) + 1.0)
         if t > 0.0:
-            x = tr.hi - offset
+            x = hi - offset
         elif t < 0.0:
-            x = tr.lo + offset
+            x = lo + offset
         else:
-            x = 0.5 * (tr.lo + tr.hi)
+            x = 0.5 * (lo + hi)
         sech = 2.0 * math.exp(-abs(u)) / (1.0 + math.exp(-2.0 * abs(u)))
         w = halfw * _HALF_PI * cosh_t * sech * sech
         if offset == 0.0 and t != 0.0:
             w = 0.0
         return x, w
-    if tr.kind == "half":
+    if kind == "half":
         ex = math.exp(u)
         if ex == 0.0:
-            return tr.lo, 0.0
-        return tr.lo + ex, _HALF_PI * cosh_t * ex
+            return lo, 0.0
+        return lo + ex, _HALF_PI * cosh_t * ex
     return math.sinh(u), _HALF_PI * cosh_t * math.cosh(u)
 
 
@@ -66,7 +69,7 @@ def _sweep_side(f, tr, h, sign, step_k, scale, cfg, t_min_stop=0.0):
         term = fv * w
         total += term
         count += 1
-        if count > cfg.max_nodes_per_side:
+        if count > _MAX_NODES_PER_SIDE:
             raise NonConvergenceError("node cap")
         threshold = max(cfg.rel_tol * 1e-2 * (scale + h * abs(total)), 0.1 * cfg.abs_floor)
         if h * abs(term) < threshold:
@@ -81,7 +84,7 @@ def _sweep_side(f, tr, h, sign, step_k, scale, cfg, t_min_stop=0.0):
 
 def reference_de_integrate(f, tr, cfg):
     """(value, n_evals, levels) of the node-by-node sweep."""
-    h = cfg.initial_h
+    h = _INITIAL_H
     x0, w0 = _node(tr, 0.0)
     center = float(f(x0)) * w0
     scale = h * abs(center)
@@ -109,25 +112,25 @@ _X5 = chi_square_density(5).f
 
 CASES = {
     # the known-integral table of test_quadrature
-    "inv-sqrt": (lambda x: 1.0 / np.sqrt(x), DETransform.finite(0.0, 1.0)),
-    "arctan": (lambda x: 4.0 / (1.0 + x * x), DETransform.finite(0.0, 1.0)),
-    "cubic": (lambda x: x * x * x - 2.0 * x + 1.0, DETransform.finite(-1.0, 1.0)),
-    "log": (lambda x: np.log(x), DETransform.finite(0.0, 1.0)),
-    "exp": (lambda x: np.exp(-x), DETransform.half_line(0.0)),
-    "half-gauss": (lambda x: np.exp(-x * x), DETransform.half_line(0.0)),
-    "shifted-exp": (lambda x: np.exp(-(x - 2.5)), DETransform.half_line(2.5)),
-    "gauss": (lambda x: np.exp(-x * x), DETransform.real_line()),
-    "cauchy": (lambda x: 1.0 / (1.0 + x * x), DETransform.real_line()),
+    "inv-sqrt": (lambda x: 1.0 / np.sqrt(x), ("finite", 0.0, 1.0)),
+    "arctan": (lambda x: 4.0 / (1.0 + x * x), ("finite", 0.0, 1.0)),
+    "cubic": (lambda x: x * x * x - 2.0 * x + 1.0, ("finite", -1.0, 1.0)),
+    "log": (lambda x: np.log(x), ("finite", 0.0, 1.0)),
+    "exp": (lambda x: np.exp(-x), ("half", 0.0, math.inf)),
+    "half-gauss": (lambda x: np.exp(-x * x), ("half", 0.0, math.inf)),
+    "shifted-exp": (lambda x: np.exp(-(x - 2.5)), ("half", 2.5, math.inf)),
+    "gauss": (lambda x: np.exp(-x * x), ("real", -math.inf, math.inf)),
+    "cauchy": (lambda x: 1.0 / (1.0 + x * x), ("real", -math.inf, math.inf)),
     # mass behind a valley, and off the centre of the real-line map
-    "valley": (lambda x: np.exp(-((x - 6.0) ** 2)), DETransform.half_line(0.0)),
-    "off-centre": (lambda x: np.exp(-((x - 4.0) ** 2) / 2.0), DETransform.real_line()),
+    "valley": (lambda x: np.exp(-((x - 6.0) ** 2)), ("half", 0.0, math.inf)),
+    "off-centre": (lambda x: np.exp(-((x - 4.0) ** 2) / 2.0), ("real", -math.inf, math.inf)),
     # Mellin rows: both pieces of N(1.5,1)/N(1,1) at t = 2 and t = -3, and of
     # chi-square(5)/N(1,1) at t = -1.5
-    "mellin-pos": (lambda x: _N1(x * 2.0) * _N2(x) * x, DETransform.half_line(0.0)),
-    "mellin-neg": (lambda y: _N1(-y * 2.0) * _N2(-y) * y, DETransform.half_line(0.0)),
-    "mellin-pos-far": (lambda x: _N1(x * -3.0) * _N2(x) * x, DETransform.half_line(0.0)),
-    "mellin-neg-far": (lambda y: _N1(-y * -3.0) * _N2(-y) * y, DETransform.half_line(0.0)),
-    "mellin-chisq": (lambda y: _X5(-y * -1.5) * _N2(-y) * y, DETransform.half_line(0.0)),
+    "mellin-pos": (lambda x: _N1(x * 2.0) * _N2(x) * x, ("half", 0.0, math.inf)),
+    "mellin-neg": (lambda y: _N1(-y * 2.0) * _N2(-y) * y, ("half", 0.0, math.inf)),
+    "mellin-pos-far": (lambda x: _N1(x * -3.0) * _N2(x) * x, ("half", 0.0, math.inf)),
+    "mellin-neg-far": (lambda y: _N1(-y * -3.0) * _N2(-y) * y, ("half", 0.0, math.inf)),
+    "mellin-chisq": (lambda y: _X5(-y * -1.5) * _N2(-y) * y, ("half", 0.0, math.inf)),
 }
 
 
@@ -137,7 +140,7 @@ def test_array_sweep_sums_the_reference_nodes(name, rel_tol):
     f, tr = CASES[name]
     cfg = QuadratureConfig(rel_tol=rel_tol)
     want, n_evals, levels = reference_de_integrate(f, tr, cfg)
-    got = de_integrate(f, tr, cfg)
+    got = de_integrate(f, tr[1], tr[2], cfg)
     assert type(got.n_evals) is int
     assert (got.levels, got.n_evals) == (levels, n_evals)
     assert abs(got.value - want) <= 1e-15 * abs(want)
@@ -155,16 +158,47 @@ BUMPS = {
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-3])
 @pytest.mark.parametrize("name", sorted(BUMPS))
 def test_extended_sweeps_sum_the_reference_nodes(name, rel_tol):
-    f, tr = BUMPS[name], DETransform.half_line(0.0)
+    f, tr = BUMPS[name], ("half", 0.0, math.inf)
     cfg = QuadratureConfig(rel_tol=rel_tol, abs_floor=1e-30)
     want, n_evals, levels = reference_de_integrate(f, tr, cfg)
-    got = de_integrate(f, tr, cfg)
+    got = de_integrate(f, tr[1], tr[2], cfg)
     assert (got.levels, got.n_evals) == (levels, n_evals)
     assert abs(got.value - want) <= 1e-15 * abs(want)
 
 
 def test_ratio_pdf_is_the_sum_of_its_two_rows():
     cfg = QuadratureConfig(rel_tol=1e-10)
-    pos = de_integrate(CASES["mellin-pos"][0], DETransform.half_line(0.0), cfg).value
-    neg = de_integrate(CASES["mellin-neg"][0], DETransform.half_line(0.0), cfg).value
+    pos = de_integrate(CASES["mellin-pos"][0], 0.0, math.inf, cfg).value
+    neg = de_integrate(CASES["mellin-neg"][0], 0.0, math.inf, cfg).value
     assert ratio_pdf(normal_density(1.5, 1.0), normal_density(1.0, 1.0), 2.0, cfg) == pos + neg
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-3])
+def test_mixed_batch_rows_match_single_rows(rel_tol):
+    # every case as rows of one batch, all three maps interleaved and each map
+    # past _BLOCK_ROWS rows: the interval picks a row's map, the batch blocks
+    # its rows itself, and a row sums the nodes it sums alone
+    cfg = QuadratureConfig(rel_tol=rel_tol)
+    names = sorted(CASES)
+    # in shuffled order, so no block boundary lines up with the cases
+    case = np.random.default_rng(8).permutation(
+        np.tile(np.arange(len(names)), 2 * _BLOCK_ROWS // 4 + 1))
+    fs = [CASES[name][0] for name in names]
+    lo = np.array([CASES[names[c]][1][1] for c in case])
+    hi = np.array([CASES[names[c]][1][2] for c in case])
+
+    def F(idx, x):
+        out = np.empty_like(x)
+        for c in np.unique(case[idx]).tolist():
+            rows = case[idx] == c
+            out[rows] = fs[c](x[rows])
+        return out
+
+    got = integrate_rows(F, lo, hi, cfg)
+    for c, name in enumerate(names):
+        f, (_, a, b) = CASES[name]
+        want = de_integrate(f, a, b, cfg)
+        rows = case == c
+        assert np.array_equal(got.value[rows], np.full(rows.sum(), want.value))
+        assert (got.n_evals[rows] == want.n_evals).all()
+        assert (got.levels[rows] == want.levels).all()
