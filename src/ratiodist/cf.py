@@ -22,9 +22,24 @@ The companion CDF formula integrates over the positive quadrant::
 
 Both double integrals are discretized on a midpoint-offset trapezoidal grid
 t_i = h_i (nu_i + 1/2); the half offset keeps every node strictly away from
-the 1/s and 1/t poles, so no special pole handling is needed.  Sums run in a
-fixed order (nu_2 outer, nu_1 inner, ascending, pairwise within numpy) so
-results are bit-reproducible across runs.
+the 1/s and 1/t poles, so no special pole handling is needed.  A point's grid
+is evaluated in blocks of _BLOCK_ROWS t2 rows (about 0.5 MB of complex cells,
+so a block's temporaries stay in cache); each row is summed over nu_1 by
+NumPy (pairwise), and the point's row sums are then summed in ascending nu_2
+order, again pairwise.  Blocking changes no cell and no sum, so results are
+bit-identical to one whole-grid sum and bit-reproducible across runs.
+
+A bivariate normal joint CF (JointCharFn.gaussian set) is evaluated on the
+same lattice in factored form.  On tau = +-t - x s or -(t + x s) its phase
+m1 s + m2 tau is linear, so e^{i(m1 s + m2 tau)} is the outer product of a
+column vector e^{i (m1 - m2 x) s} (once per point) and a row vector
+e^{+-i m2 t} (once per grid); the polynomial prefactor of the tau-partial
+splits the same way.  The modulus is one real exp per cell of the whole
+exponent -q/2 = alpha(s) + beta(t) + gamma s t, summed before it is
+exponentiated: the separate factors e^alpha and e^{gamma s t} can overflow
+where their product does not (|rho| near 1, large |x|), giving inf * 0.
+Each row's sum over nu_1 is then one small matrix product of the block of
+moduli with the column vectors.
 
 Moment estimates come from eighth-order central-difference stencils applied
 to the CF at the origin, exploiting Hermitian symmetry so only four
@@ -36,7 +51,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -52,24 +67,28 @@ from .quadrature import QuadratureConfig, integrate_rows
 from .special import clamp_cdf, like, points
 
 _DECAY_THRESHOLD = 1e-14
+_BLOCK_ROWS = 32  # t2 rows per block: 32 x 1001 complex cells is ~0.5 MB, an L2's worth
 _DERIV_H = 1e-4
 _GP_CFG = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-13)
 
 
 @dataclass(frozen=True)
 class CharFn:
-    """A characteristic function with optional derivative and decay hint.
+    """A characteristic function with optional derivative and hints.
 
     phi and dphi map a NumPy array of t to the complex values, same shape;
     this module calls them on arrays only, and the inversions and auto_grid
     check phi on an array.  decay_scale, when present, is a t beyond which
     |phi| stays below 1e-14; it lets auto_grid skip the numeric decay search.
+    gaussian, when present, is (mean, variance) of a normal law; it lets
+    product_joint_cf of two normals take the factored Gaussian lattice.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
     dphi: Optional[Callable[[np.ndarray], np.ndarray]] = None
     decay_scale: Optional[float] = None
     label: str = ""
+    gaussian: Optional[Tuple[float, float]] = None
 
 
 @dataclass(frozen=True)
@@ -77,11 +96,15 @@ class JointCharFn:
     """A bivariate characteristic function and its second-argument partial.
 
     Both take two broadcastable NumPy arrays and return their broadcast shape.
+    gaussian, when present, is the moments (mean1, mean2, var1, var2, cov)
+    of a bivariate normal pair; the Broda-Kan sums then evaluate the lattice
+    in factored form and do not call phi2d or dphi2d_dt2.
     """
 
     phi2d: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dphi2d_dt2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str = ""
+    gaussian: Optional[Tuple[float, float, float, float, float]] = None
 
 
 @dataclass(frozen=True)
@@ -134,20 +157,42 @@ def normal_cf(mu: float, sigma: float) -> CharFn:
 
     # |phi| = exp(-sigma^2 t^2/2) crosses 1e-14 at sqrt(2 ln 1e14)/sigma
     decay = math.sqrt(2.0 * math.log(1e14)) / sigma
-    return CharFn(phi, dphi, decay, f"normal_cf({mu}, {sigma})")
+    return CharFn(phi, dphi, decay, f"normal_cf({mu}, {sigma})", (mu, s2))
 
 
 def chi_square_cf(k: int) -> CharFn:
-    """CF of chi-square with k degrees of freedom: (1 - 2it)^(-k/2)."""
+    """CF of chi-square with k degrees of freedom: (1 - 2it)^(-k/2).
+
+    Evaluated as w^(k//2), times sqrt(w) for odd k, with w = 1/(1 - 2it):
+    |w| <= 1 and NumPy's complex division scales its operands, so nothing
+    overflows for any finite t (the complex power of 1 - 2it overflows to
+    NaN once |t| passes ~1e77 for k >= 8), and an odd k costs one complex
+    sqrt per value instead of a complex log and exp.
+    """
     if not (math.isfinite(k) and k >= 1 and int(k) == k):
         raise InvalidParamsError(f"chi-square CF needs integer k >= 1, got {k!r}")
     k = int(k)
+    half, odd = divmod(k, 2)
+
+    def w_power(t, n: int):
+        """w^n, times sqrt(w) for odd k, computed in place in one array."""
+        t = np.asarray(t, dtype=float)
+        w = np.empty(t.shape, dtype=complex)  # 1 - 2it without a complex cast of t
+        w.real = 1.0
+        w.imag = -2.0 * t
+        np.divide(1.0, w, out=w)
+        if not odd:
+            return np.power(w, n, out=w)
+        root = np.sqrt(w)  # principal root: Re w > 0
+        return np.multiply(np.power(w, n, out=w), root, out=w)
 
     def phi(t):
-        return (1.0 - 2j * t) ** (-0.5 * k)
+        return w_power(t, half)
 
-    def dphi(t):
-        return 1j * k * (1.0 - 2j * t) ** (-0.5 * k - 1.0)
+    def dphi(t):  # phi' = i k w phi
+        out = w_power(t, half + 1)
+        out *= 1j * k
+        return out
 
     # |phi| = (1+4t^2)^(-k/4) = 1e-14  =>  t = sqrt((1e14^(4/k) - 1)/4)
     decay = math.sqrt((10.0 ** (56.0 / k) - 1.0) / 4.0)
@@ -199,10 +244,10 @@ def gil_pelaez_cdf(cf: CharFn, x, cfg: QuadratureConfig = _GP_CFG):
     return like(x, clamp_cdf(raw))
 
 
-def bivariate_normal_joint_cf(p: BivNormalParams) -> JointCharFn:
-    """Joint CF of a correlated normal pair, with its second-argument partial."""
-    m1, m2, s1, s2, rho = p.mu1, p.mu2, p.sigma1, p.sigma2, p.rho
-    v1, v2, cov = s1 * s1, s2 * s2, rho * s1 * s2
+def _gaussian_joint_cf(moments: Tuple[float, float, float, float, float],
+                       label: str) -> JointCharFn:
+    """Joint CF of a normal pair with moments (mean1, mean2, var1, var2, cov)."""
+    m1, m2, v1, v2, cov = moments
 
     def phi2d(s, t):
         q = v1 * s * s + 2.0 * cov * s * t + v2 * t * t
@@ -211,13 +256,27 @@ def bivariate_normal_joint_cf(p: BivNormalParams) -> JointCharFn:
     def dphi2d_dt2(s, t):
         return (1j * m2 - cov * s - v2 * t) * phi2d(s, t)
 
-    return JointCharFn(phi2d, dphi2d_dt2, f"bivariate_normal_joint_cf({p!r})")
+    return JointCharFn(phi2d, dphi2d_dt2, label, moments)
+
+
+def bivariate_normal_joint_cf(p: BivNormalParams) -> JointCharFn:
+    """Joint CF of a correlated normal pair, with its second-argument partial."""
+    s1, s2 = p.sigma1, p.sigma2
+    moments = (p.mu1, p.mu2, s1 * s1, s2 * s2, p.rho * s1 * s2)
+    return _gaussian_joint_cf(moments, f"bivariate_normal_joint_cf({p!r})")
 
 
 def product_joint_cf(cf1: CharFn, cf2: CharFn) -> JointCharFn:
-    """Joint CF of an independent pair: phi(s, t) = phi1(s) phi2(t)."""
+    """Joint CF of an independent pair: phi(s, t) = phi1(s) phi2(t).
+
+    Two normal CFs give the bivariate normal joint CF with zero covariance.
+    """
     _check_cf(cf1)
     _check_cf(cf2)
+    label = f"product({cf1.label}, {cf2.label})"
+    if cf1.gaussian is not None and cf2.gaussian is not None:
+        (m1, v1), (m2, v2) = cf1.gaussian, cf2.gaussian
+        return _gaussian_joint_cf((m1, m2, v1, v2, 0.0), label)
 
     def phi2d(s, t):
         return cf1.phi(np.asarray(s, dtype=float)) * cf2.phi(np.asarray(t, dtype=float))
@@ -228,7 +287,7 @@ def product_joint_cf(cf1: CharFn, cf2: CharFn) -> JointCharFn:
         d2 = cf2.dphi(t) if cf2.dphi is not None else (cf2.phi(t + h) - cf2.phi(t - h)) / (2.0 * h)
         return cf1.phi(np.asarray(s, dtype=float)) * d2
 
-    return JointCharFn(phi2d, dphi2d_dt2, f"product({cf1.label}, {cf2.label})")
+    return JointCharFn(phi2d, dphi2d_dt2, label)
 
 
 def broda_kan_pdf_indep(
@@ -246,38 +305,100 @@ def broda_kan_pdf_indep(
     return broda_kan_pdf_joint(product_joint_cf(cf1, cf2), x, cfg or auto_grid(cf1, cf2))
 
 
-def _grid_sums(x, name: str, cfg: Grid2DConfig, cells: Callable[[float], np.ndarray]):
-    """h1 h2 / pi^2 times the sum of a point's grid cells, at every point of
-    x; one point's (2N+1)(N+1) complex cells at a time bound the memory."""
+def _blocks(n_rows: int) -> Iterator[slice]:
+    return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n_rows, _BLOCK_ROWS))
+
+
+def _grid_sums(x, name: str, cfg: Grid2DConfig,
+               row_sums: Callable[[float], Iterator[np.ndarray]]):
+    """h1 h2 / pi^2 times the sum of a point's grid cells, at every point of x.
+
+    row_sums(x) yields the point's t2-row sums block by block, in ascending
+    row order; their concatenation is summed in one call, so the total does
+    not depend on the block size.
+    """
     xx = points(x, name)
-    total = np.array([cells(v).sum(axis=1).sum() for v in xx.ravel().tolist()])
+    total = np.array([np.concatenate(list(row_sums(v))).sum() for v in xx.ravel().tolist()])
     bad = ~np.isfinite(total)
     if bad.any():
         raise IntegrandError(f"2D inversion sum is not finite at {float(xx.ravel()[bad][0])!r}")
     return cfg.h1 * cfg.h2 * total.reshape(xx.shape) / (math.pi * math.pi)
 
 
+def _gaussian_point(moments, x: float, s: np.ndarray):
+    """Per-point pieces of a normal joint CF at (s, tau) with tau = +-t - x s:
+    the column phase e^{i (m1 - m2 x) s}, the s^2 part alpha of -q/2 and the
+    coefficient g of its s t cross term (+g s t on tau = t - x s)."""
+    m1, m2, v1, v2, cov = moments
+    g = v2 * x - cov
+    alpha = -0.5 * (v1 - 2.0 * cov * x + v2 * x * x) * s * s
+    return np.exp(1j * (m1 - m2 * x) * s), alpha, g
+
+
 def broda_kan_pdf_joint(jcf: JointCharFn, w, cfg: Grid2DConfig):
     """Ratio density at w from a joint CF of (X1, X2), correlated allowed."""
     t1 = cfg.h1 * (np.arange(-cfg.N, cfg.N + 1, dtype=float) + 0.5)
     t2 = cfg.h2 * (np.arange(0, cfg.N + 1, dtype=float) + 0.5)
+    if jcf.gaussian is None:
+        def row_sums(x: float) -> Iterator[np.ndarray]:
+            for rows in _blocks(t2.size):
+                t = t2[rows, None]
+                yield (jcf.dphi2d_dt2(t1[None, :], -(t + x * t1[None, :])) / t).real.sum(axis=1)
+    else:
+        # cell = Re[(g s + v2 t + i m2) e^{i p s} e^{-i m2 t}] e^{-q/2} / t on
+        # tau = -(t + x s), with p = m1 - m2 x, split as Re[A_i r_j] + Re[u_i B_j]
+        _, m2, _, v2, _ = jcf.gaussian
+        beta = -0.5 * v2 * t2 * t2
+        r = np.exp(-1j * m2 * t2)
+        b = (v2 * t2 + 1j * m2) * r
+        row_coef = np.stack([r.real, -r.imag, b.real, -b.imag], axis=1) / t2[:, None]
 
-    def cells(x: float) -> np.ndarray:
-        return (jcf.dphi2d_dt2(t1[None, :], -(t2[:, None] + x * t1[None, :])) / t2[:, None]).real
+        def row_sums(x: float) -> Iterator[np.ndarray]:
+            u, alpha, g = _gaussian_point(jcf.gaussian, x, t1)
+            a = g * t1 * u
+            col = np.stack([a.real, a.imag, u.real, u.imag], axis=1)
+            for rows in _blocks(t2.size):
+                # the modulus: one real exp per cell of the summed exponent
+                e = np.multiply.outer(-g * t2[rows], t1)
+                e += alpha
+                e += beta[rows, None]
+                yield ((np.exp(e, out=e) @ col) * row_coef[rows]).sum(axis=1)
 
-    return like(w, _grid_sums(w, "broda_kan_pdf_joint", cfg, cells))
+    return like(w, _grid_sums(w, "broda_kan_pdf_joint", cfg, row_sums))
 
 
 def broda_kan_cdf(jcf: JointCharFn, r, cfg: Grid2DConfig):
     """Ratio CDF at r from a joint CF, positive-quadrant inversion sum."""
     nu = np.arange(0, cfg.N + 1, dtype=float) + 0.5
-    s = (cfg.h1 * nu)[None, :]
-    t = (cfg.h2 * nu)[:, None]
+    s = cfg.h1 * nu
+    t = cfg.h2 * nu
+    if jcf.gaussian is None:
+        def row_sums(x: float) -> Iterator[np.ndarray]:
+            ss = s[None, :]
+            for rows in _blocks(t.size):
+                tt = t[rows, None]
+                cells = (jcf.phi2d(ss, tt - x * ss) - jcf.phi2d(ss, -tt - x * ss)).real / (ss * tt)
+                yield cells.sum(axis=1)
+    else:
+        # cell s t = Re[u_i e^{i m2 t}] E+ - Re[u_i e^{-i m2 t}] E-, with E+- the moduli
+        # on tau = +-t - x s: cos(m2 t) Re u (E+ - E-) - sin(m2 t) Im u (E+ + E-)
+        _, m2, _, v2, _ = jcf.gaussian
+        beta = -0.5 * v2 * t * t
+        cos_t, sin_t = np.cos(m2 * t) / t, np.sin(m2 * t) / t
 
-    def cells(x: float) -> np.ndarray:
-        return (jcf.phi2d(s, t - x * s) - jcf.phi2d(s, -t - x * s)).real / (s * t)
+        def row_sums(x: float) -> Iterator[np.ndarray]:
+            u, alpha, g = _gaussian_point(jcf.gaussian, x, s)
+            u = u / s
+            col = np.stack([u.real, u.imag], axis=1)
+            for rows in _blocks(t.size):
+                cross = np.multiply.outer(g * t[rows], s)
+                base = alpha + beta[rows, None]
+                plus = np.exp(base + cross) @ col
+                minus = np.exp(np.subtract(base, cross, out=base), out=base) @ col
+                yield (cos_t[rows] * (plus[:, 0] - minus[:, 0])
+                       - sin_t[rows] * (plus[:, 1] + minus[:, 1]))
 
-    return like(r, clamp_cdf(0.5 + _grid_sums(r, "broda_kan_cdf", cfg, cells)))
+    return like(r, clamp_cdf(0.5 + _grid_sums(r, "broda_kan_cdf", cfg, row_sums)))
 
 
 # eighth-order central-difference stencils; Hermitian symmetry folds the

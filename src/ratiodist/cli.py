@@ -224,11 +224,10 @@ def _mellin_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
 
 
 def _broda_kan_setup(cfg: RunConfig) -> Tuple[JointCharFn, Grid2DConfig]:
-    """The joint CF (bivariate normal when correlated) and the auto grid."""
+    """The joint CF (bivariate normal for a normal spec) and the auto grid."""
     cf1, cf2 = _ratio_cfs(cfg.spec)
-    p = cfg.spec.value
-    correlated = cfg.spec.kind == "normal" and p.rho != 0.0
-    jcf = bivariate_normal_joint_cf(p) if correlated else product_joint_cf(cf1, cf2)
+    normal = cfg.spec.kind == "normal"
+    jcf = bivariate_normal_joint_cf(cfg.spec.value) if normal else product_joint_cf(cf1, cf2)
     return jcf, auto_grid(cf1, cf2, n=cfg.grid_n)
 
 

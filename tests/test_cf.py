@@ -1,6 +1,7 @@
 """Characteristic functions, one- and two-dimensional inversion, CF moments."""
 
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from ratiodist.errors import (
     AccuracyWarning,
     GridError,
     InvalidParamsError,
+    NonConvergenceError,
     UndecayedCFError,
 )
 from ratiodist.cf import (
@@ -41,6 +43,7 @@ from ratiodist.normal_ratio import (
     std_ratio_pdf,
 )
 from ratiodist.quadrature import QuadratureConfig
+from ratiodist.special import clamp_cdf
 
 
 def test_normal_cf_values():
@@ -289,3 +292,125 @@ def test_grid2dconfig_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(GridError):
         Grid2DConfig(**base)
+
+
+def _chi_square_density(k: int, x: float) -> float:
+    return x ** (0.5 * k - 1.0) * math.exp(-0.5 * x) / (2.0 ** (0.5 * k) * math.gamma(0.5 * k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 8, 20, 101, 1000])
+def test_chi_square_cf_stays_finite_and_matches_complex_power(k):
+    # (1 - 2it)^(-k/2) as a complex power overflows to NaN for k >= 8 once
+    # |t| passes ~1e77; the CF is w^(k/2) with |w| = |1/(1 - 2it)| <= 1
+    cf = chi_square_cf(k)
+    far = np.array([1e77, -1e150, 1e300, -1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(cf.phi(far)).all() and np.isfinite(cf.dphi(far)).all()
+    t = np.concatenate([np.linspace(-40.0, 40.0, 8001), np.geomspace(1e-6, 1e12, 400)])
+    with np.errstate(all="ignore"):
+        old = (1.0 - 2j * t) ** (-0.5 * k)
+        old_d = 1j * k * (1.0 - 2j * t) ** (-0.5 * k - 1.0)
+    ok = np.isfinite(old) & np.isfinite(old_d)
+    # phi' = i k w phi is k times the scale of phi, so its bound is k times larger
+    assert np.max(np.abs(cf.phi(t) - old)[ok]) <= 1e-15 * max(1, k)
+    assert np.max(np.abs(cf.dphi(t) - old_d)[ok]) <= 1e-15 * max(1, k) * k
+
+
+def test_gil_pelaez_chi_square_8():
+    got = gil_pelaez_pdf(chi_square_cf(8), 0.5)
+    assert abs(got - _chi_square_density(8, 0.5)) <= 1e-12
+    # the plain DE rule may not converge on this oscillatory tail, but it
+    # must say so: no NaN, no IntegrandError
+    try:
+        got = gil_pelaez_pdf(chi_square_cf(8), 3.0)
+    except NonConvergenceError:
+        return
+    assert abs(got - _chi_square_density(8, 3.0)) <= 1e-8
+
+
+def test_normal_cfs_carry_their_moments():
+    assert normal_cf(1.5, 2.0).gaussian == (1.5, 4.0)
+    assert chi_square_cf(5).gaussian is None and cauchy_cf().gaussian is None
+    jcf = product_joint_cf(normal_cf(1.5, 2.0), normal_cf(-1.0, 0.5))
+    assert jcf.gaussian == (1.5, -1.0, 4.0, 0.25, 0.0)
+    assert product_joint_cf(normal_cf(1.5, 2.0), chi_square_cf(5)).gaussian is None
+    p = BivNormalParams(1.5, -1.0, 2.0, 0.5, 0.3)
+    assert bivariate_normal_joint_cf(p).gaussian == (1.5, -1.0, 4.0, 0.25, 0.3 * 2.0 * 0.5)
+    # the joint CF still evaluates pointwise: phi2d of the product is phi1 phi2
+    s, t = np.array([0.3, -1.1]), np.array([0.7, 0.2])
+    want = normal_cf(1.5, 2.0).phi(s) * normal_cf(-1.0, 0.5).phi(t)
+    assert np.allclose(jcf.phi2d(s, t), want, rtol=1e-14, atol=0.0)
+
+
+_HAKE0 = hake_params(HakeInputs(40.9095, 63.8842, 18.9856, 15.5006, 0.474003, 60))
+_HAKE1 = hake_params(HakeInputs(43.5288, 72.3192, 12.9488, 17.2443, 0.623695, 31))
+_TAILS = (-5.0, 0.5, 5.0)
+
+
+@pytest.mark.parametrize(
+    "p, xs",
+    [
+        (_HAKE0, np.linspace(0.261674, 0.515936, 4)),
+        (_HAKE1, np.linspace(0.365095, 0.654554, 4)),
+        (dataclasses.replace(_HAKE0, rho=0.0), _TAILS),
+        (dataclasses.replace(_HAKE0, rho=0.99), _TAILS),
+        (dataclasses.replace(_HAKE0, rho=-0.99), _TAILS),
+        (BivNormalParams(1.5, 2.0, 1.0, 0.7, 0.99), _TAILS),
+        (BivNormalParams(1.5, 2.0, 1.0, 0.7, -0.99), _TAILS),
+        (BivNormalParams(1.0, 2.0, 0.01, 0.01, 0.0), (0.48, 0.5, 0.52)),
+    ],
+    ids=["hake0", "hake1", "rho0", "rho+0.99", "rho-0.99", "unit+0.99", "unit-0.99", "sigma0.01"],
+)
+def test_gaussian_lattice_matches_generic_cells(p, xs):
+    # the factored Gaussian lattice and the generic per-cell CF evaluation
+    # sum the same cells; clearing the moments field forces the generic path
+    jcf = bivariate_normal_joint_cf(p)
+    generic = dataclasses.replace(jcf, gaussian=None)
+    cfg = auto_grid(normal_cf(p.mu1, p.sigma1), normal_cf(p.mu2, p.sigma2))
+    xs = np.asarray(xs, dtype=float)
+    peak = float(np.max(ratio_pdf_phamgia(p, np.linspace(-5.0, 5.0, 20001))))
+    fast, slow = broda_kan_pdf_joint(jcf, xs, cfg), broda_kan_pdf_joint(generic, xs, cfg)
+    assert np.isfinite(fast).all()
+    assert np.max(np.abs(fast - slow)) <= 1e-14 * peak
+    with warnings.catch_warnings():
+        # hake0 at rho = 0.99 overshoots 1 by 6e-6 at x = 5 on this grid, on
+        # both paths: auto_grid sizes the grid from the marginals alone
+        warnings.simplefilter("ignore", AccuracyWarning)
+        fast, slow = broda_kan_cdf(jcf, xs, cfg), broda_kan_cdf(generic, xs, cfg)
+    assert np.max(np.abs(fast - slow)) <= 1e-14
+
+
+def _one_shot_pdf(jcf, x, cfg):
+    t1 = cfg.h1 * (np.arange(-cfg.N, cfg.N + 1, dtype=float) + 0.5)
+    t2 = cfg.h2 * (np.arange(0, cfg.N + 1, dtype=float) + 0.5)
+    cells = (jcf.dphi2d_dt2(t1[None, :], -(t2[:, None] + x * t1[None, :])) / t2[:, None]).real
+    return cfg.h1 * cfg.h2 * cells.sum(axis=1).sum() / (math.pi * math.pi)
+
+
+def _one_shot_cdf(jcf, x, cfg):
+    nu = np.arange(0, cfg.N + 1, dtype=float) + 0.5
+    s, t = (cfg.h1 * nu)[None, :], (cfg.h2 * nu)[:, None]
+    cells = (jcf.phi2d(s, t - x * s) - jcf.phi2d(s, -t - x * s)).real / (s * t)
+    total = cells.sum(axis=1).sum()
+    return clamp_cdf(np.array(0.5 + cfg.h1 * cfg.h2 * total / (math.pi * math.pi)))
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 200])
+@pytest.mark.parametrize(
+    "cf1, cf2",
+    [(normal_cf(1.2, 1.0), chi_square_cf(5)), (normal_cf(1.0, 0.5), cauchy_cf(0.5, 1.0))],
+    ids=["normal-chisq5", "normal-cauchy"],
+)
+def test_row_blocked_sums_equal_one_shot_sum(cf1, cf2, n):
+    # blocks of t2 rows (the last one ragged) change no cell and no sum order;
+    # 201 rows pass NumPy's 128-term pairwise block, where a block-wise total
+    # would round differently
+    jcf = product_joint_cf(cf1, cf2)
+    cfg = Grid2DConfig(n, 0.05, 0.1)
+    xs = np.array([-0.7, 0.3, 2.5])
+    pdf = broda_kan_pdf_joint(jcf, xs, cfg)
+    cdf = broda_kan_cdf(jcf, xs, cfg)
+    for x, got_pdf, got_cdf in zip(xs.tolist(), pdf.tolist(), cdf.tolist()):
+        assert got_pdf == _one_shot_pdf(jcf, x, cfg)
+        assert got_cdf == float(_one_shot_cdf(jcf, x, cfg))
