@@ -10,36 +10,41 @@ evaluated by half-line double-exponential quadrature.  Both take a float
 each point is a row of one batch of the DE sweep.
 
 The ratio W = X1/X2 is inverted in two dimensions following Broda and Kan
-(2013).  With the joint CF phi(s, tau) the density is
+(2013).  With the joint CF phi(s, tau) and its tau-partial d2phi, the
+Hermitian identity d2phi(-s, -tau) = -conj d2phi(s, tau) folds the density's
+half plane s in R onto the positive quadrant, where the CDF formula already
+lives::
 
-    f_W(w) = (1/pi^2) int_0^inf int_R Re[(1/t) d phi/d tau (s, -t - ws)] ds dt
-
-and for independent factors the tau-partial collapses to phi1(s) phi2'(tau).
-The companion CDF formula integrates over the positive quadrant::
-
+    f_W(w) = (1/pi^2) int_0^inf int_0^inf
+             Re[d2phi(s, -t - ws) - d2phi(s, t - ws)] / t ds dt,
     F_W(r) = 1/2 + (1/pi^2) int_0^inf int_0^inf
              Re[phi(s, t - rs) - phi(s, -t - rs)] / (s t) ds dt.
 
-Both double integrals are discretized on a midpoint-offset trapezoidal grid
-t_i = h_i (nu_i + 1/2); the half offset keeps every node strictly away from
-the 1/s and 1/t poles, so no special pole handling is needed.  A point's grid
-is evaluated in blocks of _BLOCK_ROWS t2 rows (about 0.5 MB of complex cells,
-so a block's temporaries stay in cache); each row is summed over nu_1 by
-NumPy (pairwise), and the point's row sums are then summed in ascending nu_2
-order, again pairwise.  Blocking changes no cell and no sum, so results are
-bit-identical to one whole-grid sum and bit-reproducible across runs.
+For independent factors d2phi collapses to phi1(s) phi2'(tau).  Both double
+integrals are discretized on one midpoint-offset trapezoidal lattice
+s = h1 (nu1 + 1/2), t = h2 (nu2 + 1/2), nu1, nu2 in [0, N]; the half offset
+keeps every node strictly away from the 1/s and 1/t poles, so no special
+pole handling is needed.  Under W -> -W (X1 -> -X1) the two CF values of
+each cell trade places, conjugated and negated, so the sums keep
+f_{-W}(-x) = f_W(x) and F_{-W}(-x) = 1 - F_W(x) up to the rounding of the
+CF.  A point's lattice is evaluated in blocks of _BLOCK_ROWS t rows (about
+0.5 MB of complex cells, so a block's temporaries stay in cache); each row
+is summed over nu1 by NumPy (pairwise), and the point's row sums are then
+summed in ascending nu2 order, again pairwise.  Blocking changes no cell and
+no sum, so results are bit-identical to one whole-lattice sum and
+bit-reproducible across runs.
 
 A bivariate normal joint CF (JointCharFn.gaussian set) is evaluated on the
-same lattice in factored form.  On tau = +-t - x s or -(t + x s) its phase
-m1 s + m2 tau is linear, so e^{i(m1 s + m2 tau)} is the outer product of a
-column vector e^{i (m1 - m2 x) s} (once per point) and a row vector
-e^{+-i m2 t} (once per grid); the polynomial prefactor of the tau-partial
-splits the same way.  The modulus is one real exp per cell of the whole
-exponent -q/2 = alpha(s) + beta(t) + gamma s t, summed before it is
-exponentiated: the separate factors e^alpha and e^{gamma s t} can overflow
-where their product does not (|rho| near 1, large |x|), giving inf * 0.
-Each row's sum over nu_1 is then one small matrix product of the block of
-moduli with the column vectors.
+same lattice in factored form.  On tau = +-t - x s its phase m1 s + m2 tau
+is linear, so e^{i(m1 s + m2 tau)} is the outer product of a column vector
+e^{i (m1 - m2 x) s} (once per point) and a row vector e^{+-i m2 t} (once per
+lattice); the polynomial prefactor of the tau-partial splits the same way.
+The moduli are two real exps per cell, of the whole exponents
+-q/2 = alpha(s) + beta(t) +- g s t, summed before they are exponentiated:
+the separate factors e^alpha and e^{g s t} can overflow where their product
+does not (|rho| near 1, large |x|), giving inf * 0.  Each row's sum over
+nu1 is then one small matrix product of each block of moduli with the
+column vectors; the density and the CDF differ only in those columns.
 
 Moment estimates come from eighth-order central-difference stencils applied
 to the CF at the origin, exploiting Hermitian symmetry so only four
@@ -51,7 +56,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -67,7 +72,7 @@ from .quadrature import QuadratureConfig, integrate_rows
 from .special import clamp_cdf, like, points
 
 _DECAY_THRESHOLD = 1e-14
-_BLOCK_ROWS = 32  # t2 rows per block: 32 x 1001 complex cells is ~0.5 MB, an L2's worth
+_BLOCK_ROWS = 64  # t rows per block: 64 x 501 complex cells is ~0.5 MB, an L2's worth
 _DERIV_H = 1e-4
 _GP_CFG = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-13)
 
@@ -111,8 +116,8 @@ class JointCharFn:
 class Grid2DConfig:
     """Midpoint-offset trapezoidal grid for the 2D inversion sums.
 
-    Nodes are t1 = h1 (nu1 + 1/2) for nu1 in [-N, N] and t2 = h2 (nu2 + 1/2)
-    for nu2 in [0, N]; the CDF formula uses [0, N] on both axes.
+    Nodes are s = h1 (nu1 + 1/2) and t = h2 (nu2 + 1/2) for nu1, nu2 in
+    [0, N], the same positive-quadrant lattice for the density and the CDF.
     """
 
     N: int
@@ -299,106 +304,92 @@ def broda_kan_pdf_indep(
     """Ratio density of X1/X2 at x from the two marginal CFs.
 
     broda_kan_pdf_joint on their product joint CF: the midpoint trapezoidal
-    sum of Re[phi1(t1) phi2'(-(x t1 + t2)) / t2] over t1 in (-T1, T1),
-    t2 in (0, T2); cfg defaults to auto_grid(cf1, cf2).
+    sum of Re[phi1(s) (phi2'(-t - x s) - phi2'(t - x s))] / t over the
+    positive quadrant s in (0, T1), t in (0, T2); cfg defaults to
+    auto_grid(cf1, cf2).
     """
     return broda_kan_pdf_joint(product_joint_cf(cf1, cf2), x, cfg or auto_grid(cf1, cf2))
 
 
-def _blocks(n_rows: int) -> Iterator[slice]:
-    return (slice(lo, lo + _BLOCK_ROWS) for lo in range(0, n_rows, _BLOCK_ROWS))
+def _broda_kan(jcf: JointCharFn, w, cfg: Grid2DConfig, density: bool):
+    """The folded Broda-Kan sum at every point of w: f_W when density is set,
+    F_W - 1/2 otherwise.
 
-
-def _grid_sums(x, name: str, cfg: Grid2DConfig,
-               row_sums: Callable[[float], Iterator[np.ndarray]]):
-    """h1 h2 / pi^2 times the sum of a point's grid cells, at every point of x.
-
-    row_sums(x) yields the point's t2-row sums block by block, in ascending
-    row order; their concatenation is summed in one call, so the total does
-    not depend on the block size.
+    Both are h1 h2 / pi^2 times the lattice sum of
+    Re[G(s, t - x s) - G(s, -t - x s)] / d, with G = dphi2d_dt2 and d = -t
+    for the density, G = phi2d and d = s t for the CDF.  A point's blocks
+    of t rows each give their rows' sums over nu1; the point's row sums are
+    concatenated and summed in one call, so the total does not depend on
+    the block size.
     """
-    xx = points(x, name)
-    total = np.array([np.concatenate(list(row_sums(v))).sum() for v in xx.ravel().tolist()])
+    nu = np.arange(0, cfg.N + 1, dtype=float) + 0.5
+    s, t = cfg.h1 * nu, cfg.h2 * nu
+    if jcf.gaussian is None:
+        cf = jcf.dphi2d_dt2 if density else jcf.phi2d
+        ss = s[None, :]
+
+        def point(x: float) -> Callable[[slice], np.ndarray]:
+            def row_sums(rows: slice) -> np.ndarray:
+                tt = t[rows, None]
+                cells = (cf(ss, tt - x * ss) - cf(ss, -tt - x * ss)).real
+                return (cells / (-tt if density else ss * tt)).sum(axis=1)
+            return row_sums
+    else:
+        # On tau = +-t - x s the joint CF is u(s) e^{+-i m2 t} E+-, with
+        # u = e^{i (m1 - m2 x) s}, g = v2 x - cov and the moduli
+        # E+- = exp(alpha(s) + beta(t) +- g s t); its tau-partial is
+        # (i m2 + g s -+ v2 t) times that.  For a column z(s), the row sum
+        # sum_s Re[z e^{i m2 t} E+ -+ z e^{-i m2 t} E-] / t is
+        # cos(m2 t)/t (P_r -+ M_r) - sin(m2 t)/t (P_i +- M_i), where P = E+ @ z
+        # and M = E- @ z over z's real and imaginary parts.  The CDF row is the
+        # "-" form with z = u/s; the density row is v2 t times the "+" form with
+        # z = u, less the "-" form with z = (i m2 + g s) u.
+        m1, m2, v1, v2, cov = jcf.gaussian
+        beta = -0.5 * v2 * t * t
+        cos_t, sin_t = np.cos(m2 * t) / t, np.sin(m2 * t) / t
+        # every block writes its exponents and moduli into these three buffers:
+        # fresh block-sized temporaries would cost page faults on each block
+        buf = np.empty((3, min(_BLOCK_ROWS, t.size), s.size))
+
+        def point(x: float) -> Callable[[slice], np.ndarray]:
+            g = v2 * x - cov
+            alpha = -0.5 * (v1 - 2.0 * cov * x + v2 * x * x) * s * s
+            u = np.exp(1j * (m1 - m2 * x) * s)
+            z = ((1j * m2 + g * s) * u, u) if density else (u / s,)
+            col = np.stack([part for c in z for part in (c.real, c.imag)], axis=1)
+
+            def row_sums(rows: slice) -> np.ndarray:
+                tr = t[rows]
+                cross, base, e = buf[:, :tr.size]
+                np.multiply.outer(g * tr, s, out=cross)
+                np.add(alpha, beta[rows, None], out=base)
+                p = np.exp(np.add(base, cross, out=e), out=e) @ col
+                m = np.exp(np.subtract(base, cross, out=base), out=base) @ col
+                c, d = cos_t[rows], sin_t[rows]
+                sums = c * (p[:, 0] - m[:, 0]) - d * (p[:, 1] + m[:, 1])
+                if density:
+                    sums = v2 * tr * (c * (p[:, 2] + m[:, 2]) - d * (p[:, 3] - m[:, 3])) - sums
+                return sums
+            return row_sums
+
+    xx = points(w, "broda_kan_pdf_joint" if density else "broda_kan_cdf")
+    blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, t.size, _BLOCK_ROWS)]
+    total = np.array([np.concatenate([row_sums(rows) for rows in blocks]).sum()
+                      for row_sums in map(point, xx.ravel().tolist())])
     bad = ~np.isfinite(total)
     if bad.any():
         raise IntegrandError(f"2D inversion sum is not finite at {float(xx.ravel()[bad][0])!r}")
     return cfg.h1 * cfg.h2 * total.reshape(xx.shape) / (math.pi * math.pi)
 
 
-def _gaussian_point(moments, x: float, s: np.ndarray):
-    """Per-point pieces of a normal joint CF at (s, tau) with tau = +-t - x s:
-    the column phase e^{i (m1 - m2 x) s}, the s^2 part alpha of -q/2 and the
-    coefficient g of its s t cross term (+g s t on tau = t - x s)."""
-    m1, m2, v1, v2, cov = moments
-    g = v2 * x - cov
-    alpha = -0.5 * (v1 - 2.0 * cov * x + v2 * x * x) * s * s
-    return np.exp(1j * (m1 - m2 * x) * s), alpha, g
-
-
 def broda_kan_pdf_joint(jcf: JointCharFn, w, cfg: Grid2DConfig):
     """Ratio density at w from a joint CF of (X1, X2), correlated allowed."""
-    t1 = cfg.h1 * (np.arange(-cfg.N, cfg.N + 1, dtype=float) + 0.5)
-    t2 = cfg.h2 * (np.arange(0, cfg.N + 1, dtype=float) + 0.5)
-    if jcf.gaussian is None:
-        def row_sums(x: float) -> Iterator[np.ndarray]:
-            for rows in _blocks(t2.size):
-                t = t2[rows, None]
-                yield (jcf.dphi2d_dt2(t1[None, :], -(t + x * t1[None, :])) / t).real.sum(axis=1)
-    else:
-        # cell = Re[(g s + v2 t + i m2) e^{i p s} e^{-i m2 t}] e^{-q/2} / t on
-        # tau = -(t + x s), with p = m1 - m2 x, split as Re[A_i r_j] + Re[u_i B_j]
-        _, m2, _, v2, _ = jcf.gaussian
-        beta = -0.5 * v2 * t2 * t2
-        r = np.exp(-1j * m2 * t2)
-        b = (v2 * t2 + 1j * m2) * r
-        row_coef = np.stack([r.real, -r.imag, b.real, -b.imag], axis=1) / t2[:, None]
-
-        def row_sums(x: float) -> Iterator[np.ndarray]:
-            u, alpha, g = _gaussian_point(jcf.gaussian, x, t1)
-            a = g * t1 * u
-            col = np.stack([a.real, a.imag, u.real, u.imag], axis=1)
-            for rows in _blocks(t2.size):
-                # the modulus: one real exp per cell of the summed exponent
-                e = np.multiply.outer(-g * t2[rows], t1)
-                e += alpha
-                e += beta[rows, None]
-                yield ((np.exp(e, out=e) @ col) * row_coef[rows]).sum(axis=1)
-
-    return like(w, _grid_sums(w, "broda_kan_pdf_joint", cfg, row_sums))
+    return like(w, _broda_kan(jcf, w, cfg, True))
 
 
 def broda_kan_cdf(jcf: JointCharFn, r, cfg: Grid2DConfig):
     """Ratio CDF at r from a joint CF, positive-quadrant inversion sum."""
-    nu = np.arange(0, cfg.N + 1, dtype=float) + 0.5
-    s = cfg.h1 * nu
-    t = cfg.h2 * nu
-    if jcf.gaussian is None:
-        def row_sums(x: float) -> Iterator[np.ndarray]:
-            ss = s[None, :]
-            for rows in _blocks(t.size):
-                tt = t[rows, None]
-                cells = (jcf.phi2d(ss, tt - x * ss) - jcf.phi2d(ss, -tt - x * ss)).real / (ss * tt)
-                yield cells.sum(axis=1)
-    else:
-        # cell s t = Re[u_i e^{i m2 t}] E+ - Re[u_i e^{-i m2 t}] E-, with E+- the moduli
-        # on tau = +-t - x s: cos(m2 t) Re u (E+ - E-) - sin(m2 t) Im u (E+ + E-)
-        _, m2, _, v2, _ = jcf.gaussian
-        beta = -0.5 * v2 * t * t
-        cos_t, sin_t = np.cos(m2 * t) / t, np.sin(m2 * t) / t
-
-        def row_sums(x: float) -> Iterator[np.ndarray]:
-            u, alpha, g = _gaussian_point(jcf.gaussian, x, s)
-            u = u / s
-            col = np.stack([u.real, u.imag], axis=1)
-            for rows in _blocks(t.size):
-                cross = np.multiply.outer(g * t[rows], s)
-                base = alpha + beta[rows, None]
-                plus = np.exp(base + cross) @ col
-                minus = np.exp(np.subtract(base, cross, out=base), out=base) @ col
-                yield (cos_t[rows] * (plus[:, 0] - minus[:, 0])
-                       - sin_t[rows] * (plus[:, 1] + minus[:, 1]))
-
-    return like(r, clamp_cdf(0.5 + _grid_sums(r, "broda_kan_cdf", cfg, row_sums)))
+    return like(r, clamp_cdf(0.5 + _broda_kan(jcf, r, cfg, False)))
 
 
 # eighth-order central-difference stencils; Hermitian symmetry folds the
@@ -438,12 +429,13 @@ def six_sigma_interval(
     fallback takes the union of the constituents' k-sigma intervals and, if
     a pdf_probe is supplied, doubles the half-width until the probed density
     falls below 1e-10 at both ends (capped at max_doublings; heavy-tailed
-    ratios would otherwise extend without bound).
+    ratios would otherwise extend without bound).  A normal CF gives its
+    exact moments (CharFn.gaussian); any other goes through cf_moments.
     """
     if k <= 0.0:
         raise InvalidParamsError(f"k must be positive, got {k!r}")
-    mu1, var1 = cf_moments(cf1)
-    mu2, var2 = cf_moments(cf2)
+    mu1, var1 = cf1.gaussian or cf_moments(cf1)
+    mu2, var2 = cf2.gaussian or cf_moments(cf2)
     sd1, sd2 = math.sqrt(max(var1, 0.0)), math.sqrt(max(var2, 0.0))
     if abs(mu2) > 1e-6 * sd2:
         mean = mu1 / mu2
@@ -508,7 +500,7 @@ def auto_grid(
     """Grid2DConfig sized from the decay ranges of the two CFs.
 
     The inner range T_1 is where |phi_1| falls below 1e-14.  The outer
-    range must cover the second factor's argument -(x*t1 + t2), whose mass
+    range must cover the second factor's argument +-t2 - x*t1, whose mass
     sits on a diagonal strip offset by up to the whole inner range, so
     T_2 adds the two decay ranges.  Both are capped at h_max * n so that
     the step h_i = T_i / n never exceeds h_max: slowly decaying CFs

@@ -173,18 +173,19 @@ def _ratio_cfs(spec: Spec) -> Tuple[CharFn, CharFn]:
 
 
 def _moment_window(cfg: RunConfig) -> Tuple[float, float]:
-    """--auto-interval from normal moments, k = 2 by default."""
-    if cfg.spec.kind == "normal":
-        return evaluation_interval(cfg.spec.value, 2.0 if cfg.k is None else cfg.k)
-    # densities carry no moments; fall back to the CF route
-    return six_sigma_interval(*_ratio_cfs(cfg.spec), 6.0 if cfg.k is None else cfg.k)
+    """--auto-interval from normal moments, k = 2 by default; densities carry
+    no moments, so a --num/--den spec takes the CF window."""
+    if cfg.spec.kind != "normal":
+        return _cf_window(cfg)
+    return evaluation_interval(cfg.spec.value, 2.0 if cfg.k is None else cfg.k)
 
 
 def _cf_window(cfg: RunConfig) -> Tuple[float, float]:
     """--auto-interval from CF moments, k = 6 by default."""
     k = 6.0 if cfg.k is None else cfg.k
     if cfg.spec.kind == "dist":
-        mu, var = cf_moments(_parse_cf(cfg.spec.value))
+        cf = _parse_cf(cfg.spec.value)
+        mu, var = cf.gaussian or cf_moments(cf)
         sd = math.sqrt(var)
         return (mu - k * sd, mu + k * sd)
     return six_sigma_interval(*_ratio_cfs(cfg.spec), k)
@@ -394,7 +395,8 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--auto-interval", action="store_true")
     p.add_argument("--n", type=int, default=1000, dest="n_points")
     p.add_argument("--k", type=float, default=None,
-                   help="interval half-width in sd units (default 6 for CF engines, 2 otherwise)")
+                   help="interval half-width in sd units (default 2 for a normal spec on "
+                        "the analytic and mellin engines, 6 otherwise)")
     p.add_argument("--rel-tol", type=float, default=1e-10)
     p.add_argument("--cheb-nodes", type=int, default=None)
     p.add_argument("--grid-n", type=int, default=500)

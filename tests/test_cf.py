@@ -37,6 +37,7 @@ from ratiodist.normal_ratio import (
     BivNormalParams,
     HakeInputs,
     StdRatioParams,
+    evaluation_interval,
     hake_params,
     ratio_pdf_phamgia,
     std_ratio_cdf,
@@ -246,6 +247,15 @@ def test_six_sigma_interval_product_form():
         six_sigma_interval(normal_cf(0.0, 1.0), normal_cf(1.0, 1.0), k=0.0)
 
 
+def test_six_sigma_interval_reads_normal_moments():
+    # a normal CF carries its exact moments; the h = 1e-4 stencil of
+    # cf_moments moved this narrow window by 3.4e-6 of its width
+    lo, hi = six_sigma_interval(normal_cf(0.3, 0.05), normal_cf(2.0, 0.1))
+    want = evaluation_interval(BivNormalParams(0.3, 2.0, 0.05, 0.1, 0.0), 6.0)
+    assert math.isclose(lo, want[0], rel_tol=1e-14)
+    assert math.isclose(hi, want[1], rel_tol=1e-14)
+
+
 def test_six_sigma_interval_zero_mean_fallback():
     # denominator mean 0: falls back to the union of constituent intervals
     lo, hi = six_sigma_interval(normal_cf(1.5, 1.0), normal_cf(0.0, 1.0))
@@ -381,36 +391,75 @@ def test_gaussian_lattice_matches_generic_cells(p, xs):
     assert np.max(np.abs(fast - slow)) <= 1e-14
 
 
-def _one_shot_pdf(jcf, x, cfg):
-    t1 = cfg.h1 * (np.arange(-cfg.N, cfg.N + 1, dtype=float) + 0.5)
-    t2 = cfg.h2 * (np.arange(0, cfg.N + 1, dtype=float) + 0.5)
-    cells = (jcf.dphi2d_dt2(t1[None, :], -(t2[:, None] + x * t1[None, :])) / t2[:, None]).real
-    return cfg.h1 * cfg.h2 * cells.sum(axis=1).sum() / (math.pi * math.pi)
-
-
-def _one_shot_cdf(jcf, x, cfg):
+def _one_shot(jcf, x, cfg, density):
+    # the folded lattice summed whole: Re[G(s, t - xs) - G(s, -t - xs)] / d
     nu = np.arange(0, cfg.N + 1, dtype=float) + 0.5
     s, t = (cfg.h1 * nu)[None, :], (cfg.h2 * nu)[:, None]
-    cells = (jcf.phi2d(s, t - x * s) - jcf.phi2d(s, -t - x * s)).real / (s * t)
-    total = cells.sum(axis=1).sum()
-    return clamp_cdf(np.array(0.5 + cfg.h1 * cfg.h2 * total / (math.pi * math.pi)))
+    g, d = (jcf.dphi2d_dt2, -t) if density else (jcf.phi2d, s * t)
+    cells = (g(s, t - x * s) - g(s, -t - x * s)).real / d
+    total = cfg.h1 * cfg.h2 * cells.sum(axis=1).sum() / (math.pi * math.pi)
+    return total if density else float(clamp_cdf(np.array(0.5 + total)))
 
 
-@pytest.mark.parametrize("n", [1, 31, 32, 33, 200])
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64, 65, 200])
 @pytest.mark.parametrize(
     "cf1, cf2",
     [(normal_cf(1.2, 1.0), chi_square_cf(5)), (normal_cf(1.0, 0.5), cauchy_cf(0.5, 1.0))],
     ids=["normal-chisq5", "normal-cauchy"],
 )
 def test_row_blocked_sums_equal_one_shot_sum(cf1, cf2, n):
-    # blocks of t2 rows (the last one ragged) change no cell and no sum order;
-    # 201 rows pass NumPy's 128-term pairwise block, where a block-wise total
-    # would round differently
+    # blocks of t rows (the last one ragged, whether the blocks hold 32 or
+    # 64 rows) change no cell and no sum order; 201 rows pass NumPy's
+    # 128-term pairwise block, where a block-wise total would round differently
     jcf = product_joint_cf(cf1, cf2)
     cfg = Grid2DConfig(n, 0.05, 0.1)
     xs = np.array([-0.7, 0.3, 2.5])
     pdf = broda_kan_pdf_joint(jcf, xs, cfg)
     cdf = broda_kan_cdf(jcf, xs, cfg)
     for x, got_pdf, got_cdf in zip(xs.tolist(), pdf.tolist(), cdf.tolist()):
-        assert got_pdf == _one_shot_pdf(jcf, x, cfg)
-        assert got_cdf == float(_one_shot_cdf(jcf, x, cfg))
+        assert got_pdf == _one_shot(jcf, x, cfg, True)
+        assert got_cdf == _one_shot(jcf, x, cfg, False)
+
+
+def _negated(cf):
+    """CF of -X: phi(-t), with phi' -> -phi'(-t)."""
+    dphi = None if cf.dphi is None else (lambda t: -cf.dphi(-t))
+    return CharFn(lambda t: cf.phi(-t), dphi, cf.decay_scale, f"-{cf.label}")
+
+
+@pytest.mark.parametrize(
+    "cf1, cf2",
+    [(chi_square_cf(5), normal_cf(0.0, 1.0)), (normal_cf(1.0, 0.5), cauchy_cf())],
+    ids=["chisq5-normal", "normal-cauchy"],
+)
+def test_reflection_generic_cells(cf1, cf2):
+    # W -> -W negates the numerator: on the folded lattice each cell's two
+    # CF values trade places (conjugated and negated), so f_{-W}(-x) = f_W(x)
+    # exactly and F_{-W}(-x) + F_W(x) = 1 to rounding
+    cfg = auto_grid(cf1, cf2)
+    xs = np.array([-2.0, -0.4, 0.3, 1.5])
+    jcf, flipped = product_joint_cf(cf1, cf2), product_joint_cf(_negated(cf1), cf2)
+    assert np.array_equal(broda_kan_pdf_joint(flipped, -xs, cfg), broda_kan_pdf_joint(jcf, xs, cfg))
+    total = broda_kan_cdf(flipped, -xs, cfg) + broda_kan_cdf(jcf, xs, cfg)
+    assert np.max(np.abs(total - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "p, xs",
+    [
+        (_HAKE0, np.linspace(0.261674, 0.515936, 4)),
+        (BivNormalParams(1.5, 2.0, 1.0, 0.7, 0.5), np.array([-2.0, 0.0, 0.8, 3.0])),
+    ],
+    ids=["hake0", "unit-rho0.5"],
+)
+def test_reflection_gaussian_lattice(p, xs):
+    # W -> -W is mu1 -> -mu1 with rho -> -rho; the factored lattice keeps
+    # the reflection to rounding
+    flipped = dataclasses.replace(p, mu1=-p.mu1, rho=-p.rho)
+    cfg = auto_grid(normal_cf(p.mu1, p.sigma1), normal_cf(p.mu2, p.sigma2))
+    jcf, jflip = bivariate_normal_joint_cf(p), bivariate_normal_joint_cf(flipped)
+    peak = float(np.max(ratio_pdf_phamgia(p, np.linspace(-5.0, 5.0, 20001))))
+    pdf, pdf_flip = broda_kan_pdf_joint(jcf, xs, cfg), broda_kan_pdf_joint(jflip, -xs, cfg)
+    assert np.max(np.abs(pdf_flip - pdf)) <= 1e-15 * peak
+    total = broda_kan_cdf(jflip, -xs, cfg) + broda_kan_cdf(jcf, xs, cfg)
+    assert np.max(np.abs(total - 1.0)) <= 1e-15

@@ -255,6 +255,23 @@ def test_interval_broda_kan_hake(capsys):
     assert math.isclose(0.5 * (lo + hi), 25.0 / 60.0, rel_tol=1e-9)
 
 
+def test_interval_num_den_same_window_on_mellin_and_broda_kan(capsys):
+    # densities carry no moments: mellin takes the CF window, k = 6
+    spec = ["--num", "normal", "1", "1", "--den", "chisq", "5"]
+    windows = []
+    for engine in ("mellin", "broda-kan"):
+        assert main(["interval", "--engine", engine] + spec) == 0
+        windows.append(capsys.readouterr().out)
+    assert windows[0] == windows[1]
+
+
+def test_interval_gil_pelaez_normal_reads_exact_moments(capsys):
+    # the CF's own moments, not the h = 1e-4 stencil (off by 3.7e-6 of the width)
+    assert main(["interval", "--engine", "gil-pelaez", "--dist", "normal", "0.3", "0.05"]) == 0
+    lo, hi = (float(v) for v in capsys.readouterr().out.strip().split(","))
+    assert abs(lo - 0.0) <= 1e-15 and abs(hi - 0.6) <= 1e-15
+
+
 def test_gil_pelaez_far_tail_converges(capsys):
     # the CLI keeps the library's abs_floor, so the N(0,1) tail at |x| = 6 converges
     rc = main(["pdf", "--engine", "gil-pelaez", "--dist", "normal", "0", "1",
