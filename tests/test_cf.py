@@ -238,6 +238,12 @@ def test_cf_moments():
         cf_moments(normal_cf(0.0, 1.0), h=-1.0)
 
 
+def test_cf_moments_default_step_resolves_chi_square_variance():
+    # at h = 1e-4 rounding (~eps/h^2) gave var 10 + 5.4e-8; h = 1e-3 gives 1.8e-9
+    mean, var = cf_moments(chi_square_cf(5))
+    assert abs(var - 10.0) <= 5e-9
+
+
 def test_six_sigma_interval_product_form():
     lo, hi = six_sigma_interval(normal_cf(1.5, 1.0), normal_cf(1.0, 1.0))
     # 1.5 +/- 6 sqrt(1 + 1.5^2 * 1)
@@ -410,8 +416,9 @@ def _one_shot(jcf, x, cfg, density):
 def test_row_blocked_sums_equal_one_shot_sum(cf1, cf2, n):
     # blocks of t rows (the last one ragged, whether the blocks hold 32 or
     # 64 rows) change no cell and no sum order; 201 rows pass NumPy's
-    # 128-term pairwise block, where a block-wise total would round differently
-    jcf = product_joint_cf(cf1, cf2)
+    # 128-term pairwise block, where a block-wise total would round differently.
+    # Clearing the marginals keeps the pair off the tabulated inner sum.
+    jcf = dataclasses.replace(product_joint_cf(cf1, cf2), marginals=None)
     cfg = Grid2DConfig(n, 0.05, 0.1)
     xs = np.array([-0.7, 0.3, 2.5])
     pdf = broda_kan_pdf_joint(jcf, xs, cfg)
@@ -419,6 +426,77 @@ def test_row_blocked_sums_equal_one_shot_sum(cf1, cf2, n):
     for x, got_pdf, got_cdf in zip(xs.tolist(), pdf.tolist(), cdf.tolist()):
         assert got_pdf == _one_shot(jcf, x, cfg, True)
         assert got_cdf == _one_shot(jcf, x, cfg, False)
+
+
+_TABLE_PAIRS = [
+    (normal_cf(1.2, 1.0), chi_square_cf(5)),
+    (chi_square_cf(5), normal_cf(0.0, 1.0)),
+    (normal_cf(1.5, 1.0), normal_cf(1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 31, 64, 65, 200, 500])
+@pytest.mark.parametrize(
+    "cf1, cf2", _TABLE_PAIRS, ids=["normal-chisq5", "chisq5-normal", "normal-normal"]
+)
+def test_tabled_sums_match_one_shot_sum(cf1, cf2, n):
+    # an independent pair reads its inner sum off one FFT-built table; the
+    # normal pair, with its moments cleared, does too (an entire denominator)
+    jcf = dataclasses.replace(product_joint_cf(cf1, cf2), gaussian=None)
+    cfg = auto_grid(cf1, cf2) if n == 500 else Grid2DConfig(n, 0.05, 0.1)
+    xs = np.array([-0.7, 0.0, 0.3, 2.5, 40.0])
+    pdf, cdf = broda_kan_pdf_joint(jcf, xs, cfg), broda_kan_cdf(jcf, xs, cfg)
+    want_pdf = np.array([_one_shot(jcf, x, cfg, True) for x in xs.tolist()])
+    want_cdf = np.array([_one_shot(jcf, x, cfg, False) for x in xs.tolist()])
+    assert np.max(np.abs(pdf - want_pdf)) <= 1e-13 * np.max(np.abs(want_pdf))
+    assert np.max(np.abs(cdf - want_cdf)) <= 1e-14
+
+
+def _counted(cf, calls):
+    def dphi(t):
+        calls.append(np.size(t))
+        return cf.dphi(t)
+    return dataclasses.replace(cf, dphi=dphi)
+
+
+@pytest.mark.parametrize(
+    "cf1, cf2", [_TABLE_PAIRS[1], _TABLE_PAIRS[0]], ids=["chisq5-normal", "normal-chisq5"]
+)
+def test_tabled_grid_reads_one_table(cf1, cf2):
+    # 1000 points cost one table: the denominator's derivative is sampled in
+    # one call, and no point falls back to the direct sum (which would call
+    # it again, a t block at a time); a chi2(5) denominator needs the table's
+    # h2/4 spacing for that
+    calls = []
+    jcf = product_joint_cf(cf1, _counted(cf2, calls))
+    pdf = broda_kan_pdf_joint(jcf, np.linspace(-3.0, 3.0, 1000), auto_grid(cf1, cf2))
+    assert len(calls) == 1 and np.isfinite(pdf).all()
+
+
+def _kinked_cauchy():
+    # Cauchy(0.5, 1) with its derivative (i x0 - gamma sign t) phi: the kink
+    # at t = 0 makes the inner sum jump, so the table cannot be read there
+    cc = cauchy_cf(0.5, 1.0)
+    return CharFn(cc.phi, lambda t: (0.5j - np.sign(t)) * cc.phi(t), cc.decay_scale, "kinked")
+
+
+@pytest.mark.parametrize(
+    "cf1, cf2, xs",
+    [
+        (normal_cf(1.0, 0.5), _kinked_cauchy(), [-0.7, 0.3, 2.5, 30.7]),
+        (normal_cf(1.2, 1.0), chi_square_cf(5), [-1e4, 3e3]),
+    ],
+    ids=["kinked-denominator", "beyond-table-reach"],
+)
+def test_tabled_sums_fall_back_to_direct_sum(cf1, cf2, xs):
+    # a point whose interpolation error estimate is too large, or whose
+    # table would span too far, is the blocked direct sum, bit for bit
+    jcf = product_joint_cf(cf1, cf2)
+    direct = dataclasses.replace(jcf, marginals=None)
+    cfg = Grid2DConfig(200, 0.05, 0.1)
+    xs = np.asarray(xs)
+    assert np.array_equal(broda_kan_pdf_joint(jcf, xs, cfg), broda_kan_pdf_joint(direct, xs, cfg))
+    assert np.array_equal(broda_kan_cdf(jcf, xs, cfg), broda_kan_cdf(direct, xs, cfg))
 
 
 def _negated(cf):
