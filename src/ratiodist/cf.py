@@ -34,41 +34,33 @@ summed in ascending nu2 order, again pairwise.  Blocking changes no cell and
 no sum, so results are bit-identical to one whole-lattice sum and
 bit-reproducible across runs.
 
-A bivariate normal joint CF (JointCharFn.gaussian set) is evaluated on the
-same lattice in factored form.  On tau = +-t - x s its phase m1 s + m2 tau
-is linear, so e^{i(m1 s + m2 tau)} is the outer product of a column vector
-e^{i (m1 - m2 x) s} (once per point) and a row vector e^{+-i m2 t} (once per
-lattice); the polynomial prefactor of the tau-partial splits the same way.
-The moduli are two real exps per cell, of the whole exponents
--q/2 = alpha(s) + beta(t) +- g s t, summed before they are exponentiated:
-the separate factors e^alpha and e^{g s t} can overflow where their product
-does not (|rho| near 1, large |x|), giving inf * 0.  Each row's sum over
-nu1 is then one small matrix product of each block of moduli with the
-column vectors; the density and the CDF differ only in those columns.
+A bivariate normal joint CF (JointCharFn.gaussian set) is summed as the
+independent pair (X1 - d X2, X2), d = cov/var2, at x - d (Marsaglia 2006,
+"Ratios of normal variables"): that pair's joint CF is phi(s, tau - d s),
+so its cell at x - d, on tau = +-t - (x - d) s, is the cell of (X1, X2) at x.
 
-Any other independent pair (JointCharFn.marginals set by product_joint_cf,
-the denominator's CF with a derivative) is summed in O(N) per point.  Its
-cells factor as phi1(s) times a function of u = x s, so
+An independent pair (JointCharFn.marginals set by product_joint_cf) is
+summed in O(N) per point.  Its cells factor as phi1(s) times a function of
+u = x s, so
 
     f_W(x) = (h1 h2/pi^2) sum_s Re[phi1(s) H(x s)],
     H(u) = sum_t [phi2'(t - u) - phi2'(-t - u)] / (-t),
 
 and the CDF is the same with phi1(s)/s, phi2 and 1/t.  H does not depend
-on x, so each call tabulates it once over [0, max |x| T1]: on _TABLE_Q
-offset sub-lattices of spacing h2/_TABLE_Q, each one FFT convolution of the
-denominator's CF samples with the kernel 1/t.  Every x s is read from the
-table by _TABLE_P-node barycentric Lagrange interpolation, and H(-u) is
-conj H(u) (-conj H(u) for the CDF), so W -> -W stays exact.  The sums agree
-with the direct lattice sum to rounding (about 1e-15 of the peak).  A point
-whose error estimate sum_s |c| |H_P - H_(P-2)| exceeds _TABLE_TOL times the
-call's peak (as a kink in phi2 makes it), or whose table would reach past
-_TABLE_REACH t lattices, is summed directly on the lattice instead.  The
-table belongs to the call, so a grid's values and the same points' float
-calls agree to that rounding, not bit for bit.
+on x: _inner_table tabulates it for u >= 0 by FFT, in blocks fixed by the
+lattice, and every x s reads it by _TABLE_P-node barycentric Lagrange
+interpolation, with H(-u) = conj H(u) (-conj H(u) for the CDF), so W -> -W
+stays exact.  A point whose interpolation error estimate exceeds
+_TABLE_TOL of its own scale (as a kink in phi2 makes it), or whose table
+would reach past _TABLE_REACH t lattices, is summed directly on the
+lattice.  So each value depends on the joint CF, the grid and its point
+alone: a grid equals its float calls bit for bit, and the sums agree with
+the direct lattice sum to about 1e-15 of the peak.
 
 Moment estimates come from eighth-order central-difference stencils applied
 to the CF at the origin, exploiting Hermitian symmetry so only four
-evaluations on the positive axis are needed per stencil.
+evaluations on the positive axis are needed per stencil; a second stencil
+at twice the step checks the first.
 """
 
 from __future__ import annotations
@@ -85,6 +77,7 @@ from .errors import (
     GridError,
     IntegrandError,
     InvalidParamsError,
+    RatioDistError,
     UndecayedCFError,
 )
 from .normal_ratio import BivNormalParams
@@ -93,7 +86,6 @@ from .special import clamp_cdf, like, points
 
 _DECAY_THRESHOLD = 1e-14
 _BLOCK_ROWS = 64  # t rows per block: 64 x 501 complex cells is ~0.5 MB, an L2's worth
-_DERIV_H = 1e-4
 _MOMENT_H = 1e-3  # cf_moments' step: at 1e-4 rounding (~eps / h^2) swamps the eighth-order stencil
 _TABLE_P = 16  # barycentric Lagrange nodes per read of the tabulated inner sum H
 _TABLE_Q = 4  # offset sub-lattices: the table of H has spacing h2 / _TABLE_Q
@@ -114,15 +106,15 @@ class CharFn:
     this module calls them on arrays only, and the inversions and auto_grid
     check phi on an array.  decay_scale, when present, is a t beyond which
     |phi| stays below 1e-14; it lets auto_grid skip the numeric decay search.
-    gaussian, when present, is (mean, variance) of a normal law; it lets
-    product_joint_cf of two normals take the factored Gaussian lattice.
+    moments, when present, is the exact (mean, variance) of the law, which
+    six_sigma_interval and the CLI windows read instead of cf_moments.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
     dphi: Optional[Callable[[np.ndarray], np.ndarray]] = None
     decay_scale: Optional[float] = None
     label: str = ""
-    gaussian: Optional[Tuple[float, float]] = None
+    moments: Optional[Tuple[float, float]] = None
 
 
 @dataclass(frozen=True)
@@ -131,12 +123,11 @@ class JointCharFn:
 
     Both take two broadcastable NumPy arrays and return their broadcast shape.
     gaussian, when present, is the moments (mean1, mean2, var1, var2, cov)
-    of a bivariate normal pair; the Broda-Kan sums then evaluate the lattice
-    in factored form and do not call phi2d or dphi2d_dt2.  marginals, when
-    present, is (cf1, cf2) of an independent pair; without gaussian, and
-    with cf2.dphi, the Broda-Kan sums read the inner sum over t off one table
-    per call and call phi2d or dphi2d_dt2 only for points that fall back to
-    the direct lattice sum.
+    of a bivariate normal pair, which the Broda-Kan sums take as the
+    independent pair (X1 - d X2, X2) at x - d, d = cov/var2.  marginals,
+    when present, is (cf1, cf2) of an independent pair, whose Broda-Kan sums
+    read the inner sum over t off the table of the lattice and call phi2d or
+    dphi2d_dt2 only at points that fall back to the direct lattice sum.
     """
 
     phi2d: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -235,20 +226,26 @@ def chi_square_cf(k: int) -> CharFn:
 
     # |phi| = (1+4t^2)^(-k/4) = 1e-14  =>  t = sqrt((1e14^(4/k) - 1)/4)
     decay = math.sqrt((10.0 ** (56.0 / k) - 1.0) / 4.0)
-    return CharFn(phi, dphi, decay, f"chi_square_cf({k})")
+    return CharFn(phi, dphi, decay, f"chi_square_cf({k})", (float(k), 2.0 * k))
 
 
 def cauchy_cf(x0: float = 0.0, gamma: float = 1.0) -> CharFn:
-    """CF of the Cauchy law with location x0 and scale gamma."""
+    """CF of the Cauchy law with location x0 and scale gamma.
+
+    The law has no moments, and phi has a kink at t = 0; its derivative
+    (i x0 - gamma sign t) phi is exact away from 0.
+    """
     if not (math.isfinite(x0) and gamma > 0.0 and math.isfinite(gamma)):
         raise InvalidParamsError(f"Cauchy CF needs finite x0, gamma > 0, got ({x0!r}, {gamma!r})")
 
     def phi(t):
         return np.exp(1j * x0 * t - gamma * np.abs(t))
 
-    # |t| kink at 0: no global closed-form derivative is attached
+    def dphi(t):
+        return (1j * x0 - gamma * np.sign(t)) * phi(t)
+
     decay = math.log(1e14) / gamma
-    return CharFn(phi, None, decay, f"cauchy_cf({x0}, {gamma})")
+    return CharFn(phi, dphi, decay, f"cauchy_cf({x0}, {gamma})")
 
 
 def _gil_pelaez(cf: CharFn, x, part: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -283,10 +280,10 @@ def gil_pelaez_cdf(cf: CharFn, x, cfg: QuadratureConfig = _GP_CFG):
     return like(x, clamp_cdf(raw))
 
 
-def _gaussian_joint_cf(moments: Tuple[float, float, float, float, float], label: str,
-                       marginals: Optional[Tuple[CharFn, CharFn]] = None) -> JointCharFn:
-    """Joint CF of a normal pair with moments (mean1, mean2, var1, var2, cov)."""
-    m1, m2, v1, v2, cov = moments
+def bivariate_normal_joint_cf(p: BivNormalParams) -> JointCharFn:
+    """Joint CF of a correlated normal pair, with its second-argument partial."""
+    m1, m2, v1, v2 = p.mu1, p.mu2, p.sigma1 * p.sigma1, p.sigma2 * p.sigma2
+    cov = p.rho * p.sigma1 * p.sigma2
 
     def phi2d(s, t):
         q = v1 * s * s + 2.0 * cov * s * t + v2 * t * t
@@ -295,38 +292,30 @@ def _gaussian_joint_cf(moments: Tuple[float, float, float, float, float], label:
     def dphi2d_dt2(s, t):
         return (1j * m2 - cov * s - v2 * t) * phi2d(s, t)
 
-    return JointCharFn(phi2d, dphi2d_dt2, label, moments, marginals)
-
-
-def bivariate_normal_joint_cf(p: BivNormalParams) -> JointCharFn:
-    """Joint CF of a correlated normal pair, with its second-argument partial."""
-    s1, s2 = p.sigma1, p.sigma2
-    moments = (p.mu1, p.mu2, s1 * s1, s2 * s2, p.rho * s1 * s2)
-    return _gaussian_joint_cf(moments, f"bivariate_normal_joint_cf({p!r})")
+    return JointCharFn(phi2d, dphi2d_dt2, f"bivariate_normal_joint_cf({p!r})",
+                       (m1, m2, v1, v2, cov))
 
 
 def product_joint_cf(cf1: CharFn, cf2: CharFn) -> JointCharFn:
     """Joint CF of an independent pair: phi(s, t) = phi1(s) phi2(t).
 
-    Two normal CFs give the bivariate normal joint CF with zero covariance.
-    The result records (cf1, cf2) as its marginals, so the Broda-Kan sums of
-    any other pair whose cf2 has dphi take the tabulated inner sum.
+    The result records (cf1, cf2) as its marginals, so the Broda-Kan sums
+    read the inner sum off the table of the lattice.  Its partial
+    phi1(s) phi2'(t), which the density needs, raises InvalidParamsError
+    when cf2 has no dphi; the CDF needs phi2d only.
     """
     _check_cf(cf1)
     _check_cf(cf2)
     label = f"product({cf1.label}, {cf2.label})"
-    if cf1.gaussian is not None and cf2.gaussian is not None:
-        (m1, v1), (m2, v2) = cf1.gaussian, cf2.gaussian
-        return _gaussian_joint_cf((m1, m2, v1, v2, 0.0), label, (cf1, cf2))
 
     def phi2d(s, t):
         return cf1.phi(np.asarray(s, dtype=float)) * cf2.phi(np.asarray(t, dtype=float))
 
     def dphi2d_dt2(s, t):
-        t = np.asarray(t, dtype=float)
-        h = _DERIV_H  # a CF without dphi gets the central difference
-        d2 = cf2.dphi(t) if cf2.dphi is not None else (cf2.phi(t + h) - cf2.phi(t - h)) / (2.0 * h)
-        return cf1.phi(np.asarray(s, dtype=float)) * d2
+        if cf2.dphi is None:
+            raise InvalidParamsError(f"a ratio density needs dphi of the denominator's CF, "
+                                     f"which {cf2.label or 'this CF'} lacks")
+        return cf1.phi(np.asarray(s, dtype=float)) * cf2.dphi(np.asarray(t, dtype=float))
 
     return JointCharFn(phi2d, dphi2d_dt2, label, marginals=(cf1, cf2))
 
@@ -358,65 +347,30 @@ def _broda_kan(jcf: JointCharFn, w, cfg: Grid2DConfig, density: bool):
     concatenated and summed in one call, so the total does not depend on
     the block size.
     """
+    xx = points(w, "broda_kan_pdf_joint" if density else "broda_kan_cdf")
+    if jcf.gaussian is not None:  # W - d is the ratio of the independent pair (X1 - d X2, X2)
+        m1, m2, v1, v2, cov = jcf.gaussian
+        d = cov / v2  # normal_cf raises if rounding at |rho| -> 1 leaves no variance
+        pair = product_joint_cf(normal_cf(m1 - d * m2, math.sqrt(max(v1 - d * cov, 0.0))),
+                                normal_cf(m2, math.sqrt(v2)))
+        return _broda_kan(pair, xx - d, cfg, density)
     nu = np.arange(0, cfg.N + 1, dtype=float) + 0.5
     s, t = cfg.h1 * nu, cfg.h2 * nu
-    if jcf.gaussian is None:
-        cf = jcf.dphi2d_dt2 if density else jcf.phi2d
-        ss = s[None, :]
-
-        def point(x: float) -> Callable[[slice], np.ndarray]:
-            def row_sums(rows: slice) -> np.ndarray:
-                tt = t[rows, None]
-                cells = (cf(ss, tt - x * ss) - cf(ss, -tt - x * ss)).real
-                return (cells / (-tt if density else ss * tt)).sum(axis=1)
-            return row_sums
-    else:
-        # On tau = +-t - x s the joint CF is u(s) e^{+-i m2 t} E+-, with
-        # u = e^{i (m1 - m2 x) s}, g = v2 x - cov and the moduli
-        # E+- = exp(alpha(s) + beta(t) +- g s t); its tau-partial is
-        # (i m2 + g s -+ v2 t) times that.  For a column z(s), the row sum
-        # sum_s Re[z e^{i m2 t} E+ -+ z e^{-i m2 t} E-] / t is
-        # cos(m2 t)/t (P_r -+ M_r) - sin(m2 t)/t (P_i +- M_i), where P = E+ @ z
-        # and M = E- @ z over z's real and imaginary parts.  The CDF row is the
-        # "-" form with z = u/s; the density row is v2 t times the "+" form with
-        # z = u, less the "-" form with z = (i m2 + g s) u.
-        m1, m2, v1, v2, cov = jcf.gaussian
-        beta = -0.5 * v2 * t * t
-        cos_t, sin_t = np.cos(m2 * t) / t, np.sin(m2 * t) / t
-        # every block writes its exponents and moduli into these three buffers:
-        # fresh block-sized temporaries would cost page faults on each block
-        buf = np.empty((3, min(_BLOCK_ROWS, t.size), s.size))
-
-        def point(x: float) -> Callable[[slice], np.ndarray]:
-            g = v2 * x - cov
-            alpha = -0.5 * (v1 - 2.0 * cov * x + v2 * x * x) * s * s
-            u = np.exp(1j * (m1 - m2 * x) * s)
-            z = ((1j * m2 + g * s) * u, u) if density else (u / s,)
-            col = np.stack([part for c in z for part in (c.real, c.imag)], axis=1)
-
-            def row_sums(rows: slice) -> np.ndarray:
-                tr = t[rows]
-                cross, base, e = buf[:, :tr.size]
-                np.multiply.outer(g * tr, s, out=cross)
-                np.add(alpha, beta[rows, None], out=base)
-                p = np.exp(np.add(base, cross, out=e), out=e) @ col
-                m = np.exp(np.subtract(base, cross, out=base), out=base) @ col
-                c, d = cos_t[rows], sin_t[rows]
-                sums = c * (p[:, 0] - m[:, 0]) - d * (p[:, 1] + m[:, 1])
-                if density:
-                    sums = v2 * tr * (c * (p[:, 2] + m[:, 2]) - d * (p[:, 3] - m[:, 3])) - sums
-                return sums
-            return row_sums
-
-    xx = points(w, "broda_kan_pdf_joint" if density else "broda_kan_cdf")
+    cf = jcf.dphi2d_dt2 if density else jcf.phi2d
+    ss = s[None, :]
     blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, t.size, _BLOCK_ROWS)]
 
+    def row_sums(x: float, rows: slice) -> np.ndarray:
+        tt = t[rows, None]
+        cells = (cf(ss, tt - x * ss) - cf(ss, -tt - x * ss)).real
+        return (cells / (-tt if density else ss * tt)).sum(axis=1)
+
     def direct(xs: np.ndarray) -> np.ndarray:
-        return np.array([np.concatenate([row_sums(rows) for rows in blocks]).sum()
-                         for row_sums in map(point, xs.tolist())])
+        return np.array([np.concatenate([row_sums(x, rows) for rows in blocks]).sum()
+                         for x in xs.tolist()])
 
     marginals = jcf.marginals
-    if jcf.gaussian is None and marginals is not None and marginals[1].dphi is not None:
+    if marginals is not None and (marginals[1].dphi is not None or not density):
         total = _tabled_sums(*marginals, xx.ravel(), s, cfg, density, direct)
     else:
         total = direct(xx.ravel())
@@ -434,20 +388,23 @@ def _inner_table(cf2: CharFn, n: int, h2: float, nodes: int, density: bool) -> n
     H(u) = sum_j phi2(t_j - u) / t_j (CDF).  Sub-lattice r holds the nodes
     u = k h2 + r h2/Q, where t_j - u = h2 (j - k + 1/2) - r h2/Q: H there is
     one discrete convolution of the samples g(h2 (m + 1/2) - r h2/Q) with
-    the odd kernel 1/t_j, done by FFT.  Returned in node order i = k Q + r.
+    the odd kernel 1/t_j, done by overlap-save FFTs of a length M fixed by n:
+    each block of b = M - 2n - 1 nodes k is one FFT of the M samples it
+    reads, at their absolute indices m, so entry i depends on the lattice
+    alone, not on the call.  Returned in node order i = k Q + r.
     """
     from numpy import fft  # here, not at module level: importing it costs every CLI start ~1.6 ms
 
     q = _TABLE_Q
-    k = -(-nodes // q)  # nodes per sub-lattice
-    size = 2 * n + k + 1  # samples m in [-n-k, n]
-    m = 1 << (size - 1).bit_length()  # FFT length >= size: no wrap-around reaches an entry read
+    m = 1 << (4 * n + 2).bit_length()
+    b = m - 2 * n - 1  # nodes per block and sub-lattice: M - b = 2n + 1 samples overlap
+    first = -(n + b) - b * np.arange(-(-nodes // (q * b)))  # block B's first sample index
+    arg = h2 * (first[:, None] + np.arange(m) + 0.5) - (h2 / q) * np.arange(q)[:, None, None]
     kernel = fft.fft(1.0 / (h2 * (np.arange(2 * n + 2) - (n + 0.5))), m)
-    arg = h2 * (np.arange(size) - (n + k - 0.5)) - (h2 / q) * np.arange(q)[:, None]
     g = cf2.dphi if density else cf2.phi
-    conv = fft.ifft(fft.fft(g(arg), m, axis=1) * kernel, axis=1)
-    # H at u = k' h2 + r h2/Q is -+conv[r, 2n + k - k'] for k' = 0 .. k-1
-    table = conv[:, 2 * n + k:2 * n:-1].T.ravel()
+    conv = fft.ifft(fft.fft(g(arg), axis=-1) * kernel, axis=-1)
+    # H at u = (B b + k) h2 + r h2/Q is -+conv[r, B, 2n + b - k] for k = 0 .. b-1
+    table = conv[:, :, m - 1:2 * n:-1].transpose(1, 2, 0).ravel()
     return table if density else -table
 
 
@@ -461,14 +418,14 @@ def _barycentric(weights: np.ndarray, inv: np.ndarray, f_re: np.ndarray, f_im: n
 
 def _tabled_sums(cf1: CharFn, cf2: CharFn, xs: np.ndarray, s: np.ndarray, cfg: Grid2DConfig,
                  density: bool, direct: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The folded lattice sums of an independent pair, read off one table of H.
+    """The folded lattice sums of an independent pair, read off the table of H.
 
     Each point is sum_s Re[c(s) H(x s)], c = phi1(s) for the density and
     phi1(s)/s for the CDF, with H from _inner_table read by P-node
     barycentric Lagrange interpolation; H(-u) is conj H(u) (density) or
     -conj H(u) (CDF), so only u >= 0 is tabulated.  A point whose estimate
-    sum_s |c| |H_P - H_(P-2)| exceeds _TABLE_TOL times the peak (max |sum|
-    over the call for the density, the sum that makes F = 1 for the CDF),
+    sum_s |c| |H_P - H_(P-2)| exceeds _TABLE_TOL times its scale (its own
+    sum_s |c| |H| for the density, the sum that makes F = 1 for the CDF),
     or whose |x| s reaches past _TABLE_REACH times the t lattice, takes
     direct instead.
     """
@@ -478,6 +435,8 @@ def _tabled_sums(cf1: CharFn, cf2: CharFn, xs: np.ndarray, s: np.ndarray, cfg: G
     ax = np.abs(xs)
     near = np.flatnonzero(ax * s[-1] <= _TABLE_REACH * cfg.h2 * (cfg.N + 0.5))
     total, est = np.empty(xs.size), np.full(xs.size, math.inf)
+    # the CDF's scale is 1: F - 1/2 is h1 h2 / pi^2 times the sum
+    scale = np.full(xs.size, math.pi ** 2 / (cfg.h1 * cfg.h2))
     if near.size:
         # the widest point's last stencil ends _TABLE_P - centre - 1 nodes past its cell
         nodes = int(ax[near].max() * s[-1] / step) + _TABLE_P - centre
@@ -505,13 +464,12 @@ def _tabled_sums(cf1: CharFn, cf2: CharFn, xs: np.ndarray, s: np.ndarray, cfg: G
             # x < 0 reads H(-u): conj H(u) for the density, -conj H(u) for the CDF
             flip = np.where(xs[rows] < 0.0, -1.0, 1.0)[:, None]
             if density:
+                scale[rows] = (c_abs * np.hypot(h_re, h_im)).sum(axis=1)
                 h_im *= flip
             else:
                 h_re *= flip
             total[rows] = (c_re * h_re - c_im * h_im).sum(axis=1)
-    # the CDF's peak is 1: F - 1/2 is h1 h2 / pi^2 times the sum
-    peak = np.abs(total[near]).max(initial=0.0) if density else math.pi ** 2 / (cfg.h1 * cfg.h2)
-    redo = est > _TABLE_TOL * peak
+    redo = est > _TABLE_TOL * scale
     if redo.any():
         total[redo] = direct(xs[redo])
     return total
@@ -538,14 +496,25 @@ def cf_moments(cf: CharFn, h: float = _MOMENT_H) -> Tuple[float, float]:
     """Mean and variance estimated from the CF near the origin.
 
     mu = Im phi'(0) and E[X^2] = -phi''(0) are approximated with
-    eighth-order stencils at step h; returns (mu_hat, sigma2_hat).
+    eighth-order stencils at step h; returns (mu_hat, sigma2_hat).  Raises
+    RatioDistError when the stencil at 2h differs by more than 1e-5 in the
+    variance (relative) or the mean (in sd): a CF with a kink at 0 has no
+    moments, and a large mean swamps the variance in rounding.
     """
     if h <= 0.0:
         raise InvalidParamsError(f"step h must be positive, got {h!r}")
-    vals = np.asarray(cf.phi(h * np.array([1.0, 2.0, 3.0, 4.0]))).tolist()
-    mu = sum(c * v.imag for c, v in zip(_MU_COEFFS, vals)) / h
-    mu2 = (_MU2_CENTER + sum(c * v.real for c, v in zip(_MU2_COEFFS, vals))) / (h * h)
-    return mu, mu2 - mu * mu
+    vals = np.asarray(cf.phi(h * np.arange(1.0, 9.0))).tolist()  # phi at h .. 8h
+
+    def stencil(step: float, v: list) -> Tuple[float, float]:
+        mu = sum(c * z.imag for c, z in zip(_MU_COEFFS, v)) / step
+        mu2 = (_MU2_CENTER + sum(c * z.real for c, z in zip(_MU2_COEFFS, v))) / (step * step)
+        return mu, mu2 - mu * mu
+
+    (mu, var), (mu_2h, var_2h) = stencil(h, vals[:4]), stencil(2.0 * h, vals[1::2])
+    if not (abs(var - var_2h) <= 1e-5 * abs(var) and abs(mu - mu_2h) <= 1e-5 * math.sqrt(abs(var))):
+        raise RatioDistError(f"{cf.label or 'this CF'} has no moments the CF stencil can resolve: "
+                             f"steps h, 2h give variances {var!r}, {var_2h!r}")
+    return mu, var
 
 
 def six_sigma_interval(
@@ -564,13 +533,14 @@ def six_sigma_interval(
     fallback takes the union of the constituents' k-sigma intervals and, if
     a pdf_probe is supplied, doubles the half-width until the probed density
     falls below 1e-10 at both ends (capped at max_doublings; heavy-tailed
-    ratios would otherwise extend without bound).  A normal CF gives its
-    exact moments (CharFn.gaussian); any other goes through cf_moments.
+    ratios would otherwise extend without bound).  A CF that carries its
+    exact moments (CharFn.moments) gives them; any other goes through
+    cf_moments, which raises for a law without moments.
     """
     if k <= 0.0:
         raise InvalidParamsError(f"k must be positive, got {k!r}")
-    mu1, var1 = cf1.gaussian or cf_moments(cf1)
-    mu2, var2 = cf2.gaussian or cf_moments(cf2)
+    mu1, var1 = cf1.moments or cf_moments(cf1)
+    mu2, var2 = cf2.moments or cf_moments(cf2)
     sd1, sd2 = math.sqrt(max(var1, 0.0)), math.sqrt(max(var2, 0.0))
     if abs(mu2) > 1e-6 * sd2:
         mean = mu1 / mu2

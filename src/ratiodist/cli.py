@@ -185,7 +185,7 @@ def _cf_window(cfg: RunConfig) -> Tuple[float, float]:
     k = 6.0 if cfg.k is None else cfg.k
     if cfg.spec.kind == "dist":
         cf = _parse_cf(cfg.spec.value)
-        mu, var = cf.gaussian or cf_moments(cf)
+        mu, var = cf.moments or cf_moments(cf)
         sd = math.sqrt(var)
         return (mu - k * sd, mu + k * sd)
     return six_sigma_interval(*_ratio_cfs(cfg.spec), k)

@@ -220,6 +220,10 @@ _HAKE = ["40", "65", "15", "18", "0.5", "50"]
         # interval refuses a spec its engine does not take
         ["interval", "--engine", "gil-pelaez", "--std-ratio", "1.5", "1"],
         ["interval", "--engine", "analytic", "--num", "normal", "1", "1", "--den", "chisq", "5"],
+        # a Cauchy law has no moments to size a window from
+        ["interval", "--engine", "gil-pelaez", "--dist", "cauchy", "0", "1"],
+        ["interval", "--engine", "broda-kan", "--num", "normal", "1", "0.5", "--den", "cauchy",
+         "0.5", "1"],
     ],
 )
 def test_errors_exit_one(argv, capsys):

@@ -14,9 +14,11 @@ from ratiodist.cf import (
     broda_kan_cdf,
     broda_kan_pdf_indep,
     broda_kan_pdf_joint,
+    chi_square_cf,
     gil_pelaez_cdf,
     gil_pelaez_pdf,
     normal_cf,
+    product_joint_cf,
 )
 from ratiodist.errors import InvalidParamsError
 from ratiodist.mellin import normal_density, ratio_pdf
@@ -37,6 +39,8 @@ _CF = normal_cf(0.5, 1.2)
 _JCF = bivariate_normal_joint_cf(_BIV)
 _BK_CFS = (normal_cf(_BIV.mu1, _BIV.sigma1), normal_cf(_BIV.mu2, _BIV.sigma2))
 _BK_GRID = auto_grid(*_BK_CFS, n=64)
+_CHI_CFS = (normal_cf(1.2, 1.0), chi_square_cf(5))  # read off the tabulated inner sum
+_CHI_GRID = auto_grid(*_CHI_CFS)
 _DENSITIES = (normal_density(1.5, 1.0), normal_density(1.0, 1.0))
 
 FUNCTIONS = {
@@ -54,6 +58,8 @@ FUNCTIONS = {
     "broda_kan_pdf_joint": lambda x: broda_kan_pdf_joint(_JCF, x, _BK_GRID),
     "broda_kan_cdf": lambda x: broda_kan_cdf(_JCF, x, _BK_GRID),
     "broda_kan_pdf_indep": lambda x: broda_kan_pdf_indep(*_BK_CFS, x, _BK_GRID),
+    "broda_kan_pdf_indep_chisq": lambda x: broda_kan_pdf_indep(*_CHI_CFS, x, _CHI_GRID),
+    "broda_kan_cdf_chisq": lambda x: broda_kan_cdf(product_joint_cf(*_CHI_CFS), x, _CHI_GRID),
     "ratio_pdf": lambda x: ratio_pdf(*_DENSITIES, x),
 }
 
