@@ -8,7 +8,8 @@ timed accuracy protocol and exports records to the file named by --out
 The other subcommands read exactly one distribution spec into a Spec of
 one of three kinds: "normal" (a BivNormalParams from --biv, --hake, or
 --std-ratio A B, which stands for N(A, 1)/N(B, 1)), "num-den" (the --num
-and --den spec lists) or "dist" (the --dist spec list).
+and --den spec lists) or "dist" (the --dist spec list).  One table, _FAMILIES,
+gives each spec family's density (for mellin) and CF (for the CF engines).
 
 Engines live in one table, ENGINES, keyed by the --engine id: analytic
 (closed forms), mellin (DE Mellin convolution, densities only), broda-kan
@@ -54,7 +55,7 @@ from .cf import (
 )
 from .errors import RatioDistError, InvalidParamsError
 from .mellin import (
-    DensityFn,
+    cauchy_density,
     chi_square_density,
     normal_density,
     ratio_interpolant,
@@ -80,6 +81,18 @@ __all__ = ["ENGINES", "Engine", "RunConfig", "Spec", "main"]
 
 # spec kind -> the flags that give it
 _FLAGS = {"normal": "--std-ratio/--biv/--hake", "num-den": "--num/--den", "dist": "--dist"}
+
+
+# family -> (parameter names, density factory, CF factory or None), a factory by
+# its name in this module (see Factory); uniform has no CF: it decays like 1/t.
+_FAMILIES = {
+    "normal": (("MU", "SIGMA"), "normal_density", "normal_cf"),
+    "chisq": (("K",), "chi_square_density", "chi_square_cf"),
+    "uniform": (("LO", "HI"), "uniform_density", None),
+    "cauchy": (("X0", "GAMMA"), "cauchy_density", "cauchy_cf"),
+}
+_DENSITY, _CF = 1, 2
+_SPEC_FORMS = ", ".join(f"'{name} {' '.join(params)}'" for name, (params, *_) in _FAMILIES.items())
 
 
 class Spec(NamedTuple):
@@ -129,47 +142,27 @@ def _spec(args: argparse.Namespace) -> Spec:
     return Spec("num-den", (args.num, args.den))
 
 
-def _numbers(spec: List[str]) -> List[float]:
+def _factor(spec: List[str], form: int):
+    """The density or CF (form _DENSITY or _CF) of one --num, --den or --dist spec."""
+    family = _FAMILIES.get(spec[0])
+    if family is None or len(spec) != 1 + len(family[0]):
+        raise InvalidParamsError(f"unknown spec {spec!r}; expected {_SPEC_FORMS}")
     try:
-        return [float(v) for v in spec[1:]]
+        args = [float(v) for v in spec[1:]]
     except ValueError:
         raise InvalidParamsError(f"spec {spec!r} holds a value that is not a number") from None
+    if family[form] is None:
+        raise InvalidParamsError(f"{spec[0]} has no CF here: it decays like 1/t, too slowly for "
+                                 "the CF engines and windows; mellin takes it with --interval")
+    return globals()[family[form]](*args)
 
 
-def _parse_density(spec: List[str]) -> DensityFn:
-    kind, args = spec[0], _numbers(spec)
-    if kind == "normal" and len(args) == 2:
-        return normal_density(args[0], args[1])
-    if kind == "chisq" and len(args) == 1:
-        return chi_square_density(args[0])
-    if kind == "uniform" and len(args) == 2:
-        return uniform_density(args[0], args[1])
-    raise InvalidParamsError(
-        f"unknown density spec {spec!r}; expected 'normal MU SIGMA', 'chisq K' or 'uniform LO HI'"
-    )
-
-
-def _parse_cf(spec: List[str]) -> CharFn:
-    kind, args = spec[0], _numbers(spec)
-    if kind == "normal" and len(args) == 2:
-        return normal_cf(args[0], args[1])
-    if kind == "chisq" and len(args) == 1:
-        return chi_square_cf(args[0])
-    if kind == "cauchy" and len(args) == 2:
-        return cauchy_cf(args[0], args[1])
-    raise InvalidParamsError(
-        f"no characteristic function for spec {spec!r}; expected 'normal MU SIGMA', "
-        "'chisq K' or 'cauchy X0 GAMMA'"
-    )
-
-
-def _ratio_cfs(spec: Spec) -> Tuple[CharFn, CharFn]:
-    """Marginal CFs of numerator and denominator of a normal or num-den spec."""
-    if spec.kind == "normal":
-        p = spec.value
-        return normal_cf(p.mu1, p.sigma1), normal_cf(p.mu2, p.sigma2)
-    num, den = spec.value
-    return _parse_cf(num), _parse_cf(den)
+def _factors(spec: Spec, form: int) -> Tuple:
+    """Numerator and denominator of a normal or num-den spec, as densities or CFs."""
+    if spec.kind == "num-den":
+        return tuple(_factor(s, form) for s in spec.value)
+    p, normal = spec.value, globals()[_FAMILIES["normal"][form]]
+    return normal(p.mu1, p.sigma1), normal(p.mu2, p.sigma2)
 
 
 def _moment_window(cfg: RunConfig) -> Tuple[float, float]:
@@ -184,11 +177,11 @@ def _cf_window(cfg: RunConfig) -> Tuple[float, float]:
     """--auto-interval from CF moments, k = 6 by default."""
     k = 6.0 if cfg.k is None else cfg.k
     if cfg.spec.kind == "dist":
-        cf = _parse_cf(cfg.spec.value)
+        cf = _factor(cfg.spec.value, _CF)
         mu, var = cf.moments or cf_moments(cf)
         sd = math.sqrt(var)
         return (mu - k * sd, mu + k * sd)
-    return six_sigma_interval(*_ratio_cfs(cfg.spec), k)
+    return six_sigma_interval(*_factors(cfg.spec, _CF), k)
 
 
 # A grid factory does the one-time work and returns an evaluator for the whole
@@ -207,16 +200,12 @@ def _analytic_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
 
 
 def _mellin_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
-    p = cfg.spec.value
-    if cfg.spec.kind == "num-den":
-        f1, f2 = (_parse_density(s) for s in p)
-    elif p.rho == 0.0:
-        f1, f2 = normal_density(p.mu1, p.sigma1), normal_density(p.mu2, p.sigma2)
-    else:
+    if cfg.spec.kind == "normal" and cfg.spec.value.rho != 0.0:
         raise InvalidParamsError(
             "mellin convolution requires independent factors (rho = 0); "
             "use the analytic or broda-kan engine for correlated ratios"
         )
+    f1, f2 = _factors(cfg.spec, _DENSITY)
     qcfg = QuadratureConfig(rel_tol=cfg.rel_tol)
     if cfg.cheb_nodes and xs.size > 1:  # one point spans no interval to interpolate on
         interp = ratio_interpolant(f1, f2, float(xs[0]), float(xs[-1]), cfg.cheb_nodes, qcfg)
@@ -226,7 +215,7 @@ def _mellin_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
 
 def _broda_kan_setup(cfg: RunConfig) -> Tuple[JointCharFn, Grid2DConfig]:
     """The joint CF (bivariate normal for a normal spec) and the auto grid."""
-    cf1, cf2 = _ratio_cfs(cfg.spec)
+    cf1, cf2 = _factors(cfg.spec, _CF)
     normal = cfg.spec.kind == "normal"
     jcf = bivariate_normal_joint_cf(cfg.spec.value) if normal else product_joint_cf(cf1, cf2)
     return jcf, auto_grid(cf1, cf2, n=cfg.grid_n)
@@ -243,7 +232,7 @@ def _broda_kan_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
 
 
 def _gil_pelaez_setup(cfg: RunConfig) -> Tuple[CharFn, QuadratureConfig]:
-    return _parse_cf(cfg.spec.value), dataclasses.replace(_GP_CFG, rel_tol=cfg.rel_tol)
+    return _factor(cfg.spec.value, _CF), dataclasses.replace(_GP_CFG, rel_tol=cfg.rel_tol)
 
 
 def _gil_pelaez_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
@@ -323,7 +312,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
         )
     lo, hi = _choose_interval(cfg, args.interval, args.auto_interval)
     xs = np.linspace(lo, hi, args.n_points)
-    values = factory(cfg, xs)()
+    evaluate = factory(cfg, xs)  # built for an empty grid too, so spec errors still exit 1
+    values = evaluate() if xs.size else xs
     rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(xs.tolist(), values.tolist()))
     _write(args.out, "x,value\n" + rows)
     return 0
@@ -384,9 +374,9 @@ def _add_dist_args(p: argparse.ArgumentParser) -> None:
         "--hake", nargs=6, type=float,
         metavar=("MU_PRE", "MU_POST", "SD_PRE", "SD_POST", "RHO_STAR", "N"),
     )
-    p.add_argument("--num", nargs="+", metavar="SPEC")
-    p.add_argument("--den", nargs="+", metavar="SPEC")
-    p.add_argument("--dist", nargs="+", metavar="SPEC")
+    p.add_argument("--num", nargs="+", metavar="SPEC", help=f"numerator, one of {_SPEC_FORMS}")
+    p.add_argument("--den", nargs="+", metavar="SPEC", help=f"denominator, one of {_SPEC_FORMS}")
+    p.add_argument("--dist", nargs="+", metavar="SPEC", help=f"distribution, one of {_SPEC_FORMS}")
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:

@@ -165,6 +165,19 @@ def uniform_density(lo: float = 0.0, hi: float = 1.0) -> DensityFn:
     return DensityFn(f, Support.finite(lo, hi), f"uniform({lo}, {hi})")
 
 
+def cauchy_density(x0: float = 0.0, gamma: float = 1.0) -> DensityFn:
+    if not (math.isfinite(x0) and gamma > 0.0 and math.isfinite(gamma)):
+        raise InvalidParamsError(f"Cauchy density needs finite x0, gamma > 0, got ({x0!r}, {gamma!r})")
+    inv = 1.0 / gamma
+    norm = inv / math.pi
+
+    def f(x):
+        z = (x - x0) * inv
+        return norm / (1.0 + z * z)
+
+    return DensityFn(f, Support.real_line(), f"cauchy({x0}, {gamma})")
+
+
 def _guarded(df: DensityFn) -> Density:
     lo, hi, f = df.support.lo, df.support.hi, df.f
     if lo == -math.inf and hi == math.inf:

@@ -482,9 +482,9 @@ _TABLE_PAIRS = [
     "cf1, cf2", _TABLE_PAIRS, ids=["normal-chisq5", "chisq5-normal", "normal-normal"]
 )
 def test_tabled_sums_match_one_shot_sum(cf1, cf2, n):
-    # an independent pair reads its inner sum off one FFT-built table; the
-    # normal pair, with its moments cleared, does too (an entire denominator)
-    jcf = dataclasses.replace(product_joint_cf(cf1, cf2), gaussian=None)
+    # an independent pair reads its inner sum off one FFT-built table, the
+    # normal pair too (an entire denominator)
+    jcf = product_joint_cf(cf1, cf2)
     cfg = auto_grid(cf1, cf2) if n == 500 else Grid2DConfig(n, 0.05, 0.1)
     xs = np.array([-0.7, 0.0, 0.3, 2.5, 40.0])
     pdf, cdf = broda_kan_pdf_joint(jcf, xs, cfg), broda_kan_cdf(jcf, xs, cfg)
@@ -515,17 +515,12 @@ def test_tabled_grid_reads_one_table(cf1, cf2):
     assert len(calls) == 1 and np.isfinite(pdf).all()
 
 
-def _kinked_cauchy():
-    # Cauchy(0.5, 1) with its derivative (i x0 - gamma sign t) phi: the kink
-    # at t = 0 makes the inner sum jump, so the table cannot be read there
-    cc = cauchy_cf(0.5, 1.0)
-    return CharFn(cc.phi, lambda t: (0.5j - np.sign(t)) * cc.phi(t), cc.decay_scale, "kinked")
-
-
 @pytest.mark.parametrize(
     "cf1, cf2, xs",
     [
-        (normal_cf(1.0, 0.5), _kinked_cauchy(), [-0.7, 0.3, 2.5, 30.7]),
+        # the kink of the Cauchy CF at t = 0 makes the inner sum jump, so the
+        # table cannot be read there
+        (normal_cf(1.0, 0.5), cauchy_cf(0.5, 1.0), [-0.7, 0.3, 2.5, 30.7]),
         (normal_cf(1.2, 1.0), chi_square_cf(5), [-1e4, 3e3]),
     ],
     ids=["kinked-denominator", "beyond-table-reach"],
@@ -584,8 +579,8 @@ def test_reflection_generic_cells(cf1, cf2):
     ids=["hake0", "unit-rho0.5"],
 )
 def test_reflection_gaussian_lattice(p, xs):
-    # W -> -W is mu1 -> -mu1 with rho -> -rho; the factored lattice keeps
-    # the reflection to rounding
+    # W -> -W is mu1 -> -mu1 with rho -> -rho; the shifted independent pair
+    # (X1 - d X2, X2) at x - d keeps the reflection to rounding
     flipped = dataclasses.replace(p, mu1=-p.mu1, rho=-p.rho)
     cfg = auto_grid(normal_cf(p.mu1, p.sigma1), normal_cf(p.mu2, p.sigma2))
     jcf, jflip = bivariate_normal_joint_cf(p), bivariate_normal_joint_cf(flipped)

@@ -224,6 +224,11 @@ _HAKE = ["40", "65", "15", "18", "0.5", "50"]
         ["interval", "--engine", "gil-pelaez", "--dist", "cauchy", "0", "1"],
         ["interval", "--engine", "broda-kan", "--num", "normal", "1", "0.5", "--den", "cauchy",
          "0.5", "1"],
+        # an empty grid still builds its engine, so a spec it refuses exits 1
+        ["pdf", "--engine", "mellin", "--biv", "1.5", "1", "1", "1", "0.5",
+         "--interval", "0", "1", "--n", "0"],
+        ["pdf", "--engine", "broda-kan", "--num", "uniform", "1", "2", "--den", "normal", "1", "1",
+         "--interval", "0", "1", "--n", "0"],
     ],
 )
 def test_errors_exit_one(argv, capsys):
@@ -232,6 +237,19 @@ def test_errors_exit_one(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("engine, spec", [
+    ("analytic", ["--std-ratio", "1.5", "1"]),
+    ("mellin", ["--std-ratio", "1.5", "1"]),
+    ("mellin", ["--num", "uniform", "1", "2", "--den", "cauchy", "0.5", "1"]),
+    ("broda-kan", ["--hake", *_HAKE]),
+    ("gil-pelaez", ["--dist", "normal", "0", "1"]),
+])
+def test_empty_grid_writes_header_only(engine, spec, capsys):
+    # --n 0 is a valid grid on every engine: the CSV header and no rows
+    assert main(["pdf", "--engine", engine, *spec, "--interval", "0", "1", "--n", "0"]) == 0
+    assert capsys.readouterr().out == "x,value\n"
 
 
 def test_bad_choice_exits_two():
@@ -311,14 +329,10 @@ def test_engine_table_covers_every_engine():
     assert {e for e, _ in _ACCEPTS} == set(cli.ENGINES)
 
 
-@pytest.mark.parametrize("spec", sorted(_SPECS))
-@pytest.mark.parametrize("engine, sub", sorted(_ACCEPTS))
-def test_engine_table_spec_matrix(engine, sub, spec, capsys):
-    argv = [sub, "--engine", engine, *_SPECS[spec], "--auto-interval", "--n", "4",
-            "--grid-n", "64"]
-    rc = main(argv)
-    captured = capsys.readouterr()
-    if spec in _ACCEPTS[(engine, sub)]:
+def _check_grid(rc, captured, refusal):
+    """Four finite rows when refusal is None; else exit 1 with one error line
+    that contains refusal ("" takes any reason)."""
+    if refusal is None:
         assert rc == 0, captured.err
         rows = _rows(captured.out)
         assert len(rows) == 4
@@ -327,3 +341,54 @@ def test_engine_table_spec_matrix(engine, sub, spec, capsys):
         assert rc == 1
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert refusal in captured.err
+
+
+@pytest.mark.parametrize("spec", sorted(_SPECS))
+@pytest.mark.parametrize("engine, sub", sorted(_ACCEPTS))
+def test_engine_table_spec_matrix(engine, sub, spec, capsys):
+    argv = [sub, "--engine", engine, *_SPECS[spec], "--auto-interval", "--n", "4",
+            "--grid-n", "64"]
+    rc = main(argv)
+    _check_grid(rc, capsys.readouterr(), None if spec in _ACCEPTS[(engine, sub)] else "")
+
+
+# one spec of each family of cli._FAMILIES; the explicit interval keeps clear of
+# x = 0, where a Cauchy denominator's ratio density is infinite
+_FAMILY = {
+    "normal": ["normal", "1", "0.5"],
+    "chisq": ["chisq", "5"],
+    "uniform": ["uniform", "1", "2"],
+    "cauchy": ["cauchy", "0.5", "1"],
+}
+_FAMILY_GRID = ["--interval", "0.5", "1.5", "--n", "4"]
+_NO_CF = "decays like 1/t"
+
+
+def test_family_specs_cover_every_family():
+    assert set(_FAMILY) == set(cli._FAMILIES)
+
+
+@pytest.mark.parametrize("den", sorted(_FAMILY))
+@pytest.mark.parametrize("num", sorted(_FAMILY))
+@pytest.mark.parametrize("engine, sub", [("mellin", "pdf"), ("mellin", "cdf"),
+                                         ("broda-kan", "pdf"), ("broda-kan", "cdf")])
+def test_engine_family_matrix_num_den(engine, sub, num, den, capsys):
+    # mellin takes every density; broda-kan every CF, and uniform has none
+    rc = main([sub, "--engine", engine, "--num", *_FAMILY[num], "--den", *_FAMILY[den],
+               *_FAMILY_GRID])
+    if engine == "mellin":
+        refusal = None if sub == "pdf" else "densities only"
+    else:
+        refusal = _NO_CF if "uniform" in (num, den) else None
+    _check_grid(rc, capsys.readouterr(), refusal)
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY))
+@pytest.mark.parametrize("sub", ["pdf", "cdf"])
+def test_engine_family_matrix_gil_pelaez(sub, family, capsys):
+    # chi-square(5)'s CF decays only like |t|^(-5/2) as it oscillates, and the
+    # plain DE rule does not converge on it: a capability gap, refused loudly
+    rc = main([sub, "--engine", "gil-pelaez", "--dist", *_FAMILY[family], *_FAMILY_GRID])
+    refusal = {"chisq": "no convergence", "uniform": _NO_CF}.get(family)
+    _check_grid(rc, capsys.readouterr(), refusal)

@@ -6,12 +6,18 @@ import warnings
 import numpy as np
 import pytest
 
-from ratiodist.errors import InvalidParamsError, SingularProductError
+from ratiodist.errors import (
+    AccuracyWarning,
+    InvalidParamsError,
+    NonConvergenceError,
+    SingularProductError,
+)
 from ratiodist.mellin import (
     Chebyshev,
     DensityFn,
     Direct,
     Support,
+    cauchy_density,
     chi_square_density,
     normal_density,
     product_pdf,
@@ -44,6 +50,8 @@ def test_support_validation():
         (chi_square_density, (-3.0,)),
         (uniform_density, (1.0, 1.0)),
         (uniform_density, (2.0, -2.0)),
+        (cauchy_density, (0.0, 0.0)),
+        (cauchy_density, (math.inf, 1.0)),
     ],
 )
 def test_density_factory_validation(factory, args):
@@ -63,7 +71,31 @@ def test_chi_square_density_values():
 @pytest.mark.parametrize("t", [0.0, 0.5, -1.0, 3.0])
 def test_standard_normal_ratio_is_cauchy(t):
     f = normal_density(0.0, 1.0)
-    assert math.isclose(ratio_pdf(f, f, t), 1.0 / (math.pi * (1.0 + t * t)), rel_tol=1e-12)
+    want = 1.0 / (math.pi * (1.0 + t * t))
+    assert math.isclose(ratio_pdf(f, f, t), want, rel_tol=1e-12)
+    assert math.isclose(cauchy_density(0.0, 1.0).f(np.array([t]))[0], want, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("z", [-3.0, -0.5, 0.2, 1.0, 1.3, 10.0])
+def test_cauchy_ratio_closed_form(z):
+    # Cauchy(0,1)/Cauchy(0,1) has density 2 ln|z| / (pi^2 (z^2 - 1)), 1/pi^2 at |z| = 1
+    c = cauchy_density(0.0, 1.0)
+    if abs(z) == 1.0:
+        want = 1.0 / math.pi**2
+    else:
+        want = 2.0 * math.log(abs(z)) / (math.pi**2 * (z * z - 1.0))
+    assert math.isclose(ratio_pdf(c, c, z), want, rel_tol=1e-12)
+
+
+def test_normal_over_cauchy():
+    # the reference of tests/test_cf.py::test_broda_kan_normal_over_cauchy; a 4e7-draw
+    # Monte Carlo gives 0.0366, 0.1946, 0.4242, 0.1229, 0.0192
+    f1, f2 = normal_density(1.0, 0.5), cauchy_density(0.5, 1.0)
+    got = ratio_pdf(f1, f2, np.array([-2.0, -0.4, 0.3, 1.5, 4.0]))
+    assert np.max(np.abs(got - [0.03660, 0.19461, 0.42421, 0.12294, 0.01916])) <= 5e-6
+    # f(0) = f1(0) E|X2| is infinite, and the quadrature says so
+    with pytest.raises(NonConvergenceError):
+        ratio_pdf(f1, f2, 0.0)
 
 
 def test_ratio_matches_closed_form_at_zero():
@@ -203,6 +235,24 @@ def test_chebyshev_accel_matches_direct():
     direct = ratio_pdf_grid(f1, f2, grid)
     cheb = ratio_pdf_grid(f1, f2, grid, accel=Chebyshev(257))
     assert np.max(np.abs(cheb - direct)) / direct.max() <= 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a fixed-degree Chebyshev interpolant of a non-smooth ratio density is silently off: "
+    "uniform(1,2)/uniform(1,2) on [0.3, 2.2] by 0.007 at a peak of 1.50 (kinks at 0.5, 1, 2), "
+    "N(1,0.5)/Cauchy(0.5,1) on [-2, 4.001] by 0.24 at a peak of 0.83 (log spike at 0)"))
+@pytest.mark.parametrize("f1, f2, lo, hi", [
+    (uniform_density(1.0, 2.0), uniform_density(1.0, 2.0), 0.3, 2.2),
+    (normal_density(1.0, 0.5), cauchy_density(0.5, 1.0), -2.0, 4.001),
+], ids=["uniform-uniform", "normal-cauchy"])
+def test_chebyshev_on_non_smooth_density_resolves_or_warns(f1, f2, lo, hi):
+    grid = np.linspace(lo, hi, 1000)
+    direct = ratio_pdf_grid(f1, f2, grid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cheb = ratio_pdf_grid(f1, f2, grid, accel=Chebyshev(257))
+    warned = any(issubclass(w.category, AccuracyWarning) for w in caught)
+    assert warned or np.max(np.abs(cheb - direct)) <= 1e-10 * direct.max()
 
 
 def test_ratio_interpolant_reusable():

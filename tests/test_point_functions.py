@@ -21,7 +21,7 @@ from ratiodist.cf import (
     product_joint_cf,
 )
 from ratiodist.errors import InvalidParamsError
-from ratiodist.mellin import normal_density, ratio_pdf
+from ratiodist.mellin import cauchy_density, normal_density, ratio_pdf
 from ratiodist.normal_ratio import (
     BivNormalParams,
     StdRatioParams,
@@ -42,6 +42,8 @@ _BK_GRID = auto_grid(*_BK_CFS, n=64)
 _CHI_CFS = (normal_cf(1.2, 1.0), chi_square_cf(5))  # read off the tabulated inner sum
 _CHI_GRID = auto_grid(*_CHI_CFS)
 _DENSITIES = (normal_density(1.5, 1.0), normal_density(1.0, 1.0))
+# a Cauchy numerator: finite at 0, where a Cauchy denominator's density is not
+_CAUCHY_DENSITIES = (cauchy_density(0.5, 1.0), normal_density(1.0, 1.0))
 
 FUNCTIONS = {
     "erf": erf,
@@ -61,6 +63,7 @@ FUNCTIONS = {
     "broda_kan_pdf_indep_chisq": lambda x: broda_kan_pdf_indep(*_CHI_CFS, x, _CHI_GRID),
     "broda_kan_cdf_chisq": lambda x: broda_kan_cdf(product_joint_cf(*_CHI_CFS), x, _CHI_GRID),
     "ratio_pdf": lambda x: ratio_pdf(*_DENSITIES, x),
+    "ratio_pdf_cauchy": lambda x: ratio_pdf(*_CAUCHY_DENSITIES, x),
 }
 
 # both sides of erf's switch at 1.2 and of the ratio densities' modes
