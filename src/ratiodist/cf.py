@@ -66,25 +66,24 @@ at twice the step checks the first.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import (
-    AccuracyWarning,
     GridError,
     IntegrandError,
     InvalidParamsError,
     RatioDistError,
     UndecayedCFError,
 )
-from .normal_ratio import BivNormalParams
+from .normal_ratio import BivNormalParams, ratio_practical_moments
 from .quadrature import QuadratureConfig, integrate_rows
 from .special import clamp_cdf, like, points
 
 _DECAY_THRESHOLD = 1e-14
+_H_MAX = 0.05  # auto_grid's largest lattice step
 _BLOCK_ROWS = 64  # t rows per block: 64 x 501 complex cells is ~0.5 MB, an L2's worth
 _MOMENT_H = 1e-3  # cf_moments' step: at 1e-4 rounding (~eps / h^2) swamps the eighth-order stencil
 _TABLE_P = 16  # barycentric Lagrange nodes per read of the tabulated inner sum H
@@ -107,7 +106,8 @@ class CharFn:
     check phi on an array.  decay_scale, when present, is a t beyond which
     |phi| stays below 1e-14; it lets auto_grid skip the numeric decay search.
     moments, when present, is the exact (mean, variance) of the law, which
-    six_sigma_interval and the CLI windows read instead of cf_moments.
+    six_sigma_interval reads instead of cf_moments; it is bit-equal to
+    DensityFn.moments of the family's density, which the CLI windows read.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -517,110 +517,79 @@ def cf_moments(cf: CharFn, h: float = _MOMENT_H) -> Tuple[float, float]:
     return mu, var
 
 
-def six_sigma_interval(
-    cf1: CharFn,
-    cf2: CharFn,
-    k: float = 6.0,
-    pdf_probe: Optional[Callable[[float], float]] = None,
-    max_doublings: int = 30,
-) -> Tuple[float, float]:
-    """Evaluation interval for X1/X2 from CF-based moments.
+def moment_window(m1: Tuple[float, float], m2: Tuple[float, float], k: float
+                  ) -> Tuple[float, float]:
+    """Evaluation interval for X1/X2 from the (mean, variance) of each factor.
 
-    Normally mean +/- k practical standard deviations of the ratio, in the
-    product form sigma^2 = (sigma1^2 + mean^2 sigma2^2) / mu2^2 which stays
-    finite when mu1 = 0.  When the denominator mean is indistinguishable
-    from 0 (|mu2| <= 1e-6 sigma2) the ratio mean is meaningless, so the
-    fallback takes the union of the constituents' k-sigma intervals and, if
-    a pdf_probe is supplied, doubles the half-width until the probed density
-    falls below 1e-10 at both ends (capped at max_doublings; heavy-tailed
-    ratios would otherwise extend without bound).  A CF that carries its
-    exact moments (CharFn.moments) gives them; any other goes through
-    cf_moments, which raises for a law without moments.
+    Normally mean +/- k practical standard deviations of the ratio, from
+    normal_ratio.ratio_practical_moments (Diaz-Frances and Rubio 2013).  When
+    the denominator mean is indistinguishable from 0 (|mu2| <= 1e-6 sd2) the
+    ratio mean is meaningless, so the window is the union of the factors'
+    k-sd intervals.
     """
     if k <= 0.0:
         raise InvalidParamsError(f"k must be positive, got {k!r}")
-    mu1, var1 = cf1.moments or cf_moments(cf1)
-    mu2, var2 = cf2.moments or cf_moments(cf2)
+    (mu1, var1), (mu2, var2) = m1, m2
     sd1, sd2 = math.sqrt(max(var1, 0.0)), math.sqrt(max(var2, 0.0))
     if abs(mu2) > 1e-6 * sd2:
-        mean = mu1 / mu2
-        sd = math.sqrt(var1 + mean * mean * var2) / abs(mu2)
-        return (mean - k * sd, mean + k * sd)
-    lo = min(mu1 - k * sd1, mu2 - k * sd2)
-    hi = max(mu1 + k * sd1, mu2 + k * sd2)
-    if pdf_probe is not None:
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        for _ in range(max_doublings):
-            if pdf_probe(mid - half) < 1e-10 and pdf_probe(mid + half) < 1e-10:
-                break
-            half *= 2.0
-        else:
-            warnings.warn(
-                "interval extension hit the doubling cap before the density "
-                "fell below 1e-10; endpoints may sit in a heavy tail",
-                AccuracyWarning,
-                stacklevel=2,
-            )
-        lo, hi = mid - half, mid + half
-    return lo, hi
+        m = ratio_practical_moments(mu1, sd1, mu2, sd2)
+        return (m.mean - k * m.sd, m.mean + k * m.sd)
+    return (min(mu1 - k * sd1, mu2 - k * sd2), max(mu1 + k * sd1, mu2 + k * sd2))
 
 
-def cf_decay_range(cf: CharFn, threshold: float = _DECAY_THRESHOLD) -> float:
-    """Smallest t found with |phi(t)| < threshold, by scan plus bisection.
+def six_sigma_interval(cf1: CharFn, cf2: CharFn, k: float = 6.0) -> Tuple[float, float]:
+    """moment_window of two CFs: the exact moments a CF carries
+    (CharFn.moments), or else cf_moments, which raises for a law without
+    moments."""
+    return moment_window(cf1.moments or cf_moments(cf1), cf2.moments or cf_moments(cf2), k)
 
-    Uses the closed-form decay_scale when the CF carries one and the
-    threshold is the standard 1e-14.  Raises UndecayedCFError when |phi|
-    still exceeds the threshold at t = 1e6; such a CF needs an explicit
-    grid.  The search assumes the modulus envelope decays monotonically,
-    which holds for the smooth CFs used here.
+
+def cf_decay_range(cf: CharFn) -> float:
+    """Smallest t found with |phi(t)| < 1e-14, by scan plus bisection.
+
+    Uses the closed-form decay_scale when the CF carries one.  Raises
+    UndecayedCFError when |phi| still exceeds 1e-14 at t = 1e6; such a CF
+    needs an explicit grid.  The search assumes the modulus envelope decays
+    monotonically, which holds for the smooth CFs used here.
     """
-    if not (0.0 < threshold < 1.0):
-        raise InvalidParamsError(f"threshold must lie in (0, 1), got {threshold!r}")
-    if cf.decay_scale is not None and threshold == _DECAY_THRESHOLD:
+    if cf.decay_scale is not None:
         return cf.decay_scale
     ts = np.geomspace(1e-3, 1e6, 200)
-    below = np.abs(cf.phi(ts)) < threshold
+    below = np.abs(cf.phi(ts)) < _DECAY_THRESHOLD
     if not below.any():
         raise UndecayedCFError(
-            f"|phi| did not fall below {threshold!r} up to t = 1e6 for "
+            f"|phi| did not fall below {_DECAY_THRESHOLD!r} up to t = 1e6 for "
             f"{cf.label or 'this CF'}; supply an explicit Grid2DConfig"
         )
     i = int(np.argmax(below))
     lo, hi = (float(ts[i - 1]) if i else 0.0), float(ts[i])
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if abs(cf.phi(np.array([mid]))[0]) < threshold:
+        if abs(cf.phi(np.array([mid]))[0]) < _DECAY_THRESHOLD:
             hi = mid
         else:
             lo = mid
     return hi
 
 
-def auto_grid(
-    cf1: CharFn,
-    cf2: CharFn,
-    n: int = 500,
-    h_max: float = 0.05,
-) -> Grid2DConfig:
+def auto_grid(cf1: CharFn, cf2: CharFn, n: int = 500) -> Grid2DConfig:
     """Grid2DConfig sized from the decay ranges of the two CFs.
 
     The inner range T_1 is where |phi_1| falls below 1e-14.  The outer
     range must cover the second factor's argument +-t2 - x*t1, whose mass
     sits on a diagonal strip offset by up to the whole inner range, so
-    T_2 adds the two decay ranges.  Both are capped at h_max * n so that
-    the step h_i = T_i / n never exceeds h_max: slowly decaying CFs
+    T_2 adds the two decay ranges.  Both are capped at _H_MAX * n so that
+    the step h_i = T_i / n never exceeds _H_MAX = 0.05: slowly decaying CFs
     (chi-square tails shrink only polynomially) would otherwise produce
     steps far too coarse for the oscillatory integrand, and beyond the
     cap the 1/t2 factor has already suppressed the truncated tail.
     """
     if n < 1 or int(n) != n:
         raise GridError(f"n must be a positive integer, got {n!r}")
-    if h_max <= 0.0:
-        raise GridError(f"h_max must be positive, got {h_max!r}")
     _check_cf(cf1)
     _check_cf(cf2)
     d1 = cf_decay_range(cf1)
     d2 = cf_decay_range(cf2)
-    t1 = min(d1, h_max * n)
-    t2 = min(d1 + d2, h_max * n)
+    t1 = min(d1, _H_MAX * n)
+    t2 = min(d1 + d2, _H_MAX * n)
     return Grid2DConfig(N=int(n), h1=t1 / n, h2=t2 / n)

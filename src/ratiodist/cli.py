@@ -15,12 +15,15 @@ Engines live in one table, ENGINES, keyed by the --engine id: analytic
 (closed forms), mellin (DE Mellin convolution, densities only), broda-kan
 (2D CF inversion) and gil-pelaez (1D CF inversion).  Each entry states the
 spec kinds it takes and holds a pdf factory, a cdf factory (none for mellin)
-and the --auto-interval window.  A factory reads a RunConfig, does the
-one-time work (densities, CFs, auto_grid, the Chebyshev build) and returns a
-zero-argument evaluator for the whole grid; the bench times the same
-entries.  Every subcommand computes its whole output first and then writes
-it once.  Bad specs, bad settings and engine errors exit with status 1 and a
-one-line diagnostic on stderr.
+and the default k of a normal spec's --auto-interval window.  A factory
+reads a RunConfig, does the one-time work (densities, CFs, auto_grid, the
+Chebyshev build) and returns a zero-argument evaluator for the whole grid;
+the bench times the same entries.  Every engine's --auto-interval window is
+mean +/- k practical sd (cf.moment_window) from the exact (mean, variance) of
+the factors: a normal spec's parameters or each factor's DensityFn.moments;
+Cauchy has none.  Every subcommand computes its whole output first and then
+writes it once.  Bad specs, bad settings and engine errors exit with status
+1 and a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -45,13 +48,12 @@ from .cf import (
     broda_kan_cdf,
     broda_kan_pdf_joint,
     cauchy_cf,
-    cf_moments,
     chi_square_cf,
     gil_pelaez_cdf,
     gil_pelaez_pdf,
+    moment_window,
     normal_cf,
     product_joint_cf,
-    six_sigma_interval,
 )
 from .errors import RatioDistError, InvalidParamsError
 from .mellin import (
@@ -153,7 +155,7 @@ def _factor(spec: List[str], form: int):
         raise InvalidParamsError(f"spec {spec!r} holds a value that is not a number") from None
     if family[form] is None:
         raise InvalidParamsError(f"{spec[0]} has no CF here: it decays like 1/t, too slowly for "
-                                 "the CF engines and windows; mellin takes it with --interval")
+                                 "the CF engines; mellin takes it")
     return globals()[family[form]](*args)
 
 
@@ -165,23 +167,23 @@ def _factors(spec: Spec, form: int) -> Tuple:
     return normal(p.mu1, p.sigma1), normal(p.mu2, p.sigma2)
 
 
-def _moment_window(cfg: RunConfig) -> Tuple[float, float]:
-    """--auto-interval from normal moments, k = 2 by default; densities carry
-    no moments, so a --num/--den spec takes the CF window."""
-    if cfg.spec.kind != "normal":
-        return _cf_window(cfg)
-    return evaluation_interval(cfg.spec.value, 2.0 if cfg.k is None else cfg.k)
-
-
-def _cf_window(cfg: RunConfig) -> Tuple[float, float]:
-    """--auto-interval from CF moments, k = 6 by default."""
-    k = 6.0 if cfg.k is None else cfg.k
-    if cfg.spec.kind == "dist":
-        cf = _factor(cfg.spec.value, _CF)
-        mu, var = cf.moments or cf_moments(cf)
-        sd = math.sqrt(var)
+def _window(cfg: RunConfig) -> Tuple[float, float]:
+    """--auto-interval from the factors' exact moments; k defaults to the
+    engine's normal_k for a normal spec and to 6 for any other."""
+    if cfg.spec.kind == "normal":
+        p, k = cfg.spec.value, ENGINES[cfg.engine].normal_k
+        moments = [(p.mu1, p.sigma1 * p.sigma1), (p.mu2, p.sigma2 * p.sigma2)]
+    else:
+        k, specs = 6.0, cfg.spec.value if cfg.spec.kind == "num-den" else [cfg.spec.value]
+        moments = [_factor(s, _DENSITY).moments for s in specs]
+        if None in moments:
+            family = specs[moments.index(None)][0]
+            raise InvalidParamsError(f"{family} has no mean or variance; pass --interval")
+    k = k if cfg.k is None else cfg.k
+    if len(moments) == 1:  # --dist
+        mu, sd = moments[0][0], math.sqrt(moments[0][1])
         return (mu - k * sd, mu + k * sd)
-    return six_sigma_interval(*_factors(cfg.spec, _CF), k)
+    return moment_window(*moments, k)
 
 
 # A grid factory does the one-time work and returns an evaluator for the whole
@@ -207,7 +209,7 @@ def _mellin_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
         )
     f1, f2 = _factors(cfg.spec, _DENSITY)
     qcfg = QuadratureConfig(rel_tol=cfg.rel_tol)
-    if cfg.cheb_nodes and xs.size > 1:  # one point spans no interval to interpolate on
+    if cfg.cheb_nodes is not None and xs.size > 1:  # one point spans no interval to interpolate on
         interp = ratio_interpolant(f1, f2, float(xs[0]), float(xs[-1]), cfg.cheb_nodes, qcfg)
         return lambda: cheb_eval_many(interp, xs)
     return lambda: ratio_pdf_grid(f1, f2, xs, qcfg)
@@ -246,22 +248,22 @@ def _gil_pelaez_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
 
 
 class Engine(NamedTuple):
-    """One --engine id: the spec kinds it takes, its grid factories and its
-    --auto-interval window."""
+    """One --engine id: the spec kinds it takes, its grid factories and the
+    default k of a normal spec's --auto-interval window."""
 
     takes: FrozenSet[str]
     pdf: Factory
     cdf: Optional[Factory]
-    window: Callable[[RunConfig], Tuple[float, float]]
+    normal_k: float
 
 
 _TWO_FACTORS = frozenset({"normal", "num-den"})
 
 ENGINES: Dict[str, Engine] = {
-    "analytic": Engine(frozenset({"normal"}), _analytic_pdf, _analytic_cdf, _moment_window),
-    "mellin": Engine(_TWO_FACTORS, _mellin_pdf, None, _moment_window),
-    "broda-kan": Engine(_TWO_FACTORS, _broda_kan_pdf, _broda_kan_cdf, _cf_window),
-    "gil-pelaez": Engine(frozenset({"dist"}), _gil_pelaez_pdf, _gil_pelaez_cdf, _cf_window),
+    "analytic": Engine(frozenset({"normal"}), _analytic_pdf, _analytic_cdf, 2.0),
+    "mellin": Engine(_TWO_FACTORS, _mellin_pdf, None, 2.0),
+    "broda-kan": Engine(_TWO_FACTORS, _broda_kan_pdf, _broda_kan_cdf, 6.0),
+    "gil-pelaez": Engine(frozenset({"dist"}), _gil_pelaez_pdf, _gil_pelaez_cdf, 6.0),
 }
 
 
@@ -283,15 +285,14 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
 
 def _choose_interval(cfg: RunConfig, interval: Optional[List[float]], auto: bool
                      ) -> Tuple[float, float]:
-    """Explicit --interval wins; otherwise the engine's auto window."""
-    if interval is not None:
-        lo, hi = interval
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise InvalidParamsError(f"interval must be finite with lo < hi, got ({lo!r}, {hi!r})")
-        return lo, hi
-    if not auto:
+    """Explicit --interval wins; otherwise the auto window.  Either must be
+    finite with lo < hi (a huge --k overflows the auto window)."""
+    if interval is None and not auto:
         raise InvalidParamsError("pass --interval LO HI or --auto-interval")
-    return ENGINES[cfg.engine].window(cfg)
+    lo, hi = interval if interval is not None else _window(cfg)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise InvalidParamsError(f"interval must be finite with lo < hi, got ({lo!r}, {hi!r})")
+    return lo, hi
 
 
 def _write(path: str, text: str) -> None:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -90,11 +90,15 @@ class DensityFn:
     f maps a NumPy array of points (any shape) to the density values, same
     shape; the quadrature evaluates it on whole arrays of nodes.  It is
     checked once, on a one-element array at a point inside the support.
+    moments, when present, is the exact (mean, variance) of the law, bit-equal
+    to CharFn.moments of the family's CF; the CLI sizes every --auto-interval
+    window from it.  A law without them (Cauchy) leaves it None.
     """
 
     f: Density
     support: Support
     label: str = ""
+    moments: Optional[Tuple[float, float]] = None
 
     def __post_init__(self) -> None:
         name = self.label or "density"
@@ -134,7 +138,7 @@ def normal_density(mu: float = 0.0, sigma: float = 1.0) -> DensityFn:
         z = (x - mu) * inv
         return norm * np.exp(-0.5 * z * z)
 
-    return DensityFn(f, Support.real_line(), f"normal({mu}, {sigma})")
+    return DensityFn(f, Support.real_line(), f"normal({mu}, {sigma})", (mu, sigma * sigma))
 
 
 def chi_square_density(k: float) -> DensityFn:
@@ -151,7 +155,7 @@ def chi_square_density(k: float) -> DensityFn:
         v = np.exp((half_k - 1.0) * np.log(y) - 0.5 * y - log_norm)
         return np.where(inside, v, np.where(x == 0.0, at_zero, 0.0))
 
-    return DensityFn(f, Support.half_line(0.0), f"chisq({k})")
+    return DensityFn(f, Support.half_line(0.0), f"chisq({k})", (float(k), 2.0 * k))
 
 
 def uniform_density(lo: float = 0.0, hi: float = 1.0) -> DensityFn:
@@ -162,7 +166,8 @@ def uniform_density(lo: float = 0.0, hi: float = 1.0) -> DensityFn:
     def f(x):
         return np.where((x >= lo) & (x <= hi), height, 0.0)
 
-    return DensityFn(f, Support.finite(lo, hi), f"uniform({lo}, {hi})")
+    return DensityFn(f, Support.finite(lo, hi), f"uniform({lo}, {hi})",
+                     (0.5 * (lo + hi), (hi - lo) ** 2 / 12.0))
 
 
 def cauchy_density(x0: float = 0.0, gamma: float = 1.0) -> DensityFn:

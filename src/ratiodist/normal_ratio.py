@@ -45,6 +45,7 @@ from .special import SQRT_HALF_PI, INV_SQRT_2, clamp_cdf, erf, like, points, std
 MODALITY_A0 = 2.256058904
 
 _MODALITY_COEFFS = (18.621, -63.411, 84.041, -54.668, 17.716, -2.2986)
+_MODE_FLOOR = 1e-12  # the lowest peak density classify_modality(practical=True) counts
 
 
 class Modality(str, Enum):
@@ -297,7 +298,7 @@ def modality_curve(a: float) -> float:
     return num / (MODALITY_A0 - a)
 
 
-def _count_visible_modes(sr: StdRatioParams, floor: float) -> int:
+def _count_visible_modes(sr: StdRatioParams) -> int:
     # scan in theta = arctan(t); the compactified axis covers both tails
     theta = np.linspace(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, 16385)
     # four chunks keep the temporaries of one std_ratio_pdf call small
@@ -307,14 +308,10 @@ def _count_visible_modes(sr: StdRatioParams, floor: float) -> int:
     d = d[np.maximum.accumulate(np.where(d != 0.0, np.arange(d.size), 0))]
     flips = np.nonzero((d[:-1] > 0) & (d[1:] < 0))[0]
     peaks = f[flips + 1]
-    return int(np.count_nonzero(peaks >= floor))
+    return int(np.count_nonzero(peaks >= _MODE_FLOOR))
 
 
-def classify_modality(
-    sr: StdRatioParams,
-    practical: bool = True,
-    mode_floor: float = 1e-12,
-) -> Modality:
+def classify_modality(sr: StdRatioParams, practical: bool = True) -> Modality:
     """Shape of the canonical ratio density: one mode or two.
 
     The theoretical verdict is Marsaglia's rule of thumb: unimodal for
@@ -322,9 +319,10 @@ def classify_modality(
     critical curve in between (ties go to unimodal).
 
     With practical=True (default) a theoretical second mode is ignored when
-    its peak density falls below mode_floor: at Hake-like parameters such as
-    (a, b) = (5, 25) the minor mode is far below anything observable, and
-    reporting it would mislead users of the classification.
+    its peak density falls below _MODE_FLOOR = 1e-12: at Hake-like
+    parameters such as (a, b) = (5, 25) the minor mode is far below
+    anything observable, and reporting it would mislead users of the
+    classification.
     """
     a, b = sr.a, sr.b
     if a <= 1.0:
@@ -335,7 +333,7 @@ def classify_modality(
         critical = modality_curve(a)
         verdict = Modality.BIMODAL if b < critical else Modality.UNIMODAL
     if verdict is Modality.BIMODAL and practical:
-        if _count_visible_modes(sr, mode_floor) < 2:
+        if _count_visible_modes(sr) < 2:
             return Modality.UNIMODAL
     return verdict
 

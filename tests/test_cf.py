@@ -288,23 +288,12 @@ def test_six_sigma_interval_zero_mean_fallback():
     assert math.isclose(hi, 7.5, rel_tol=1e-6)
 
 
-def test_six_sigma_interval_probe_extension():
-    n15, n0 = normal_cf(1.5, 1.0), normal_cf(0.0, 1.0)
-    cauchy_pdf = lambda x: 1.0 / (math.pi * (1.0 + x * x))
-    lo, hi = six_sigma_interval(n15, n0, pdf_probe=cauchy_pdf)
-    assert cauchy_pdf(lo) < 1e-10 and cauchy_pdf(hi) < 1e-10
-    with pytest.warns(AccuracyWarning):
-        six_sigma_interval(n15, n0, pdf_probe=cauchy_pdf, max_doublings=2)
-
-
 def test_cf_decay_range():
     # exp(-t^2/2) crosses 1e-14 at sqrt(2 ln 1e14)
     got = cf_decay_range(normal_cf(0.0, 1.0))
     assert math.isclose(got, 8.029469634031459, rel_tol=1e-12)
     with pytest.raises(UndecayedCFError):
         cf_decay_range(CharFn(lambda t: 1.0 + 0.0j))  # point mass at 0
-    with pytest.raises(InvalidParamsError):
-        cf_decay_range(normal_cf(0.0, 1.0), threshold=1.5)
 
 
 def test_auto_grid_ranges():
@@ -317,8 +306,6 @@ def test_auto_grid_ranges():
     assert math.isclose(capped.h1, 0.05, rel_tol=1e-12)
     with pytest.raises(GridError):
         auto_grid(normal_cf(0.0, 1.0), normal_cf(0.0, 1.0), n=0)
-    with pytest.raises(GridError):
-        auto_grid(normal_cf(0.0, 1.0), normal_cf(0.0, 1.0), h_max=0.0)
 
 
 @pytest.mark.parametrize("kwargs", [{"N": 0}, {"h1": -1.0}, {"h2": 0.0}, {"h1": math.inf}])

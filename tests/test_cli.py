@@ -3,14 +3,25 @@
 import csv
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from ratiodist import bench, cli
 from ratiodist.cli import main
-from ratiodist.normal_ratio import StdRatioParams, evaluation_interval, std_ratio_cdf, std_ratio_pdf
+from ratiodist.normal_ratio import (
+    BivNormalParams,
+    HakeInputs,
+    StdRatioParams,
+    evaluation_interval,
+    hake_params,
+    std_ratio_cdf,
+    std_ratio_pdf,
+)
 
 
 def _rows(text):
@@ -217,6 +228,13 @@ _HAKE = ["40", "65", "15", "18", "0.5", "50"]
         ["pdf", "--std-ratio", "1.5", "1", "--interval", "0", "1", "--n", "-3"],
         ["pdf", "--std-ratio", "1.5", "1", "--auto-interval", "--k", "0"],
         ["interval", "--engine", "broda-kan", "--std-ratio", "1.5", "1", "--k", "-1"],
+        # the auto window must be finite, as --interval must
+        ["interval", "--std-ratio", "1.5", "1", "--k", "1e308"],
+        ["pdf", "--engine", "analytic", "--std-ratio", "1.5", "1", "--auto-interval",
+         "--k", "1e308", "--n", "3"],
+        # --cheb-nodes 0 is a bad node count, not "not given"
+        ["pdf", "--engine", "mellin", "--std-ratio", "1.5", "1", "--interval", "0", "1",
+         "--n", "3", "--cheb-nodes", "0"],
         # interval refuses a spec its engine does not take
         ["interval", "--engine", "gil-pelaez", "--std-ratio", "1.5", "1"],
         ["interval", "--engine", "analytic", "--num", "normal", "1", "1", "--den", "chisq", "5"],
@@ -278,7 +296,7 @@ def test_interval_broda_kan_hake(capsys):
 
 
 def test_interval_num_den_same_window_on_mellin_and_broda_kan(capsys):
-    # densities carry no moments: mellin takes the CF window, k = 6
+    # both engines size it from the factors' DensityFn.moments, k = 6
     spec = ["--num", "normal", "1", "1", "--den", "chisq", "5"]
     windows = []
     for engine in ("mellin", "broda-kan"):
@@ -287,11 +305,69 @@ def test_interval_num_den_same_window_on_mellin_and_broda_kan(capsys):
     assert windows[0] == windows[1]
 
 
+_NORMAL_SPECS = [
+    (["--std-ratio", "1.5", "1"], BivNormalParams(1.5, 1.0, 1.0, 1.0, 0.0)),
+    (["--biv", "25", "60", "2.4", "2.1", "0.3"], BivNormalParams(25.0, 60.0, 2.4, 2.1, 0.3)),
+    (["--biv", "0.3", "2", "0.05", "0.1", "0"], BivNormalParams(0.3, 2.0, 0.05, 0.1, 0.0)),
+    (["--biv", "-3", "-7", "0.7", "1.3", "-0.2"], BivNormalParams(-3.0, -7.0, 0.7, 1.3, -0.2)),
+    (["--hake", *_HAKE], hake_params(HakeInputs(40.0, 65.0, 15.0, 18.0, 0.5, 50.0))),
+    (["--hake", "40.9095", "63.8842", "18.9856", "15.5006", "0.474003", "60"],
+     hake_params(HakeInputs(40.9095, 63.8842, 18.9856, 15.5006, 0.474003, 60.0))),
+]
+
+
+@pytest.mark.parametrize("k", [None, 3.7])
+@pytest.mark.parametrize("spec, params", _NORMAL_SPECS)
+@pytest.mark.parametrize("engine", ["analytic", "mellin"])
+def test_interval_normal_spec_equals_evaluation_interval(engine, spec, params, k, capsys):
+    # the factors' moments through moment_window give evaluation_interval bit for bit
+    given = [] if k is None else ["--k", str(k)]
+    assert main(["interval", "--engine", engine, *spec, *given]) == 0
+    lo, hi = evaluation_interval(params, 2.0 if k is None else k)
+    assert capsys.readouterr().out == f"{lo:.17g},{hi:.17g}\n"
+
+
+@pytest.mark.parametrize("engine", ["analytic", "mellin"])
+def test_interval_zero_denominator_mean_takes_union_window(engine, capsys):
+    # mu2 = 0 has no practical moments: the union of N(1,1) and N(0,1) +/- 2 sd
+    assert main(["interval", "--engine", engine, "--std-ratio", "1", "0"]) == 0
+    assert capsys.readouterr().out == "-2,3\n"
+
+
+def test_mellin_auto_interval_uniform_ratio(capsys):
+    # U(1,2)/U(1,2) lies in [0.5, 2]; its window is 1 +/- 6 sd, practical variance 2/27
+    rc = main(["pdf", "--engine", "mellin", "--num", "uniform", "1", "2", "--den", "uniform", "1",
+               "2", "--auto-interval", "--n", "5"])
+    assert rc == 0
+    rows = _rows(capsys.readouterr().out)
+    half = 6.0 * math.sqrt(2.0 / 27.0)
+    assert math.isclose(rows[0][0], 1.0 - half, rel_tol=1e-15)
+    assert math.isclose(rows[-1][0], 1.0 + half, rel_tol=1e-15)
+    assert rows[0][0] < 0.5 and rows[-1][0] > 2.0
+    assert rows[0][1] == 0.0 and rows[-1][1] == 0.0
+    assert rows[2][0] == 1.0 and math.isclose(rows[2][1], 1.5, rel_tol=1e-12)
+
+
 def test_interval_gil_pelaez_normal_reads_exact_moments(capsys):
     # the CF's own moments, not the h = 1e-4 stencil (off by 3.7e-6 of the width)
     assert main(["interval", "--engine", "gil-pelaez", "--dist", "normal", "0.3", "0.05"]) == 0
     lo, hi = (float(v) for v in capsys.readouterr().out.strip().split(","))
     assert abs(lo - 0.0) <= 1e-15 and abs(hi - 0.6) <= 1e-15
+
+
+def _readme_commands():
+    """The ratiodist lines of the README's sh blocks, bench aside."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    return [shlex.split(ln)[1:] for block in blocks for ln in block.splitlines()
+            if ln.startswith("ratiodist ") and not ln.startswith("ratiodist bench")]
+
+
+def test_readme_examples_run(capsys):
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
 
 
 def test_gil_pelaez_far_tail_converges(capsys):

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ratiodist.cf import chi_square_cf, normal_cf
 from ratiodist.errors import (
     AccuracyWarning,
     InvalidParamsError,
@@ -290,6 +291,24 @@ def test_density_must_map_arrays_to_arrays():
     DensityFn(lambda x: probes.append(x) or np.ones_like(x), Support.half_line(2.0))
     assert len(probes) == 1 and probes[0].dtype == np.float64
     assert probes[0].shape == (1,) and probes[0][0] > 2.0
+
+
+@pytest.mark.parametrize("density, cf", [
+    (normal_density(0.3, 0.05), normal_cf(0.3, 0.05)),
+    (normal_density(-2.0, 1.7), normal_cf(-2.0, 1.7)),
+    (chi_square_density(5.0), chi_square_cf(5)),
+    (chi_square_density(1.0), chi_square_cf(1)),
+])
+def test_density_moments_equal_cf_moments(density, cf):
+    # the CLI windows read DensityFn.moments, six_sigma_interval CharFn.moments
+    assert density.moments == cf.moments
+
+
+def test_density_moments_closed_forms():
+    assert uniform_density(1.0, 2.0).moments == (1.5, 1.0 / 12.0)
+    assert uniform_density(-1.0, 3.0).moments == (1.0, 16.0 / 12.0)
+    assert chi_square_density(2.5).moments == (2.5, 5.0)
+    assert cauchy_density(0.5, 1.0).moments is None  # the Cauchy law has no mean
 
 
 def _grid_with_zero(lo, hi, n):
