@@ -527,10 +527,17 @@ def moment_window(m1: Tuple[float, float], m2: Tuple[float, float], k: float
     ratio mean is meaningless, so the window is the union of the factors'
     k-sd intervals.
     """
+    (mu1, var1), (mu2, var2) = m1, m2
+    return sd_window((mu1, math.sqrt(max(var1, 0.0))), (mu2, math.sqrt(max(var2, 0.0))), k)
+
+
+def sd_window(m1: Tuple[float, float], m2: Tuple[float, float], k: float
+              ) -> Tuple[float, float]:
+    """moment_window from the (mean, sd) of each factor, for callers that hold
+    the sds: an sd below about 1.5e-154 squares to a variance of 0."""
     if k <= 0.0:
         raise InvalidParamsError(f"k must be positive, got {k!r}")
-    (mu1, var1), (mu2, var2) = m1, m2
-    sd1, sd2 = math.sqrt(max(var1, 0.0)), math.sqrt(max(var2, 0.0))
+    (mu1, sd1), (mu2, sd2) = m1, m2
     if abs(mu2) > 1e-6 * sd2:
         m = ratio_practical_moments(mu1, sd1, mu2, sd2)
         return (m.mean - k * m.sd, m.mean + k * m.sd)

@@ -19,8 +19,8 @@ and the default k of a normal spec's --auto-interval window.  A factory
 reads a RunConfig, does the one-time work (densities, CFs, auto_grid, the
 Chebyshev build) and returns a zero-argument evaluator for the whole grid;
 the bench times the same entries.  Every engine's --auto-interval window is
-mean +/- k practical sd (cf.moment_window) from the exact (mean, variance) of
-the factors: a normal spec's parameters or each factor's DensityFn.moments;
+mean +/- k practical sd (cf.sd_window) from the exact mean and sd of the
+factors: a normal spec's parameters or each factor's DensityFn.moments;
 Cauchy has none.  Every subcommand computes its whole output first and then
 writes it once.  Bad specs, bad settings and engine errors exit with status
 1 and a one-line diagnostic on stderr.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -51,9 +52,9 @@ from .cf import (
     chi_square_cf,
     gil_pelaez_cdf,
     gil_pelaez_pdf,
-    moment_window,
     normal_cf,
     product_joint_cf,
+    sd_window,
 )
 from .errors import RatioDistError, InvalidParamsError
 from .mellin import (
@@ -171,19 +172,21 @@ def _window(cfg: RunConfig) -> Tuple[float, float]:
     """--auto-interval from the factors' exact moments; k defaults to the
     engine's normal_k for a normal spec and to 6 for any other."""
     if cfg.spec.kind == "normal":
+        # the sds as given: sigma^2 underflows to 0 below about 1.5e-154
         p, k = cfg.spec.value, ENGINES[cfg.engine].normal_k
-        moments = [(p.mu1, p.sigma1 * p.sigma1), (p.mu2, p.sigma2 * p.sigma2)]
+        sds = [(p.mu1, p.sigma1), (p.mu2, p.sigma2)]
     else:
         k, specs = 6.0, cfg.spec.value if cfg.spec.kind == "num-den" else [cfg.spec.value]
         moments = [_factor(s, _DENSITY).moments for s in specs]
         if None in moments:
             family = specs[moments.index(None)][0]
             raise InvalidParamsError(f"{family} has no mean or variance; pass --interval")
+        sds = [(mu, math.sqrt(var)) for mu, var in moments]
     k = k if cfg.k is None else cfg.k
-    if len(moments) == 1:  # --dist
-        mu, sd = moments[0][0], math.sqrt(moments[0][1])
+    if len(sds) == 1:  # --dist
+        mu, sd = sds[0]
         return (mu - k * sd, mu + k * sd)
-    return moment_window(*moments, k)
+    return sd_window(*sds, k)
 
 
 # A grid factory does the one-time work and returns an evaluator for the whole
@@ -394,7 +397,11 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="-")
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built once per process on first use.  Parsing
+    leaves it as it was: no default is ever written to (--method's append
+    action copies its list, and nothing appends to --rel-tol's)."""
     parser = argparse.ArgumentParser(
         prog="ratiodist", description="Ratio-distribution engines: PDF, CDF, modality, benchmarks."
     )
@@ -432,8 +439,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_bench.add_argument("--grid-n", type=int, default=500)
     p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
     p_bench.add_argument("--out", default="-")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     handlers = {
         "pdf": cmd_grid,
         "cdf": cmd_grid,

@@ -19,9 +19,19 @@ q^2/2 - (a^2+b^2)/2 is -r^2/2: never positive, so the density evaluates
 without overflow for arbitrarily large a and b, and formed without the
 cancellation of two large terms.
 
+The CDF is a closed form too, with no quadrature: T <= t exactly when
+V1 - t V2 and -V2 fall on the same side of their thresholds, so (Hinkley
+1969), with s = hypot(1, t) and h = (t b - a)/s,
+
+    F_T(t) = Phi2(h, b; t/s) + Phi2(-h, -b; t/s),
+
+two bivariate normal probabilities (special.bvn_cdf, after Genz 2004).  The
+tail beyond the centre a/b is evaluated as the other orientation's lower
+tail, so neither tail loses its small values to 1 - F.
+
 The densities and CDFs take a float (giving a float) or a NumPy array of
 points (giving an array of its shape); the densities vanish at +/-inf, and
-a CDF grid is one batch of the DE sweep, each point's tail a row.
+the CDFs reach exactly 0 and 1 there.
 
 Also included: Marsaglia's (2006) modality rule of thumb, the practical
 moments and normal approximation of Diaz-Frances and Rubio (2013), and the
@@ -33,13 +43,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from .errors import InvalidParamsError
-from .quadrature import QuadratureConfig, integrate_rows
-from .special import SQRT_HALF_PI, INV_SQRT_2, clamp_cdf, erf, like, points, std_normal_cdf
+from .special import SQRT_HALF_PI, INV_SQRT_2, bvn_cdf, clamp_cdf, erf, like, points, std_normal_cdf
 
 # Marsaglia's bimodality onset: for a >= A0 the density has two modes for every b
 MODALITY_A0 = 2.256058904
@@ -222,42 +231,74 @@ def ratio_pdf_hinkley(p: BivNormalParams, w):
     return like(w, np.where(inf, 0.0, (first + second) * im * im))
 
 
-_CDF_CFG = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-14)
+# past |t| = 1e17 the CDF takes Phi2 at its limit |rho| = 1: the strip of
+# width sqrt(1 - rho^2) = 1/s that the limit drops holds less than 1e-17
+_RHO_LIMIT_T = 1e17
+# below this, a factor splits into 27-bit halves without overflow
+_SPLIT_MAX = 1e150
 
 
-def std_ratio_cdf(
-    sr: StdRatioParams,
-    t,
-    cfg: Optional[QuadratureConfig] = None,
-):
-    """CDF of T at t by adaptive integration of the closed-form density.
+def _product_error(x, y, p):
+    """x y - p exactly, for p the rounded product x y (Dekker 1971)."""
+    def halves(v):
+        hi = v * 134217729.0  # 2^27 + 1
+        hi = hi - (hi - v)
+        return hi, v - hi
 
-    The tail on the far side of the practical center is integrated, which
-    keeps the quadrature short and the result accurate near both 0 and 1.
+    (xh, xl), (yh, yl) = halves(x), halves(y)
+    return ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+
+
+def _cdf(a: float, b: float, t: np.ndarray) -> np.ndarray:
+    """F_T(t) for T = (a + V1)/(b + V2), a of either sign, b >= 0, t a float array.
+
+    Hinkley (1969): with s = hypot(1, t), T <= t exactly when U = (V1 - t V2)/s
+    and -V2 lie on the same side of h = (t b - a)/s and of b, and
+    corr(U, -V2) = t/s, so F_T(t) = Phi2(h, b; t/s) + Phi2(-h, -b; t/s); both
+    terms go to one bvn_cdf call.  A point right of the centre a/b takes the
+    upper tail, P(T > t) = F at (-a, -t), so that neither tail is a
+    difference from 1.  bvn_cdf gets sqrt(1 - rho^2) as 1/s, exact where
+    t/s has rounded to +/-1 (|t| past ~1e8).
     """
-    cfg = cfg or _CDF_CFG
+    flat = t.ravel()
+    n = flat.shape[0]
+    upper = flat > (a / b if b > 0.0 else 0.0)
+    sign = np.where(upper, -1.0, 1.0)
+    u = sign * flat  # never +inf; -inf is the tail's limit 0
+    at_inf = np.isinf(u)
+    u = np.where(at_inf, 0.0, u)
+    s = np.hypot(1.0, u)
+    rho, rho_c = u / s, np.where(np.abs(u) < _RHO_LIMIT_T, 1.0 / s, 0.0)
+    sa = sign * a
+    # near the centre t b - a cancels: form it with the product's rounding
+    # error, where the 27-bit halves of that product cannot overflow
+    exact = (np.abs(u) < _SPLIT_MAX) & (b < _SPLIT_MAX)
+    ue = np.where(exact, u, 0.0)
+    prod = ue * b
+    h = np.where(exact, ((prod - sa) + _product_error(ue, b, prod)) / s, rho * b - sa * rho_c)
+    both = bvn_cdf(np.concatenate([h, -h]), np.repeat([b, -b], n),
+                   np.tile(rho, 2), np.tile(rho_c, 2))
+    tail = np.where(at_inf, 0.0, both[:n] + both[n:])
+    return np.where(upper, 1.0 - tail, tail).reshape(t.shape)
+
+
+def std_ratio_cdf(sr: StdRatioParams, t):
+    """CDF of T at t in closed form, through two bivariate normal probabilities."""
     tt = points(t, "std_ratio_cdf")
-    flat = tt.ravel()
-    center = sr.a / sr.b if sr.b > 0.0 else 0.0
-    side = np.where(flat <= center, -1.0, 1.0)
-    origin = np.zeros(flat.shape[0])
-    mass = integrate_rows(lambda idx, u: std_ratio_pdf(sr, flat[idx, None] + side[idx, None] * u),
-                          origin, origin + math.inf, cfg).value
-    cdf = clamp_cdf(np.where(side < 0.0, mass, 1.0 - mass))
-    return like(t, cdf.reshape(tt.shape))
+    return like(t, clamp_cdf(_cdf(sr.a, sr.b, tt)))
 
 
-def ratio_cdf(
-    p: BivNormalParams,
-    w,
-    cfg: Optional[QuadratureConfig] = None,
-):
-    """CDF of W = X1/X2 at w through the standardized representation."""
+def ratio_cdf(p: BivNormalParams, w):
+    """CDF of W = X1/X2 at w through the standardized representation.
+
+    W = scale T + shift; a negative scale turns F_W(w) into P(T >= t),
+    which is the CDF of (-a + V1)/(b + V2) at -t, so it is evaluated as such.
+    """
+    ww = points(w, "ratio_cdf")
     sr, tr = to_standard(p)
-    with np.errstate(over="ignore"):  # an infinite t is the CDF's limit
-        t = (w - tr.shift) / tr.scale
-    ft = std_ratio_cdf(sr, t, cfg)
-    return ft if tr.scale > 0.0 else 1.0 - ft
+    with np.errstate(over="ignore"):  # an infinite argument is the CDF's limit
+        u = (ww - tr.shift) / abs(tr.scale)
+    return like(w, clamp_cdf(_cdf(math.copysign(sr.a, tr.scale), sr.b, u)))
 
 
 def hake_params(h: HakeInputs) -> BivNormalParams:

@@ -270,6 +270,55 @@ def test_empty_grid_writes_header_only(engine, spec, capsys):
     assert capsys.readouterr().out == "x,value\n"
 
 
+_REPEATED = [
+    ["pdf", "--engine", "analytic", "--std-ratio", "1.5", "1", "--auto-interval", "--n", "7"],
+    ["cdf", "--engine", "analytic", "--hake", *_HAKE, "--auto-interval", "--n", "7"],
+    ["modality", "--std-ratio", "3", "1.2", "--practical"],
+    ["interval", "--engine", "broda-kan", "--std-ratio", "1.5", "1"],
+    ["bench", "--std-ratio", "1.5", "1", "--method", "analytic", "--method", "mellin-de",
+     "--rel-tol", "1e-3", "--interval", "-1", "1", "--n", "5", "--runs", "1", "--reps", "10",
+     "--format", "json"],
+]
+
+
+def test_main_repeats_byte_identical_on_one_parser(tmp_path, capsys):
+    # one argument tree serves every call of the process, and parsing leaves
+    # nothing in it: a second run of each command, after an exit-1 and an
+    # exit-2 call, writes the same bytes (bench: every field but its timings)
+    def run(argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 0
+        if argv[0] != "bench":
+            return out.read_bytes()
+        return [{k: v for k, v in r.items() if not k.endswith("_s") and k not in
+                 ("runtime_cv", "speedup")} for r in json.loads(out.read_text())]
+
+    cli._parser.cache_clear()
+    first = [run(argv) for argv in _REPEATED]
+    assert main(["pdf", "--std-ratio", "-1", "1", "--interval", "0", "1", "--n", "2"]) == 1
+    with pytest.raises(SystemExit):
+        main(["cdf", "--engine", "fft", "--std-ratio", "0", "0"])
+    assert [run(argv) for argv in _REPEATED] == first
+    assert cli._parser.cache_info().misses == 1
+    capsys.readouterr()
+
+
+def test_tiny_numerator_sd_runs_end_to_end(capsys):
+    # sigma1 = 1e-170 squares to 0: the window comes from the sds themselves
+    assert main(["interval", "--engine", "analytic", "--biv", "1", "2", "1e-170", "1", "0"]) == 0
+    assert capsys.readouterr().out == "0,1\n"
+    # X1 = 1 to within 1e-20: F(w) = P(1/X2 <= w), X2 ~ N(2, 1), on the window [0, 1]
+    assert main(["cdf", "--engine", "analytic", "--biv", "1", "2", "1e-20", "1", "0",
+                 "--auto-interval", "--n", "5"]) == 0
+    rows = _rows(capsys.readouterr().out)
+    phi = lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0))
+    want = [phi(-2.0), 2.0 * phi(-2.0), 0.5 + phi(-2.0), phi(2.0 / 3.0) + phi(-2.0),
+            phi(1.0) + phi(-2.0)]
+    assert [x for x, _ in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    for (_, v), w in zip(rows, want):
+        assert abs(v - w) <= 1e-15
+
+
 def test_bad_choice_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["pdf", "--engine", "fft", "--std-ratio", "0", "0"])

@@ -1,13 +1,13 @@
 """Closed forms for normal ratios, Hake parameterization, modality, moments."""
 
 import math
-from types import SimpleNamespace
+import sys
 
 import numpy as np
 import pytest
 
-from ratiodist import normal_ratio
-from ratiodist.errors import AccuracyWarning, InvalidParamsError
+from ratiodist import cli, normal_ratio
+from ratiodist.errors import AccuracyWarning, InvalidParamsError, NonConvergenceError
 from ratiodist.normal_ratio import (
     MODALITY_A0,
     BivNormalParams,
@@ -28,7 +28,8 @@ from ratiodist.normal_ratio import (
     std_ratio_pdf,
     to_standard,
 )
-from ratiodist.quadrature import QuadratureConfig, de_integrate
+from ratiodist.quadrature import QuadratureConfig, de_integrate, integrate_rows
+from ratiodist.special import std_normal_cdf
 
 INV_PI = 1.0 / math.pi
 
@@ -261,15 +262,126 @@ def test_ratio_cdf_monotone_random_params() -> None:
 
 
 def test_std_ratio_cdf_warns_on_mass_outside_unit_interval(monkeypatch) -> None:
-    # a tail mass above 1 + 1e-8 means an inadequate integration: clamped, with a warning
+    # two orthant probabilities summing above 1 + 1e-8 mean a wrong kernel:
+    # clamped, with a warning (the upper tail at t = 3 becomes 1 - 1.5)
     monkeypatch.setattr(
-        normal_ratio, "integrate_rows",
-        lambda F, lo, hi, cfg: SimpleNamespace(value=np.full(lo.shape, 1.5)),
+        normal_ratio, "bvn_cdf", lambda h, k, rho, rho_c: np.full(np.shape(h), 0.75),
     )
     with pytest.warns(AccuracyWarning):
         assert std_ratio_cdf(StdRatioParams(1.5, 1.0), -3.0) == 1.0
     with pytest.warns(AccuracyWarning):
         assert std_ratio_cdf(StdRatioParams(1.5, 1.0), 3.0) == 0.0
+
+
+# ------------------------------------ the closed-form CDF against the density's integral
+
+# The CDF the package computed before the closed form: the density integrated
+# by the DE sweep from t over the tail on the far side of the centre a/b, each
+# point a row.  Kept here so that the two CDFs still check each other.
+_DE_CDF_CFG = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-14)
+
+
+def _de_cdf(sr: StdRatioParams, t, cfg: QuadratureConfig = _DE_CDF_CFG) -> np.ndarray:
+    flat = np.asarray(t, dtype=float).ravel()
+    center = sr.a / sr.b if sr.b > 0.0 else 0.0
+    side = np.where(flat <= center, -1.0, 1.0)
+    origin = np.zeros(flat.shape[0])
+    mass = integrate_rows(lambda idx, u: std_ratio_pdf(sr, flat[idx, None] + side[idx, None] * u),
+                          origin, origin + math.inf, cfg).value
+    return np.where(side < 0.0, mass, 1.0 - mass)
+
+
+def test_std_ratio_cdf_matches_density_integral_at_its_old_tolerance() -> None:
+    for a, b in ((1.5, 1.0), (0.0, 0.0), (2.0, 0.25), (5.0, 25.0), (9.0, 26.0), (0.5, 3.0),
+                 (3.0, 0.1), (20.0, 1.0), (1.0, 40.0), (100.0, 100.0)):
+        sr = StdRatioParams(a, b)
+        center = a / b if b > 0.0 else 0.0
+        t = np.concatenate([np.linspace(-50.0, 50.0, 101), center + np.linspace(-1.0, 1.0, 41)])
+        assert np.max(np.abs(std_ratio_cdf(sr, t) - _de_cdf(sr, t))) <= 5e-15
+
+
+def test_std_ratio_cdf_seeded_sweep_against_density_integral() -> None:
+    # (a, b) on {0, ..., 500}^2; t near the centre, in the body, in the far
+    # tails, where 1 - |t/s| drops below eps (1e12) and where the CDF takes
+    # its limit |rho| = 1 (1e200), and at +/-inf.  The reference runs at
+    # rel_tol 1e-14 without an absolute floor: at the old tolerances it is
+    # itself off by 1.2e-14 at (3, 500), t = 0.01995, where its tail mass of
+    # 1.53e-12 meets the 1e-14 floor.  A point whose reference does not
+    # converge at that tolerance is left out.
+    cfg = QuadratureConfig(rel_tol=1e-14, abs_floor=0.0)
+    rng = np.random.default_rng(20261019)
+    compared = 0
+    for _ in range(40):
+        a, b = (float(v) for v in rng.integers(0, 501, 2))
+        sr = StdRatioParams(a, b)
+        center = a / b if b > 0.0 else 0.0
+        sd = math.hypot(1.0, center) / max(b, 1.0)
+        t = np.concatenate([center + sd * rng.normal(0.0, 3.0, 8), rng.uniform(-50.0, 50.0, 4),
+                            [-1e12, 1e12, -1e200, 1e200]])
+        got = std_ratio_cdf(sr, t)
+        for x, g in zip(t.tolist(), got.tolist()):
+            try:
+                want = _de_cdf(sr, [x], cfg)[0]
+            except NonConvergenceError:
+                continue
+            compared += 1
+            assert abs(g - want) <= 1e-14, (a, b, x, g, want)
+        assert std_ratio_cdf(sr, np.array([-math.inf, math.inf])).tolist() == [0.0, 1.0]
+    assert compared >= 600
+
+
+@pytest.mark.parametrize(("sigma1", "w", "want"), [
+    (1e-20, 0.0, std_normal_cdf(-2.0)),
+    (1e-100, 0.5, 0.5 + std_normal_cdf(-2.0)),
+    (1e-100, 1.0, std_normal_cdf(1.0) + std_normal_cdf(-2.0)),
+])
+def test_ratio_cdf_tiny_numerator_sd(sigma1, w, want) -> None:
+    # X1 = 1 to within sigma1, so F(w) = P(1/X2 <= w) for X2 ~ N(2, 1): the
+    # density-integration CDF returned 0.0, 4.0e-88 and 1.0 here
+    p = BivNormalParams(1.0, 2.0, sigma1, 1.0, 0.0)
+    assert abs(ratio_cdf(p, w) - want) <= 1e-15
+
+
+def test_ratio_cdf_reflection() -> None:
+    # W -> -W: (-mu1, mu2, -rho) at -w has the CDF 1 - F(w)
+    rng = np.random.default_rng(44)
+    for _ in range(50):
+        p = _random_biv(rng)
+        q = BivNormalParams(-p.mu1, p.mu2, p.sigma1, p.sigma2, -p.rho)
+        w = np.concatenate([rng.uniform(-8.0, 8.0, 40), [-1e9, 1e9, -math.inf, math.inf]])
+        assert np.max(np.abs(ratio_cdf(q, -w) - (1.0 - ratio_cdf(p, w)))) <= 1e-15
+
+
+def test_cdf_grid_equals_float_calls() -> None:
+    # both bvn_cdf branches, both tails, the far tails and the limits
+    t = np.concatenate([np.linspace(-60.0, 60.0, 97), [-1e200, -1e12, 1e12, 1e200,
+                                                       -math.inf, math.inf]])
+    for sr in (StdRatioParams(1.5, 1.0), StdRatioParams(5.0, 25.0), StdRatioParams(0.0, 0.0)):
+        assert std_ratio_cdf(sr, t).tolist() == [std_ratio_cdf(sr, x) for x in t.tolist()]
+    p = BivNormalParams(-1.5, 1.0, 0.5, 2.0, 0.4)  # a negative affine scale
+    assert ratio_cdf(p, t).tolist() == [ratio_cdf(p, x) for x in t.tolist()]
+
+
+def test_analytic_cdf_runs_no_quadrature(monkeypatch, capsys) -> None:
+    # every module that holds integrate_rows gets a counting wrapper; the
+    # Gil-Pelaez CDF shows that the wrapper sees the calls it is meant to see
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate_rows(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("ratiodist")
+                and getattr(mod, "integrate_rows", None) is integrate_rows):
+            monkeypatch.setattr(mod, "integrate_rows", counted)
+    assert cli.main(["cdf", "--engine", "analytic", "--hake", "40", "65", "15", "18", "0.5", "50",
+                     "--auto-interval", "--n", "25"]) == 0
+    assert calls == []
+    assert cli.main(["cdf", "--engine", "gil-pelaez", "--dist", "normal", "0", "1",
+                     "--interval", "-1", "1", "--n", "3"]) == 0
+    assert calls
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------- hake

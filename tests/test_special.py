@@ -1,13 +1,16 @@
-"""Error function, complementary error function, and Kummer 1F1(1;1/2;q^2/2)."""
+"""Error function, complementary error function, the bivariate normal
+probability, and Kummer 1F1(1;1/2;q^2/2)."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.integrate as si
 import scipy.special as sp
 
-from ratiodist.errors import OverflowRangeError
-from ratiodist.special import erf, erfc, kummer_1f1_half, std_normal_cdf
+from ratiodist.errors import InvalidParamsError, OverflowRangeError
+from ratiodist import special
+from ratiodist.special import bvn_cdf, erf, erfc, kummer_1f1_half, std_normal_cdf
 
 
 def _series_1f1_half(z: float) -> float:
@@ -114,3 +117,78 @@ def test_kummer_even_in_q() -> None:
 def test_kummer_overflow_guard() -> None:
     with pytest.raises(OverflowRangeError):
         kummer_1f1_half(40.0)
+
+
+# ------------------------------------------------------------ bivariate normal
+
+
+def _bvn_quad(h: float, k: float, rho: float) -> float:
+    """Phi2(h, k; rho) as the integral of phi(x) Phi((k - rho x)/sqrt(1 - rho^2))
+    over x < h, split where the inner argument crosses 0."""
+    rc = math.sqrt((1.0 - rho) * (1.0 + rho))
+    f = lambda x: math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi) * sp.ndtr((k - rho * x) / rc)
+    lo = min(h, -40.0)
+    pts = [x for x in (k / rho,) if lo < x < h] if rho != 0.0 else []
+    return si.quad(f, lo, h, points=pts or None, epsabs=1e-16, epsrel=1e-12, limit=200)[0]
+
+
+def test_bvn_gauss_legendre_rule_is_leggauss() -> None:
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = leggauss(20)
+    assert special._GL_U.tolist() == (0.5 * (1.0 + x)).tolist()
+    assert special._GL_W.tolist() == (0.5 * w).tolist()
+
+
+def test_bvn_cdf_against_quadrature() -> None:
+    # both branches (|rho| below and above 0.925), both signs of rho
+    rng = np.random.default_rng(7)
+    h, k = rng.uniform(-6.0, 6.0, (2, 120))
+    rho = np.concatenate([rng.uniform(-0.92, 0.92, 60), rng.uniform(0.93, 0.99999, 30),
+                          -rng.uniform(0.93, 0.99999, 30)])
+    got = bvn_cdf(h, k, rho)
+    want = [_bvn_quad(*v) for v in zip(h.tolist(), k.tolist(), rho.tolist())]
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_bvn_cdf_identities() -> None:
+    rng = np.random.default_rng(8)
+    h, k = rng.uniform(-5.0, 5.0, (2, 200))
+    rho = rng.uniform(-0.999, 0.999, 200)
+    # symmetric in (h, k); independent at rho = 0; P(X <= h) splits over Y <= k and Y > k
+    assert np.max(np.abs(bvn_cdf(h, k, rho) - bvn_cdf(k, h, rho))) <= 2e-16
+    assert np.max(np.abs(bvn_cdf(h, k, 0.0) - std_normal_cdf(h) * std_normal_cdf(k))) <= 2e-16
+    assert np.max(np.abs(bvn_cdf(h, k, rho) + bvn_cdf(h, -k, -rho) - std_normal_cdf(h))) <= 1e-15
+    # rho_c given is rho_c computed, where rho itself carries it
+    rc = np.sqrt((1.0 - rho) * (1.0 + rho))
+    assert np.max(np.abs(bvn_cdf(h, k, rho, rc) - bvn_cdf(h, k, rho))) <= 1e-15
+
+
+def test_bvn_cdf_limits() -> None:
+    # |rho| = 1: Phi(min(h, k)), and the strip Phi(h) - Phi(-k) or 0
+    for h, k in ((0.3, 1.2), (1.2, 0.3), (-2.0, 1.5), (2.0, -1.5), (0.5, -0.5)):
+        assert bvn_cdf(h, k, 1.0) == std_normal_cdf(min(h, k))
+        strip = max(0.0, std_normal_cdf(h) - std_normal_cdf(-k))
+        assert abs(bvn_cdf(h, k, -1.0) - strip) <= 2.3e-16
+    # infinite arguments are exact
+    assert bvn_cdf(math.inf, 0.7, 0.5) == std_normal_cdf(0.7)
+    assert bvn_cdf(-math.inf, 0.7, 0.5) == 0.0
+    assert bvn_cdf(math.inf, math.inf, -0.99) == 1.0
+    # near |rho| = 1 the result follows rho_c, which the caller knows exactly:
+    # Phi2(0, 0; rho) = 1/4 + arcsin(rho)/(2 pi) = 1/2 - arcsin(rho_c)/(2 pi)
+    assert abs(bvn_cdf(0.0, 0.0, 1.0, 1e-10) - (0.5 - math.asin(1e-10) / (2.0 * math.pi))) <= 1e-16
+
+
+def test_bvn_cdf_float_and_array() -> None:
+    assert type(bvn_cdf(0.1, 0.2, 0.3)) is float
+    grid = np.array([[-3.7, -1.25, -0.4], [0.0, 1.1, 2.6]])
+    got = bvn_cdf(grid, 0.8, np.array([-0.95, 0.5, 0.99]))
+    assert got.shape == grid.shape
+    want = [[bvn_cdf(x, 0.8, r) for x, r in zip(row, (-0.95, 0.5, 0.99))] for row in grid.tolist()]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("args", [(math.nan, 0.0, 0.5), (0.0, 0.0, 1.5), (0.0, 0.0, 0.5, -0.1)])
+def test_bvn_cdf_bad_input_raises(args) -> None:
+    with pytest.raises(InvalidParamsError):
+        bvn_cdf(*args)
