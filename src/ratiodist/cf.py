@@ -517,24 +517,17 @@ def cf_moments(cf: CharFn, h: float = _MOMENT_H) -> Tuple[float, float]:
     return mu, var
 
 
-def moment_window(m1: Tuple[float, float], m2: Tuple[float, float], k: float
-                  ) -> Tuple[float, float]:
-    """Evaluation interval for X1/X2 from the (mean, variance) of each factor.
+def sd_window(m1: Tuple[float, float], m2: Tuple[float, float], k: float
+              ) -> Tuple[float, float]:
+    """Evaluation interval for X1/X2 from the (mean, sd) of each factor.
 
     Normally mean +/- k practical standard deviations of the ratio, from
     normal_ratio.ratio_practical_moments (Diaz-Frances and Rubio 2013).  When
     the denominator mean is indistinguishable from 0 (|mu2| <= 1e-6 sd2) the
     ratio mean is meaningless, so the window is the union of the factors'
-    k-sd intervals.
+    k-sd intervals.  It takes sds, not variances: an sd below about 1.5e-154
+    squares to a variance of 0.
     """
-    (mu1, var1), (mu2, var2) = m1, m2
-    return sd_window((mu1, math.sqrt(max(var1, 0.0))), (mu2, math.sqrt(max(var2, 0.0))), k)
-
-
-def sd_window(m1: Tuple[float, float], m2: Tuple[float, float], k: float
-              ) -> Tuple[float, float]:
-    """moment_window from the (mean, sd) of each factor, for callers that hold
-    the sds: an sd below about 1.5e-154 squares to a variance of 0."""
     if k <= 0.0:
         raise InvalidParamsError(f"k must be positive, got {k!r}")
     (mu1, sd1), (mu2, sd2) = m1, m2
@@ -545,10 +538,11 @@ def sd_window(m1: Tuple[float, float], m2: Tuple[float, float], k: float
 
 
 def six_sigma_interval(cf1: CharFn, cf2: CharFn, k: float = 6.0) -> Tuple[float, float]:
-    """moment_window of two CFs: the exact moments a CF carries
+    """sd_window of two CFs from the exact moments a CF carries
     (CharFn.moments), or else cf_moments, which raises for a law without
     moments."""
-    return moment_window(cf1.moments or cf_moments(cf1), cf2.moments or cf_moments(cf2), k)
+    (mu1, var1), (mu2, var2) = (c.moments or cf_moments(c) for c in (cf1, cf2))
+    return sd_window((mu1, math.sqrt(max(var1, 0.0))), (mu2, math.sqrt(max(var2, 0.0))), k)
 
 
 def cf_decay_range(cf: CharFn) -> float:

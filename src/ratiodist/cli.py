@@ -71,7 +71,6 @@ from .normal_ratio import (
     MODALITY_A0,
     StdRatioParams,
     classify_modality,
-    evaluation_interval,
     hake_params,
     modality_curve,
     ratio_cdf,
@@ -347,7 +346,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.std_ratio is None:
         raise InvalidParamsError("bench needs --std-ratio A B")
     sr = StdRatioParams(*args.std_ratio)
-    interval = args.interval or evaluation_interval(sr, 2.0 if args.k is None else args.k)
+    k = 2.0 if args.k is None else args.k
+    interval = args.interval or sd_window((sr.a, 1.0), (sr.b, 1.0), k)
 
     def run(method: str, **opts: object) -> bench_mod.BenchRecord:
         return bench_mod.run_experiment(

@@ -10,11 +10,6 @@ class InvalidParamsError(RatioDistError, ValueError):
     out-of-range correlation, malformed grid, mismatched lengths, ...)."""
 
 
-class OverflowRangeError(RatioDistError, OverflowError):
-    """Input lies outside the range where a formula can be evaluated in
-    IEEE double precision without overflow."""
-
-
 class QuadratureError(RatioDistError):
     """Base class for quadrature failures."""
 

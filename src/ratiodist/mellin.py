@@ -14,6 +14,14 @@ evaluated; a guard wrapper additionally pins the densities to zero outside
 their declared support so roundoff at interval endpoints can never probe them
 out of domain.
 
+One rule builds both pieces for either kernel.  The integration variable x
+is X2 for the ratio and X1 for the product; the other factor sits at c x
+(ratio) or c / x (product), with c = t on the x > 0 piece and c = -t on the
+reflected piece.  With [m_lo, m_hi] the magnitudes of the other factor's
+support on c's side of 0, x runs over [m_lo, m_hi] / |c| for the ratio and
+over |c| / [m_hi, m_lo] for the product, cut to the support of x on the
+piece's side; at c = 0 the other factor does not constrain x.
+
 Every nonempty piece of every evaluation point is one row of one batch of
 the array DE sweep (quadrature.integrate_rows); the piece's x-interval picks
 the map and the sweep blocks the rows itself.  A point's two pieces are
@@ -195,26 +203,43 @@ def _guarded(df: DensityFn) -> Density:
     return g
 
 
-def _intersect(a: Tuple[float, float], b: Tuple[float, float]) -> Tuple[float, float]:
-    return max(a[0], b[0]), min(a[1], b[1])
+_SIDES = np.array([1.0, -1.0])
 
 
-def _integrate_pieces(
-    f1: DensityFn,
-    f2: DensityFn,
-    product: bool,
-    t: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    cfg: QuadratureConfig,
-) -> np.ndarray:
-    """The Mellin kernel at every point of t, given each piece's x-interval.
+def _magnitudes(s: Support) -> np.ndarray:
+    """|X| bounds of s on the positive (row 0) and the negative (row 1) side
+    of 0; a side that s misses is [0, 0]."""
+    return np.array([[max(0.0, s.lo), max(0.0, s.hi)], [max(0.0, -s.hi), max(0.0, -s.lo)]])
 
-    lo[2i], hi[2i] bound the positive piece of point i and lo[2i+1],
-    hi[2i+1] its negative piece reflected onto x > 0; an empty interval
-    contributes 0.  Each nonempty piece is one row of the DE sweep.
+
+def _pieces(f1: DensityFn, f2: DensityFn, product: bool,
+            t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Both pieces of every point of t by the piece rule of the module
+    docstring: the x-intervals lo, hi, where entry 2i is point i's x > 0
+    piece and entry 2i+1 its x < 0 piece reflected onto x > 0."""
+    var, other = (f1, f2) if product else (f2, f1)
+    v, o = _magnitudes(var.support), _magnitudes(other.support)
+    c = t[:, None] * _SIDES
+    neg = c < 0.0
+    m_lo, m_hi = np.where(neg, o[1, 0], o[0, 0]), np.where(neg, o[1, 1], o[0, 1])
+    a = np.abs(c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_lo, x_hi = (a / m_hi, a / m_lo) if product else (m_lo / a, m_hi / a)
+    free = a == 0.0
+    lo = np.maximum(v[:, 0], np.where(free, 0.0, x_lo))
+    hi = np.minimum(v[:, 1], np.where(free, math.inf, x_hi))
+    return lo.ravel(), hi.ravel()
+
+
+def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray,
+                      cfg: QuadratureConfig) -> np.ndarray:
+    """The Mellin kernel at every point of t (finite, 1-D), one batch of rows.
+
+    A point's two pieces are adjacent rows, its x > 0 piece first; an empty
+    piece contributes 0.  Each nonempty piece is one row of the DE sweep.
     """
     g1, g2 = _guarded(f1), _guarded(f2)
+    lo, hi = _pieces(f1, f2, product, t)
     k = np.flatnonzero(lo < hi)
     s = np.where(k % 2, -1.0, 1.0)[:, None]
     u = t[k // 2, None]
@@ -230,21 +255,11 @@ def _integrate_pieces(
     return values[0::2] + values[1::2]
 
 
-def _ratio_values(f1: DensityFn, f2: DensityFn, t: np.ndarray,
-                  cfg: QuadratureConfig) -> np.ndarray:
-    """Ratio density at every point of t (finite, 1-D), one batch of rows."""
-    lo1, hi1 = f1.support.lo, f1.support.hi
-    lo2, hi2 = f2.support.lo, f2.support.hi
-    # the set {x : t*x is inside sup1}; vacuous for t = 0 (constant factor f1(0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a, b = lo1 / t, hi1 / t
-    pre_lo = np.where(t > 0.0, a, np.where(t < 0.0, b, -math.inf))
-    pre_hi = np.where(t > 0.0, b, np.where(t < 0.0, a, math.inf))
-    # each point's positive piece, then its negative one reflected onto x > 0
-    lo, hi = np.empty((2, 2 * t.shape[0]))
-    lo[0::2], hi[0::2] = np.maximum(max(0.0, lo2), pre_lo), np.minimum(hi2, pre_hi)
-    lo[1::2], hi[1::2] = -np.minimum(min(0.0, hi2), pre_hi), -np.maximum(lo2, pre_lo)
-    return _integrate_pieces(f1, f2, False, t, lo, hi, cfg)
+def _finite_points(t, name: str) -> np.ndarray:
+    tt = points(t, name)
+    if not np.isfinite(tt).all():
+        raise InvalidParamsError(f"{name} needs finite evaluation points")
+    return tt
 
 
 def ratio_pdf(
@@ -259,63 +274,31 @@ def ratio_pdf(
     not analytic there.  t is a float (giving a float) or an array of finite
     points (giving an array of its shape).
     """
-    tt = points(t, "ratio_pdf")
-    if not np.isfinite(tt).all():
-        raise InvalidParamsError("ratio_pdf needs finite evaluation points")
-    return like(t, _ratio_values(f1, f2, tt.ravel(), cfg).reshape(tt.shape))
-
-
-def _product_x_interval(
-    t: float, sup2: Support, positive_side: bool
-) -> Tuple[float, float]:
-    """The x-interval on one half-axis where t/x falls inside sup2."""
-    # on a fixed side u = t/x keeps one sign and is monotone in x
-    u_sign = 1.0 if (t > 0.0) == positive_side else -1.0
-    if u_sign > 0.0:
-        ulo, uhi = _intersect((0.0, math.inf), (sup2.lo, sup2.hi))
-    else:
-        ulo, uhi = _intersect((-math.inf, 0.0), (sup2.lo, sup2.hi))
-    if not ulo < uhi:
-        return 0.0, 0.0
-    side = 1.0 if positive_side else -1.0
-    # u = 0 maps to the far end of the side; u = +/-inf maps to x = 0
-    a = side * math.inf if ulo == 0.0 else t / ulo
-    b = side * math.inf if uhi == 0.0 else t / uhi
-    if math.isinf(ulo):
-        a = 0.0
-    if math.isinf(uhi):
-        b = 0.0
-    return (a, b) if a <= b else (b, a)
+    tt = _finite_points(t, "ratio_pdf")
+    return like(t, _integrate_pieces(f1, f2, False, tt.ravel(), cfg).reshape(tt.shape))
 
 
 def product_pdf(
     f1: DensityFn,
     f2: DensityFn,
-    t: float,
+    t,
     cfg: QuadratureConfig = _DEFAULT_CFG,
-) -> float:
+):
     """Density of X1*X2 at t for independent X1 ~ f1, X2 ~ f2.
 
-    Evaluates integral f1(x) f2(t/x) / |x| dx, split at x = 0.  At t = 0 the
-    integrand carries a 1/|x| factor with nothing to tame it when both
-    supports reach 0, and the product density may genuinely diverge there
-    (the normal-normal product grows like -log|t|); that case raises
-    SingularProductError instead of returning a number.
+    Evaluates integral f1(x) f2(t/x) / |x| dx, split at x = 0; t is a float or
+    an array of finite points, as for ratio_pdf.  At t = 0 the integrand
+    carries a 1/|x| factor with nothing to tame it when both supports reach
+    0, and the product density may genuinely diverge there (the normal-normal
+    product grows like -log|t|); a point 0 then raises SingularProductError
+    instead of returning a number.
     """
-    if not math.isfinite(t):
-        raise InvalidParamsError(f"evaluation point must be finite, got {t!r}")
-    if t == 0.0 and f1.support.contains(0.0) and f2.support.contains(0.0):
+    tt = _finite_points(t, "product_pdf")
+    if f1.support.contains(0.0) and f2.support.contains(0.0) and (tt == 0.0).any():
         raise SingularProductError(
             "product density at 0 may be singular when both supports include 0"
         )
-    lo_p, hi_p = _intersect((f1.support.lo, f1.support.hi), (0.0, math.inf))
-    lo_n, hi_n = _intersect((f1.support.lo, f1.support.hi), (-math.inf, 0.0))
-    if t != 0.0:
-        lo_p, hi_p = _intersect((lo_p, hi_p), _product_x_interval(t, f2.support, True))
-        lo_n, hi_n = _intersect((lo_n, hi_n), _product_x_interval(t, f2.support, False))
-    value = _integrate_pieces(f1, f2, True, np.array([t]), np.array([lo_p, -hi_n]),
-                              np.array([hi_p, -lo_n]), cfg)
-    return float(value[0])
+    return like(t, _integrate_pieces(f1, f2, True, tt.ravel(), cfg).reshape(tt.shape))
 
 
 def ratio_pdf_grid(
@@ -341,13 +324,13 @@ def ratio_pdf_grid(
         raise InvalidParamsError("grid must be sorted ascending")
     if isinstance(accel, Chebyshev):
         if pts[0] == pts[-1]:
-            return np.full(pts.shape, _ratio_values(f1, f2, pts[:1], cfg)[0])
+            return np.full(pts.shape, _integrate_pieces(f1, f2, False, pts[:1], cfg)[0])
         return cheb_eval_many(
             ratio_interpolant(f1, f2, float(pts[0]), float(pts[-1]), accel.n_nodes, cfg), pts
         )
     if not isinstance(accel, Direct):
         raise InvalidParamsError(f"unknown acceleration mode {accel!r}")
-    return _ratio_values(f1, f2, pts, cfg)
+    return _integrate_pieces(f1, f2, False, pts, cfg)
 
 
 def ratio_interpolant(
@@ -359,4 +342,4 @@ def ratio_interpolant(
     cfg: QuadratureConfig = _DEFAULT_CFG,
 ) -> ChebInterpolant:
     """Reusable Chebyshev interpolant of the ratio density on [lo, hi]."""
-    return cheb_build(lambda ts: _ratio_values(f1, f2, ts, cfg), lo, hi, n_nodes)
+    return cheb_build(lambda ts: _integrate_pieces(f1, f2, False, ts, cfg), lo, hi, n_nodes)

@@ -32,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from .errors import AccuracyWarning, InvalidParamsError, OverflowRangeError
+from .errors import AccuracyWarning, InvalidParamsError
 
 TWO_OVER_SQRT_PI = 1.1283791670955126  # 2/sqrt(pi)
 SQRT_HALF_PI = 1.2533141373155003      # sqrt(pi/2)
@@ -72,10 +72,6 @@ def _gauss_legendre_20():
 
 
 _GL_U, _GL_W = _gauss_legendre_20()
-
-# exp(x^2/2) overflows double precision just above x^2/2 = 709.78
-_KUMMER_MAX_HALF_QSQ = 700.0
-
 
 def points(x, name: str) -> np.ndarray:
     """x as a float array; NaN raises InvalidParamsError naming the function."""
@@ -243,28 +239,3 @@ def bvn_cdf(h, k, rho, rho_c=None):
     res = np.clip(out, 0.0, 1.0).reshape(shape)
     return float(res) if res.ndim == 0 else res
 
-
-def kummer_1f1_half(q):
-    """Kummer confluent hypergeometric 1F1(1; 1/2; q^2/2) for real q.
-
-    Uses the closed form
-
-        1F1(1; 1/2; q^2/2) = sqrt(pi/2) q erf(q/sqrt(2)) exp(q^2/2) + 1
-
-    which is even in q because q*erf(q/sqrt(2)) is a product of two odd
-    factors.  The value is >= 1 for all real q.
-
-    Raises OverflowRangeError when q^2/2 > 700, where exp overflows double
-    precision.  Callers that need the product with a compensating decaying
-    exponential must combine the exponents before exponentiating instead of
-    calling this function.
-    """
-    z = points(q, "kummer_1f1_half")
-    half_qsq = 0.5 * z * z
-    over = half_qsq > _KUMMER_MAX_HALF_QSQ
-    if over.any():
-        raise OverflowRangeError(
-            f"exp(q^2/2) overflows for |q| > {math.sqrt(2 * _KUMMER_MAX_HALF_QSQ):.3f}; "
-            f"got q={float(z[over].flat[0])!r}"
-        )
-    return like(q, SQRT_HALF_PI * z * erf(z * INV_SQRT_2) * np.exp(half_qsq) + 1.0)

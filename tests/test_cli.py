@@ -187,6 +187,22 @@ def test_bench_json(tmp_path):
     assert {r["method_id"] for r in rows} == {"mellin-de@0.001", "analytic"}
 
 
+@pytest.mark.parametrize("a, b, window", [
+    ("0", "1", (-2.0, 2.0)),  # a = 0: no practical moments of the standardized ratio
+    ("1", "0", (-2.0, 3.0)),  # b = 0: the union of the factors' 2-sd windows
+    ("1.5", "1", evaluation_interval(StdRatioParams(1.5, 1.0), 2.0)),
+])
+def test_bench_default_window_is_the_interval_window(a, b, window, tmp_path, capsys):
+    assert main(["interval", "--std-ratio", a, b]) == 0
+    assert capsys.readouterr().out == f"{window[0]:.17g},{window[1]:.17g}\n"
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", "--std-ratio", a, b, "--method", "analytic", "--n", "5", "--runs", "1",
+               "--reps", "10", "--out", str(out)])
+    assert rc == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert {(float(r["lo"]), float(r["hi"])) for r in rows} == {window}
+
+
 _HAKE = ["40", "65", "15", "18", "0.5", "50"]
 
 
@@ -369,7 +385,7 @@ _NORMAL_SPECS = [
 @pytest.mark.parametrize("spec, params", _NORMAL_SPECS)
 @pytest.mark.parametrize("engine", ["analytic", "mellin"])
 def test_interval_normal_spec_equals_evaluation_interval(engine, spec, params, k, capsys):
-    # the factors' moments through moment_window give evaluation_interval bit for bit
+    # the factors' means and sds through cf.sd_window give evaluation_interval bit for bit
     given = [] if k is None else ["--k", str(k)]
     assert main(["interval", "--engine", engine, *spec, *given]) == 0
     lo, hi = evaluation_interval(params, 2.0 if k is None else k)

@@ -1,7 +1,7 @@
 """One protocol for every public point function of the closed forms, the
-Mellin ratio density and the CF inversions: a float in gives a float out, an
-array gives an array of the same shape, equal to the float calls, and NaN
-raises InvalidParamsError."""
+Mellin ratio and product densities and the CF inversions: a float in gives a
+float out, an array gives an array of the same shape, equal to the float
+calls, and NaN raises InvalidParamsError."""
 
 import math
 
@@ -20,8 +20,15 @@ from ratiodist.cf import (
     normal_cf,
     product_joint_cf,
 )
-from ratiodist.errors import InvalidParamsError
-from ratiodist.mellin import cauchy_density, normal_density, ratio_pdf
+from ratiodist.errors import InvalidParamsError, SingularProductError
+from ratiodist.mellin import (
+    cauchy_density,
+    chi_square_density,
+    normal_density,
+    product_pdf,
+    ratio_pdf,
+    uniform_density,
+)
 from ratiodist.normal_ratio import (
     BivNormalParams,
     StdRatioParams,
@@ -31,7 +38,7 @@ from ratiodist.normal_ratio import (
     std_ratio_cdf,
     std_ratio_pdf,
 )
-from ratiodist.special import erf, erfc, kummer_1f1_half, std_normal_cdf
+from ratiodist.special import erf, erfc, std_normal_cdf
 
 _SR = StdRatioParams(1.5, 1.0)
 _BIV = BivNormalParams(1.0, 2.0, 0.5, 0.25, -0.3)
@@ -44,12 +51,16 @@ _CHI_GRID = auto_grid(*_CHI_CFS)
 _DENSITIES = (normal_density(1.5, 1.0), normal_density(1.0, 1.0))
 # a Cauchy numerator: finite at 0, where a Cauchy denominator's density is not
 _CAUCHY_DENSITIES = (cauchy_density(0.5, 1.0), normal_density(1.0, 1.0))
+# bounded supports: finite pieces, and an empty negative piece for t > 0
+_BOUNDED_DENSITIES = (uniform_density(1.0, 2.0), chi_square_density(5))
+# products that are regular at 0: one factor's support misses 0
+_PRODUCT_DENSITIES = (uniform_density(2.0, 3.0), normal_density(0.5, 1.0))
+_PRODUCT_BOUNDED = (chi_square_density(5), uniform_density(1.0, 2.0))
 
 FUNCTIONS = {
     "erf": erf,
     "erfc": erfc,
     "std_normal_cdf": std_normal_cdf,
-    "kummer_1f1_half": kummer_1f1_half,
     "std_ratio_pdf": lambda x: std_ratio_pdf(_SR, x),
     "ratio_pdf_phamgia": lambda x: ratio_pdf_phamgia(_BIV, x),
     "ratio_pdf_hinkley": lambda x: ratio_pdf_hinkley(_BIV, x),
@@ -64,6 +75,9 @@ FUNCTIONS = {
     "broda_kan_cdf_chisq": lambda x: broda_kan_cdf(product_joint_cf(*_CHI_CFS), x, _CHI_GRID),
     "ratio_pdf": lambda x: ratio_pdf(*_DENSITIES, x),
     "ratio_pdf_cauchy": lambda x: ratio_pdf(*_CAUCHY_DENSITIES, x),
+    "ratio_pdf_bounded": lambda x: ratio_pdf(*_BOUNDED_DENSITIES, x),
+    "product_pdf": lambda x: product_pdf(*_PRODUCT_DENSITIES, x),
+    "product_pdf_bounded": lambda x: product_pdf(*_PRODUCT_BOUNDED, x),
 }
 
 # both sides of erf's switch at 1.2 and of the ratio densities' modes
@@ -93,3 +107,15 @@ def test_nan_raises(name):
         fn(math.nan)
     with pytest.raises(InvalidParamsError):
         fn(np.array([0.3, math.nan]))
+
+
+def test_product_pdf_raises_at_a_singular_zero_in_an_array():
+    n0 = normal_density(0.0, 1.0)
+    with pytest.raises(SingularProductError):
+        product_pdf(n0, n0, np.array([[-1.0, 0.5], [0.0, 2.0]]))
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, np.array([0.3, -math.inf])])
+def test_product_pdf_infinite_point_raises(t):
+    with pytest.raises(InvalidParamsError):
+        product_pdf(*_PRODUCT_DENSITIES, t)

@@ -1,5 +1,5 @@
-"""Error function, complementary error function, the bivariate normal
-probability, and Kummer 1F1(1;1/2;q^2/2)."""
+"""Error function, complementary error function, and the bivariate normal
+probability."""
 
 import math
 
@@ -8,21 +8,9 @@ import pytest
 import scipy.integrate as si
 import scipy.special as sp
 
-from ratiodist.errors import InvalidParamsError, OverflowRangeError
+from ratiodist.errors import InvalidParamsError
 from ratiodist import special
-from ratiodist.special import bvn_cdf, erf, erfc, kummer_1f1_half, std_normal_cdf
-
-
-def _series_1f1_half(z: float) -> float:
-    """Power series sum_n (1)_n / (1/2)_n * z^n / n! summed until term < 1e-18."""
-    total, term, n = 1.0, 1.0, 0
-    while True:
-        # (1)_n / n! = 1, so each factor is z / (1/2 + n)
-        term *= z / (0.5 + n)
-        total += term
-        n += 1
-        if abs(term) < 1e-18 * abs(total):
-            return total
+from ratiodist.special import bvn_cdf, erf, erfc, std_normal_cdf
 
 
 @pytest.mark.parametrize(
@@ -89,34 +77,6 @@ def test_std_normal_cdf_matches_reference_oracle() -> None:
     rng = np.random.default_rng(13)
     for x in rng.uniform(-8.0, 8.0, 1000):
         assert math.isclose(std_normal_cdf(float(x)), float(sp.ndtr(x)), rel_tol=5e-15)
-
-
-@pytest.mark.parametrize(
-    ("q", "expected"),
-    [
-        (0.0, 1.0),
-        # 1F1(1; 1/2; 1/2) from the power series
-        (1.0, 2.4106861346424484),
-    ],
-)
-def test_kummer_known_values(q: float, expected: float) -> None:
-    assert math.isclose(kummer_1f1_half(q), expected, rel_tol=1e-13)
-
-
-def test_kummer_agrees_with_series_on_positive_branch() -> None:
-    for q in np.linspace(0.0, 8.0, 81):
-        ref = _series_1f1_half(0.5 * q * q)
-        assert math.isclose(kummer_1f1_half(float(q)), ref, rel_tol=1e-13)
-
-
-def test_kummer_even_in_q() -> None:
-    for q in (0.25, 1.0, 3.5, 7.0):
-        assert kummer_1f1_half(q) == kummer_1f1_half(-q)
-
-
-def test_kummer_overflow_guard() -> None:
-    with pytest.raises(OverflowRangeError):
-        kummer_1f1_half(40.0)
 
 
 # ------------------------------------------------------------ bivariate normal
