@@ -21,9 +21,10 @@ Chebyshev build) and returns a zero-argument evaluator for the whole grid;
 the bench times the same entries.  Every engine's --auto-interval window is
 mean +/- k practical sd (cf.sd_window) from the exact mean and sd of the
 factors: a normal spec's parameters or each factor's DensityFn.moments;
-Cauchy has none.  Every subcommand computes its whole output first and then
-writes it once.  Bad specs, bad settings and engine errors exit with status
-1 and a one-line diagnostic on stderr.
+Cauchy has none.  A num-den window is cut to the support of X1/X2 that the
+factors' DensityFn.support give.  Every subcommand computes its whole output
+first and then writes it once.  Bad specs, bad settings and engine errors
+exit with status 1 and a one-line diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .cf import (
 )
 from .errors import RatioDistError, InvalidParamsError
 from .mellin import (
+    Support,
     cauchy_density,
     chi_square_density,
     normal_density,
@@ -167,16 +169,38 @@ def _factors(spec: Spec, form: int) -> Tuple:
     return normal(p.mu1, p.sigma1), normal(p.mu2, p.sigma2)
 
 
+def _quotient(x: float, v: float, side: float) -> float:
+    """x/v for ends x of the numerator's support and v of the denominator's,
+    which lies on one side (+1 or -1) of 0; at 0 and inf, by the limits."""
+    if x == 0.0 or math.isinf(v):  # inf/inf too: another corner bounds the hull
+        return 0.0
+    if v == 0.0:
+        return math.copysign(math.inf, x * side)
+    return x / v
+
+
+def _ratio_support(num: Support, den: Support) -> Tuple[float, float]:
+    """Hull of the support of X1/X2: the corner quotients when 0 is not
+    inside the denominator's support, the real line otherwise."""
+    if den.lo < 0.0 < den.hi:
+        return -math.inf, math.inf
+    side = 1.0 if den.lo >= 0.0 else -1.0
+    corners = [_quotient(x, v, side) for x in (num.lo, num.hi) for v in (den.lo, den.hi)]
+    return min(corners), max(corners)
+
+
 def _window(cfg: RunConfig) -> Tuple[float, float]:
-    """--auto-interval from the factors' exact moments; k defaults to the
-    engine's normal_k for a normal spec and to 6 for any other."""
+    """--auto-interval from the factors' exact moments, cut to the ratio's
+    support for a num-den spec; k defaults to the engine's normal_k for a
+    normal spec and to 6 for any other."""
     if cfg.spec.kind == "normal":
         # the sds as given: sigma^2 underflows to 0 below about 1.5e-154
         p, k = cfg.spec.value, ENGINES[cfg.engine].normal_k
         sds = [(p.mu1, p.sigma1), (p.mu2, p.sigma2)]
     else:
         k, specs = 6.0, cfg.spec.value if cfg.spec.kind == "num-den" else [cfg.spec.value]
-        moments = [_factor(s, _DENSITY).moments for s in specs]
+        densities = [_factor(s, _DENSITY) for s in specs]
+        moments = [d.moments for d in densities]
         if None in moments:
             family = specs[moments.index(None)][0]
             raise InvalidParamsError(f"{family} has no mean or variance; pass --interval")
@@ -185,7 +209,11 @@ def _window(cfg: RunConfig) -> Tuple[float, float]:
     if len(sds) == 1:  # --dist
         mu, sd = sds[0]
         return (mu - k * sd, mu + k * sd)
-    return sd_window(*sds, k)
+    lo, hi = sd_window(*sds, k)
+    if cfg.spec.kind == "normal":
+        return lo, hi
+    s_lo, s_hi = _ratio_support(*(d.support for d in densities))
+    return max(lo, s_lo), min(hi, s_hi)
 
 
 # A grid factory does the one-time work and returns an evaluator for the whole
@@ -317,8 +345,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
     xs = np.linspace(lo, hi, args.n_points)
     evaluate = factory(cfg, xs)  # built for an empty grid too, so spec errors still exit 1
     values = evaluate() if xs.size else xs
-    rows = "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(xs.tolist(), values.tolist()))
-    _write(args.out, "x,value\n" + rows)
+    cells = np.empty(2 * xs.size)
+    cells[0::2], cells[1::2] = xs, values
+    _write(args.out, "x,value\n" + "%.17g,%.17g\n" * xs.size % tuple(cells.tolist()))
     return 0
 
 

@@ -9,9 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ratiodist import bench, cli
+from ratiodist.cf import sd_window
 from ratiodist.cli import main
 from ratiodist.normal_ratio import (
     BivNormalParams,
@@ -400,17 +402,33 @@ def test_interval_zero_denominator_mean_takes_union_window(engine, capsys):
 
 
 def test_mellin_auto_interval_uniform_ratio(capsys):
-    # U(1,2)/U(1,2) lies in [0.5, 2]; its window is 1 +/- 6 sd, practical variance 2/27
+    # U(1,2)/U(1,2) lies in [0.5, 2]; the window 1 +/- 6 sd (practical
+    # variance 2/27) is cut to it, and the density is (4/t^2 - 1)/2 on [1, 2]
     rc = main(["pdf", "--engine", "mellin", "--num", "uniform", "1", "2", "--den", "uniform", "1",
                "2", "--auto-interval", "--n", "5"])
     assert rc == 0
     rows = _rows(capsys.readouterr().out)
-    half = 6.0 * math.sqrt(2.0 / 27.0)
-    assert math.isclose(rows[0][0], 1.0 - half, rel_tol=1e-15)
-    assert math.isclose(rows[-1][0], 1.0 + half, rel_tol=1e-15)
-    assert rows[0][0] < 0.5 and rows[-1][0] > 2.0
+    assert rows[0][0] == 0.5 and rows[-1][0] == 2.0
     assert rows[0][1] == 0.0 and rows[-1][1] == 0.0
-    assert rows[2][0] == 1.0 and math.isclose(rows[2][1], 1.5, rel_tol=1e-12)
+    assert rows[2][0] == 1.25 and math.isclose(rows[2][1], 0.78, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("num, den, support", [
+    (["chisq", "3"], ["chisq", "4"], (0.0, math.inf)),
+    (["uniform", "1", "2"], ["uniform", "-2", "-1"], (-2.0, -0.5)),
+    (["chisq", "3"], ["uniform", "-2", "-1"], (-math.inf, 0.0)),
+    (["uniform", "-1", "2"], ["uniform", "1", "2"], (-1.0, 2.0)),
+    # real-line ratios keep the moment window bit for bit
+    (["normal", "1", "0.5"], ["chisq", "5"], (-math.inf, math.inf)),
+    (["chisq", "5"], ["normal", "3", "1"], (-math.inf, math.inf)),
+    (["uniform", "1", "2"], ["normal", "1", "1"], (-math.inf, math.inf)),
+])
+def test_auto_interval_is_cut_to_the_ratio_support(num, den, support, capsys):
+    assert main(["interval", "--engine", "mellin", "--num", *num, "--den", *den]) == 0
+    got = tuple(float(v) for v in capsys.readouterr().out.split(","))
+    moments = [cli._factor(s, cli._DENSITY).moments for s in (num, den)]
+    lo, hi = sd_window(*[(mu, math.sqrt(var)) for mu, var in moments], 6.0)
+    assert got == (max(lo, support[0]), min(hi, support[1]))
 
 
 def test_interval_gil_pelaez_normal_reads_exact_moments(capsys):
@@ -533,3 +551,18 @@ def test_engine_family_matrix_gil_pelaez(sub, family, capsys):
     rc = main([sub, "--engine", "gil-pelaez", "--dist", *_FAMILY[family], *_FAMILY_GRID])
     refusal = {"chisq": "no convergence", "uniform": _NO_CF}.get(family)
     _check_grid(rc, capsys.readouterr(), refusal)
+
+
+def test_grid_rows_are_written_as_per_row_formatting_writes_them(monkeypatch, tmp_path):
+    # the one-pass writer against the per-row f-string it replaced, on the
+    # values that format specially
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
+                        1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456789.0])
+    engine = cli.Engine(frozenset({"normal"}), lambda cfg, xs: lambda: special[:xs.size], None, 2.0)
+    monkeypatch.setitem(cli.ENGINES, "analytic", engine)
+    out = tmp_path / "grid.csv"
+    assert main(["pdf", "--std-ratio", "1", "2", "--interval", "1e-300", "1e300",
+                 "--n", str(special.size), "--out", str(out)]) == 0
+    xs = np.linspace(1e-300, 1e300, special.size)
+    want = "x,value\n" + "".join(f"{x:.17g},{v:.17g}\n" for x, v in zip(xs.tolist(), special.tolist()))
+    assert out.read_text(encoding="utf-8") == want

@@ -464,6 +464,51 @@ def test_classify_modality_practical_suppresses_invisible_mode() -> None:
     assert classify_modality(StdRatioParams(5.0, 25.0)) is Modality.UNIMODAL
 
 
+def _unfiltered_peaks(sr: StdRatioParams) -> np.ndarray:
+    # reference: the peak values of the scan with the density at all 16,385 points
+    theta = np.linspace(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9, 16385)
+    f = np.concatenate([std_ratio_pdf(sr, np.tan(part)) for part in np.array_split(theta, 4)])
+    d = np.sign(np.diff(f))
+    d = d[np.maximum.accumulate(np.where(d != 0.0, np.arange(d.size), 0))]
+    flips = np.nonzero((d[:-1] > 0) & (d[1:] < 0))[0]
+    return f[flips + 1]
+
+
+# (a, b) at which the minor peak crosses the 1e-12 floor, from both sides (bisection)
+_FLOOR_CROSSINGS = [(2.5, 6.534534946222266), (2.5, 6.534534946249551),
+                    (4.0, 6.4690685440746165), (4.0, 6.469068544101901),
+                    (6.0, 6.409737584926916), (6.0, 6.4097375849542),
+                    (10.0, 6.333401691235849), (10.0, 6.333401691263134)]
+
+
+def _modality_cases():
+    rng = np.random.default_rng(20261019)
+    cases = list(zip(rng.uniform(0.0, 12.0, 320).tolist(), rng.uniform(0.0, 30.0, 320).tolist()))
+    cases = [(a, b) for a, b in cases if a > 0.0]
+    # along Marsaglia's critical curve
+    for a in np.linspace(1.05, 2.25, 13).tolist():
+        cases += [(a, modality_curve(a) * f) for f in (0.98, 0.999, 1.0, 1.001, 1.02)]
+    near = [(a, b * f) for a, b in _FLOOR_CROSSINGS for f in (0.97, 0.99, 1.0, 1.01, 1.03)]
+    return cases, near
+
+
+def test_mode_count_matches_the_unfiltered_scan() -> None:
+    cases, near = _modality_cases()
+    assert len(cases) >= 300
+    for a, b in near:
+        # the minor peak lies within 10x of the floor
+        peaks = _unfiltered_peaks(StdRatioParams(a, b))
+        assert len(peaks) == 2 and 1e-13 <= min(peaks) <= 1e-11
+    for a, b in cases + near:
+        sr = StdRatioParams(a, b)
+        want = int(np.count_nonzero(_unfiltered_peaks(sr) >= normal_ratio._MODE_FLOOR))
+        assert normal_ratio._count_visible_modes(sr) == want, (a, b)
+        verdict = classify_modality(sr, practical=False)
+        if verdict is Modality.BIMODAL and want < 2:
+            verdict = Modality.UNIMODAL
+        assert classify_modality(sr) is verdict, (a, b)
+
+
 def test_modality_curve_frozen_values() -> None:
     assert math.isclose(modality_curve(1.5), 0.4292076295684869, rel_tol=1e-12)
     assert math.isclose(modality_curve(2.0), 2.0300016593056758, rel_tol=1e-12)

@@ -60,6 +60,37 @@ def test_erfc_complement_identity() -> None:
         assert math.isclose(erf(x) + erfc(x), 1.0, rel_tol=1e-14)
 
 
+def test_erfc_table_matches_continued_fraction() -> None:
+    # the table against the fraction that builds it, in the scaled form
+    # x sqrt(pi) exp(x^2) erfc(x), which stays near 1 where erfc underflows
+    rng = np.random.default_rng(20261019)
+    edges = 1.0 / (special._PIECE_WIDTH * np.arange(1, special._TABLE_PIECES + 1))
+    xs = np.concatenate([
+        rng.uniform(1.2, 27.0, 40_000),
+        np.geomspace(1.2, 1e6, 4_000),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, math.inf),
+        [np.nextafter(1.2, 2.0), 27.0, 1e6],
+    ])
+    xs = xs[xs > 1.2]
+    table = special._scaled_erfc_table(xs)
+    fraction = special._scaled_erfc_cf(xs)
+    assert np.max(np.abs(table - fraction) / fraction) <= 2e-15
+    # erfc itself, wherever it is a normal number
+    got, want = erfc(xs), np.exp(-xs * xs) * special.INV_SQRT_PI / (xs / fraction)
+    normal = want > 2.2250738585072014e-308
+    assert np.max(np.abs(got[normal] - want[normal]) / want[normal]) <= 2e-15
+    assert special._scaled_erfc_table(np.array([math.inf]))[0] == pytest.approx(1.0, abs=1e-15)
+    assert erfc(math.inf) == 0.0 and erf(math.inf) == 1.0 and erfc(-math.inf) == 2.0
+
+
+def test_erfc_table_is_built_once_and_read_only() -> None:
+    erfc(2.0)
+    table = special._erfc_table()
+    assert table is special._erfc_table()
+    assert table.shape == (special._TABLE_DEGREE + 1, special._TABLE_PIECES)
+    assert not table.flags.writeable
+
+
 @pytest.mark.parametrize(
     ("x", "expected"),
     [
