@@ -216,7 +216,8 @@ def _row(rec: BenchRecord) -> Dict[str, object]:
 def export(records: Sequence[BenchRecord], format: str, path: str) -> None:
     """Write records as CSV (fixed column schema) or JSON (same field names).
 
-    Reals carry 17 significant digits, enough to round-trip 64-bit floats.
+    CSV reals carry 17 significant digits and JSON reals their shortest repr;
+    both round-trip 64-bit floats.
     """
     if not records:
         raise InvalidParamsError("records must be nonempty")
@@ -234,16 +235,7 @@ def export(records: Sequence[BenchRecord], format: str, path: str) -> None:
             )
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        rows = []
-        for rec in records:
-            row = _row(rec)
-            rows.append(
-                {
-                    k: v if isinstance(v, (str, int)) else float(_g17(v))  # type: ignore[arg-type]
-                    for k, v in row.items()
-                }
-            )
-        text = json.dumps(rows, indent=2) + "\n"
+        text = json.dumps([_row(rec) for rec in records], indent=2) + "\n"
     else:
         raise InvalidParamsError(f"format must be 'csv' or 'json', got {format!r}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -34,14 +34,12 @@ summed in ascending nu2 order, again pairwise.  Blocking changes no cell and
 no sum, so results are bit-identical to one whole-lattice sum and
 bit-reproducible across runs.
 
-A bivariate normal joint CF (JointCharFn.gaussian set) is summed as the
-independent pair (X1 - d X2, X2), d = cov/var2, at x - d (Marsaglia 2006,
-"Ratios of normal variables"): that pair's joint CF is phi(s, tau - d s),
-so its cell at x - d, on tau = +-t - (x - d) s, is the cell of (X1, X2) at x.
-
-An independent pair (JointCharFn.marginals set by product_joint_cf) is
-summed in O(N) per point.  Its cells factor as phi1(s) times a function of
-u = x s, so
+A joint CF's pair (cf1, cf2, d) says that X1 - d X2 ~ cf1 is independent of
+X2 ~ cf2: d = 0 for product_joint_cf, d = cov/var2 for the bivariate normal
+(Marsaglia 2006, "Ratios of normal variables").  The pair's joint CF is
+phi(s, tau - d s), so its cell at x - d is the cell of (X1, X2) at x, and the
+pair is summed at x - d in O(N) per point.  Its cells factor as phi1(s)
+times a function of u = x s, so
 
     f_W(x) = (h1 h2/pi^2) sum_s Re[phi1(s) H(x s)],
     H(u) = sum_t [phi2'(t - u) - phi2'(-t - u)] / (-t),
@@ -122,19 +120,15 @@ class JointCharFn:
     """A bivariate characteristic function and its second-argument partial.
 
     Both take two broadcastable NumPy arrays and return their broadcast shape.
-    gaussian, when present, is the moments (mean1, mean2, var1, var2, cov)
-    of a bivariate normal pair, which the Broda-Kan sums take as the
-    independent pair (X1 - d X2, X2) at x - d, d = cov/var2.  marginals,
-    when present, is (cf1, cf2) of an independent pair, whose Broda-Kan sums
-    read the inner sum over t off the table of the lattice and call phi2d or
-    dphi2d_dt2 only at points that fall back to the direct lattice sum.
+    pair, when present, is (cf1, cf2, d) with X1 - d X2 ~ cf1 independent of
+    X2 ~ cf2; the Broda-Kan sums then sum that pair at x - d, and call phi2d
+    or dphi2d_dt2 only when the pair lacks what the sum needs.
     """
 
     phi2d: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dphi2d_dt2: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str = ""
-    gaussian: Optional[Tuple[float, float, float, float, float]] = None
-    marginals: Optional[Tuple["CharFn", "CharFn"]] = None
+    pair: Optional[Tuple["CharFn", "CharFn", float]] = None
 
 
 @dataclass(frozen=True)
@@ -281,9 +275,16 @@ def gil_pelaez_cdf(cf: CharFn, x, cfg: QuadratureConfig = _GP_CFG):
 
 
 def bivariate_normal_joint_cf(p: BivNormalParams) -> JointCharFn:
-    """Joint CF of a correlated normal pair, with its second-argument partial."""
+    """Joint CF of a correlated normal pair, with its second-argument partial.
+
+    Its pair is built here, once: normal_cf raises InvalidParamsError when
+    rounding at |rho| -> 1 leaves X1 - d X2 no variance.
+    """
     m1, m2, v1, v2 = p.mu1, p.mu2, p.sigma1 * p.sigma1, p.sigma2 * p.sigma2
     cov = p.rho * p.sigma1 * p.sigma2
+    d = cov / v2
+    pair = (normal_cf(m1 - d * m2, math.sqrt(max(v1 - d * cov, 0.0))),
+            normal_cf(m2, math.sqrt(v2)), d)
 
     def phi2d(s, t):
         q = v1 * s * s + 2.0 * cov * s * t + v2 * t * t
@@ -292,15 +293,14 @@ def bivariate_normal_joint_cf(p: BivNormalParams) -> JointCharFn:
     def dphi2d_dt2(s, t):
         return (1j * m2 - cov * s - v2 * t) * phi2d(s, t)
 
-    return JointCharFn(phi2d, dphi2d_dt2, f"bivariate_normal_joint_cf({p!r})",
-                       (m1, m2, v1, v2, cov))
+    return JointCharFn(phi2d, dphi2d_dt2, f"bivariate_normal_joint_cf({p!r})", pair)
 
 
 def product_joint_cf(cf1: CharFn, cf2: CharFn) -> JointCharFn:
     """Joint CF of an independent pair: phi(s, t) = phi1(s) phi2(t).
 
-    The result records (cf1, cf2) as its marginals, so the Broda-Kan sums
-    read the inner sum off the table of the lattice.  Its partial
+    The result records the pair (cf1, cf2, 0.0), so the Broda-Kan sums read
+    the inner sum off the table of the lattice.  Its partial
     phi1(s) phi2'(t), which the density needs, raises InvalidParamsError
     when cf2 has no dphi; the CDF needs phi2d only.
     """
@@ -317,7 +317,7 @@ def product_joint_cf(cf1: CharFn, cf2: CharFn) -> JointCharFn:
                                      f"which {cf2.label or 'this CF'} lacks")
         return cf1.phi(np.asarray(s, dtype=float)) * cf2.dphi(np.asarray(t, dtype=float))
 
-    return JointCharFn(phi2d, dphi2d_dt2, label, marginals=(cf1, cf2))
+    return JointCharFn(phi2d, dphi2d_dt2, label, (cf1, cf2, 0.0))
 
 
 def broda_kan_pdf_indep(
@@ -342,21 +342,23 @@ def _broda_kan(jcf: JointCharFn, w, cfg: Grid2DConfig, density: bool):
 
     Both are h1 h2 / pi^2 times the lattice sum of
     Re[G(s, t - x s) - G(s, -t - x s)] / d, with G = dphi2d_dt2 and d = -t
-    for the density, G = phi2d and d = s t for the CDF.  A point's blocks
-    of t rows each give their rows' sums over nu1; the point's row sums are
-    concatenated and summed in one call, so the total does not depend on
-    the block size.
+    for the density, G = phi2d and d = s t for the CDF; a pair is summed at
+    x - d on the table, falling back to its cells G = cf1.phi(s) g(tau), g
+    = cf2.dphi or cf2.phi.  A point's blocks of t rows each give their rows'
+    sums over nu1; the point's row sums are concatenated and summed in one
+    call, so the total does not depend on the block size.
     """
     xx = points(w, "broda_kan_pdf_joint" if density else "broda_kan_cdf")
-    if jcf.gaussian is not None:  # W - d is the ratio of the independent pair (X1 - d X2, X2)
-        m1, m2, v1, v2, cov = jcf.gaussian
-        d = cov / v2  # normal_cf raises if rounding at |rho| -> 1 leaves no variance
-        pair = product_joint_cf(normal_cf(m1 - d * m2, math.sqrt(max(v1 - d * cov, 0.0))),
-                                normal_cf(m2, math.sqrt(v2)))
-        return _broda_kan(pair, xx - d, cfg, density)
     nu = np.arange(0, cfg.N + 1, dtype=float) + 0.5
     s, t = cfg.h1 * nu, cfg.h2 * nu
-    cf = jcf.dphi2d_dt2 if density else jcf.phi2d
+    pair = jcf.pair
+    tabled = pair is not None and (pair[1].dphi is not None or not density)
+    if tabled:
+        cf1, cf2, d = pair
+        g = cf2.dphi if density else cf2.phi
+        cf, xs = (lambda u, tau: cf1.phi(u) * g(tau)), xx.ravel() - d
+    else:
+        cf, xs = (jcf.dphi2d_dt2 if density else jcf.phi2d), xx.ravel()
     ss = s[None, :]
     blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, t.size, _BLOCK_ROWS)]
 
@@ -369,11 +371,7 @@ def _broda_kan(jcf: JointCharFn, w, cfg: Grid2DConfig, density: bool):
         return np.array([np.concatenate([row_sums(x, rows) for rows in blocks]).sum()
                          for x in xs.tolist()])
 
-    marginals = jcf.marginals
-    if marginals is not None and (marginals[1].dphi is not None or not density):
-        total = _tabled_sums(*marginals, xx.ravel(), s, cfg, density, direct)
-    else:
-        total = direct(xx.ravel())
+    total = _tabled_sums(cf1, cf2, xs, s, cfg, density, direct) if tabled else direct(xs)
     bad = ~np.isfinite(total)
     if bad.any():
         raise IntegrandError(f"2D inversion sum is not finite at {float(xx.ravel()[bad][0])!r}")

@@ -47,8 +47,6 @@ from .quadrature import (
 )
 from .special import like, points
 
-_DEFAULT_CFG = QuadratureConfig(rel_tol=1e-10, abs_floor=1e-280)
-
 Density = Callable[[np.ndarray], np.ndarray]
 
 
@@ -266,7 +264,7 @@ def ratio_pdf(
     f1: DensityFn,
     f2: DensityFn,
     t,
-    cfg: QuadratureConfig = _DEFAULT_CFG,
+    cfg: QuadratureConfig = QuadratureConfig(),
 ):
     """Density of X1/X2 at t for independent X1 ~ f1, X2 ~ f2.
 
@@ -282,7 +280,7 @@ def product_pdf(
     f1: DensityFn,
     f2: DensityFn,
     t,
-    cfg: QuadratureConfig = _DEFAULT_CFG,
+    cfg: QuadratureConfig = QuadratureConfig(),
 ):
     """Density of X1*X2 at t for independent X1 ~ f1, X2 ~ f2.
 
@@ -305,7 +303,7 @@ def ratio_pdf_grid(
     f1: DensityFn,
     f2: DensityFn,
     grid: Sequence[float],
-    cfg: QuadratureConfig = _DEFAULT_CFG,
+    cfg: QuadratureConfig = QuadratureConfig(),
     accel: GridAccel = Direct(),
 ) -> np.ndarray:
     """Ratio density over an ordered grid, directly or via one interpolant.
@@ -339,7 +337,7 @@ def ratio_interpolant(
     lo: float,
     hi: float,
     n_nodes: int = 257,
-    cfg: QuadratureConfig = _DEFAULT_CFG,
+    cfg: QuadratureConfig = QuadratureConfig(),
 ) -> ChebInterpolant:
     """Reusable Chebyshev interpolant of the ratio density on [lo, hi]."""
     return cheb_build(lambda ts: _integrate_pieces(f1, f2, False, ts, cfg), lo, hi, n_nodes)

@@ -177,6 +177,43 @@ def test_export_json_round_trip(tmp_path):
     assert rows[0]["method_id"] == "analytic"
 
 
+_JSON_GOLDEN = """[
+  {
+    "method_id": "mellin-de",
+    "a": -0.0,
+    "b": 5e-324,
+    "n_points": 1000,
+    "lo": 0.3333333333333333,
+    "hi": 1e+308,
+    "runs": 3,
+    "reps": 10,
+    "runtime_mean_s": 0.3333333333333333,
+    "runtime_cv": 0.0,
+    "eps_max": Infinity,
+    "speedup": NaN,
+    "setup_s": 1e+308
+  }
+]
+"""
+
+
+def test_export_json_bytes_and_bits(tmp_path):
+    # signed zero, the least subnormal, a 17-digit float, the edge of the
+    # range, NaN and infinity are written as repr writes them and load back
+    # bit for bit
+    rec = BenchRecord("mellin-de", (-0.0, 5e-324), 1000, (1 / 3, 1e308), 3, 10,
+                      1 / 3, 0.0, math.inf, math.nan, 1e308)
+    path = tmp_path / "bench.json"
+    export([rec], "json", str(path))
+    assert path.read_bytes() == _JSON_GOLDEN.encode()
+    (row,) = json.loads(path.read_text())
+    fields = (rec.params + rec.interval
+              + (rec.runtime_mean_s, rec.runtime_cv, rec.eps_max, rec.speedup_vs_baseline,
+                 rec.setup_time_s))
+    keys = ("a", "b", "lo", "hi", "runtime_mean_s", "runtime_cv", "eps_max", "speedup", "setup_s")
+    assert [row[k].hex() for k in keys] == [v.hex() for v in fields]
+
+
 def test_export_validation(tmp_path):
     with pytest.raises(InvalidParamsError):
         export([], "csv", str(tmp_path / "x.csv"))

@@ -16,6 +16,7 @@ from ratiodist.errors import (
     RatioDistError,
     UndecayedCFError,
 )
+from ratiodist import cf as cf_module
 from ratiodist.cf import (
     CharFn,
     Grid2DConfig,
@@ -357,11 +358,17 @@ def test_normal_cfs_carry_their_moments():
     assert normal_cf(1.5, 2.0).moments == (1.5, 4.0)
     assert chi_square_cf(5).moments == (5.0, 10.0)
     assert cauchy_cf().moments is None
-    # only a correlated normal pair is marked bivariate normal
-    jcf = product_joint_cf(normal_cf(1.5, 2.0), normal_cf(-1.0, 0.5))
-    assert jcf.gaussian is None
+    # a product records its factors as the pair with d = 0; a correlated
+    # normal pair records N(mu1 - d mu2, var1 - d cov) and N(mu2, var2)
+    a, b = normal_cf(1.5, 2.0), normal_cf(-1.0, 0.5)
+    jcf = product_joint_cf(a, b)
+    assert jcf.pair == (a, b, 0.0)
     p = BivNormalParams(1.5, -1.0, 2.0, 0.5, 0.3)
-    assert bivariate_normal_joint_cf(p).gaussian == (1.5, -1.0, 4.0, 0.25, 0.3 * 2.0 * 0.5)
+    cf1, cf2, d = bivariate_normal_joint_cf(p).pair
+    cov = 0.3 * 2.0 * 0.5
+    assert d == cov / 0.25
+    assert cf1.moments == normal_cf(1.5 + d, math.sqrt(4.0 - d * cov)).moments
+    assert cf2.moments == (-1.0, 0.25)
     # phi2d of the product is phi1 phi2
     s, t = np.array([0.3, -1.1]), np.array([0.7, 0.2])
     want = normal_cf(1.5, 2.0).phi(s) * normal_cf(-1.0, 0.5).phi(t)
@@ -390,9 +397,9 @@ _TAILS = (-5.0, 0.5, 5.0)
 def test_gaussian_lattice_matches_generic_cells(p, xs):
     # the independent pair (X1 - d X2, X2) at x - d, on the tabulated inner
     # sum, and the correlated CF's generic per-cell evaluation sum the same
-    # cells; clearing the moments field forces the generic path
+    # cells; clearing the pair forces the generic path
     jcf = bivariate_normal_joint_cf(p)
-    generic = dataclasses.replace(jcf, gaussian=None)
+    generic = dataclasses.replace(jcf, pair=None)
     cfg = auto_grid(normal_cf(p.mu1, p.sigma1), normal_cf(p.mu2, p.sigma2))
     xs = np.asarray(xs, dtype=float)
     peak = float(np.max(ratio_pdf_phamgia(p, np.linspace(-5.0, 5.0, 20001))))
@@ -426,6 +433,59 @@ def test_bivariate_normal_is_shifted_independent_pair(p):
     assert np.max(np.abs(broda_kan_cdf(jcf, xs, cfg) - broda_kan_cdf(pair, xs - d, cfg))) <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "p",
+    [
+        _HAKE0,
+        dataclasses.replace(_HAKE0, rho=0.99),
+        dataclasses.replace(_HAKE0, rho=-0.99),
+        BivNormalParams(1.0, 2.0, 0.01, 0.01, 0.0),
+    ],
+    ids=["hake0", "rho+0.99", "rho-0.99", "sigma0.01"],
+)
+def test_bivariate_normal_sums_its_recorded_pair(p):
+    # the joint CF's sums are its recorded pair's sums at x - d, bit for bit
+    jcf = bivariate_normal_joint_cf(p)
+    cf1, cf2, d = jcf.pair
+    pair = product_joint_cf(cf1, cf2)
+    cfg = auto_grid(normal_cf(p.mu1, p.sigma1), normal_cf(p.mu2, p.sigma2))
+    xs = np.concatenate([np.linspace(-2.0, 3.0, 11) * p.mu1 / p.mu2, _TAILS])
+    assert np.array_equal(broda_kan_pdf_joint(jcf, xs, cfg),
+                          broda_kan_pdf_joint(pair, xs - d, cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", AccuracyWarning)  # rho = 0.99 overshoots 1 (see above)
+        assert np.array_equal(broda_kan_cdf(jcf, xs, cfg), broda_kan_cdf(pair, xs - d, cfg))
+
+
+def test_bivariate_normal_pair_is_built_once(monkeypatch):
+    # the pair is built at construction: a grid of sums builds no CF
+    jcf = bivariate_normal_joint_cf(_HAKE0)
+    cfg = auto_grid(normal_cf(_HAKE0.mu1, _HAKE0.sigma1), normal_cf(_HAKE0.mu2, _HAKE0.sigma2))
+    calls = []
+
+    def counted(name):
+        build = getattr(cf_module, name)
+
+        def call(*args):
+            calls.append(name)
+            return build(*args)
+        return call
+
+    for name in ("normal_cf", "product_joint_cf"):
+        monkeypatch.setattr(cf_module, name, counted(name))
+    xs = np.linspace(0.261674, 0.515936, 50)
+    assert np.isfinite(broda_kan_pdf_joint(jcf, xs, cfg)).all()
+    assert np.isfinite(broda_kan_cdf(jcf, xs, cfg)).all()
+    assert calls == []
+
+
+def test_bivariate_normal_without_shifted_variance_raises_at_construction():
+    # rounding at |rho| -> 1 leaves X1 - d X2 no variance: the constructor says so
+    p = BivNormalParams(1.0, 2.0, 0.2188232194149646, 0.14793014303273438, 0.9999999999999999)
+    with pytest.raises(InvalidParamsError, match="normal CF needs"):
+        bivariate_normal_joint_cf(p)
+
+
 def _one_shot(jcf, x, cfg, density):
     # the folded lattice summed whole: Re[G(s, t - xs) - G(s, -t - xs)] / d
     nu = np.arange(0, cfg.N + 1, dtype=float) + 0.5
@@ -446,8 +506,8 @@ def test_row_blocked_sums_equal_one_shot_sum(cf1, cf2, n):
     # blocks of t rows (the last one ragged, whether the blocks hold 32 or
     # 64 rows) change no cell and no sum order; 201 rows pass NumPy's
     # 128-term pairwise block, where a block-wise total would round differently.
-    # Clearing the marginals keeps the pair off the tabulated inner sum.
-    jcf = dataclasses.replace(product_joint_cf(cf1, cf2), marginals=None)
+    # Clearing the pair keeps it off the tabulated inner sum.
+    jcf = dataclasses.replace(product_joint_cf(cf1, cf2), pair=None)
     cfg = Grid2DConfig(n, 0.05, 0.1)
     xs = np.array([-0.7, 0.3, 2.5])
     pdf = broda_kan_pdf_joint(jcf, xs, cfg)
@@ -516,7 +576,7 @@ def test_tabled_sums_fall_back_to_direct_sum(cf1, cf2, xs):
     # a point whose interpolation error estimate is too large, or whose
     # table would span too far, is the blocked direct sum, bit for bit
     jcf = product_joint_cf(cf1, cf2)
-    direct = dataclasses.replace(jcf, marginals=None)
+    direct = dataclasses.replace(jcf, pair=None)
     cfg = Grid2DConfig(200, 0.05, 0.1)
     xs = np.asarray(xs)
     assert np.array_equal(broda_kan_pdf_joint(jcf, xs, cfg), broda_kan_pdf_joint(direct, xs, cfg))

@@ -27,7 +27,13 @@ from ratiodist.mellin import (
     ratio_pdf_grid,
     uniform_density,
 )
-from ratiodist.normal_ratio import StdRatioParams, evaluation_interval, std_ratio_pdf
+from ratiodist.normal_ratio import (
+    BivNormalParams,
+    StdRatioParams,
+    evaluation_interval,
+    ratio_pdf_phamgia,
+    std_ratio_pdf,
+)
 from ratiodist.quadrature import ChebInterpolant, QuadratureConfig, cheb_eval_many
 
 
@@ -202,6 +208,31 @@ def test_far_tail_matches_closed_form():
     got = ratio_pdf(normal_density(2.0, 1.0), normal_density(0.25, 1.0), 8.6)
     want = std_ratio_pdf(StdRatioParams(2.0, 0.25), 8.6)
     assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def test_default_config_keeps_a_deep_tail_density():
+    # the default is QuadratureConfig(), the CLI's config: an absolute floor
+    # of 1e-280 stopped this integral at 1.28e-292
+    got = ratio_pdf(normal_density(10.0, 0.5), normal_density(30.0, 0.5), 1.0)
+    want = ratio_pdf_phamgia(BivNormalParams(10.0, 30.0, 0.5, 0.5, 0.0), 1.0)
+    assert math.isclose(want, 2.1610374743869e-173, rel_tol=1e-12)
+    assert math.isclose(got, want, rel_tol=1e-10)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the unit-scale half-line map, centred at lo + 1, steps over a narrow denominator far "
+    "from 1: both points return 0.0 under the 1e-300 and the 1e-280 floor, with no warning"))
+@pytest.mark.parametrize("a, s1, b, s2, t, want", [
+    (14.0, 0.2, 22.0, 0.3, 0.75, 2.822468576509e-14),
+    (12.0, 0.25, 32.0, 0.7, 1.0, 4.7126553270e-157),
+], ids=["N(14,0.2)/N(22,0.3)", "N(12,0.25)/N(32,0.7)"])
+def test_narrow_distant_denominator_is_not_silently_zero(a, s1, b, s2, t, want):
+    # reference: the closed form
+    exact = ratio_pdf_phamgia(BivNormalParams(a, b, s1, s2, 0.0), t)
+    assert math.isclose(exact, want, rel_tol=1e-10)
+    f1, f2 = normal_density(a, s1), normal_density(b, s2)
+    for cfg in (QuadratureConfig(), QuadratureConfig(abs_floor=1e-280)):
+        assert math.isclose(ratio_pdf(f1, f2, t, cfg), exact, rel_tol=1e-8)
 
 
 def test_grid_validation():
