@@ -3,15 +3,16 @@
 Method protocol: each method id maps onto an entry of the CLI's engine table
 (``cli.ENGINES``) with fixed settings: analytic, mellin-de (Mellin, direct),
 mellin-de-cheb (Mellin with a 257-node Chebyshev interpolant) and broda-kan.
-The entry's pdf factory, given a ``cli.RunConfig`` whose spec is the normal
+The entry's set-up, given a ``cli.RunConfig`` whose spec is the normal
 pair N(a, 1)/N(b, 1) of the standardized-ratio parameters and the
-evaluation grid, returns a zero-argument callable producing the full PDF
-grid.  Factory construction is the setup phase (interpolant building lives
-there) and is timed separately from the realizations, which each call the
-evaluator once.  One untimed warm-up realization precedes the measured runs.
-Timing uses the monotonic perf_counter clock; runtime_mean and runtime_cv
-pool all measured realizations, and eps_max comes from the final realization
-against the closed-form reference grid.
+evaluation grid, returns the engine's evaluators; its pdf is a zero-argument
+callable producing the full PDF grid.  The set-up is the setup phase
+(interpolant building lives there) and is timed separately from the
+realizations, which each call the pdf evaluator once.  One untimed warm-up
+realization precedes the measured runs.  Timing uses the monotonic
+perf_counter clock; runtime_mean and runtime_cv pool all measured
+realizations, and eps_max comes from the final realization against the
+closed-form reference grid.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def run_experiment(
     cfg = RunConfig(engine, Spec.std_ratio(sr), **fields)  # type: ignore[arg-type]
 
     t0 = time.perf_counter()
-    evaluate = ENGINES[engine].pdf(cfg, xs)
+    evaluate = ENGINES[engine].setup(cfg, xs)[0]
     setup_s = time.perf_counter() - t0
 
     evaluate()  # warm-up, excluded from statistics

@@ -7,7 +7,9 @@ One-dimensional inversion uses the Gil-Pelaez (1951) formulas::
 
 evaluated by half-line double-exponential quadrature.  Both take a float
 (giving a float) or a NumPy array of points (giving an array of its shape);
-each point is a row of one batch of the DE sweep.
+each finite point is a row of one batch of the DE sweep.  At +-inf every
+inversion here gives the limits, a density 0 and a CDF 0 and 1, with no CF
+evaluated.
 
 The ratio W = X1/X2 is inverted in two dimensions following Broda and Kan
 (2013).  With the joint CF phi(s, tau) and its tau-partial d2phi, the
@@ -78,7 +80,7 @@ from .errors import (
 )
 from .normal_ratio import BivNormalParams, ratio_practical_moments
 from .quadrature import QuadratureConfig, integrate_rows
-from .special import clamp_cdf, like, points
+from .special import at_finite, clamp_cdf, like, points
 
 _DECAY_THRESHOLD = 1e-14
 _H_MAX = 0.05  # auto_grid's largest lattice step
@@ -100,12 +102,14 @@ class CharFn:
     """A characteristic function with optional derivative and hints.
 
     phi and dphi map a NumPy array of t to the complex values, same shape;
-    this module calls them on arrays only, and the inversions and auto_grid
-    check phi on an array.  decay_scale, when present, is a t beyond which
-    |phi| stays below 1e-14; it lets auto_grid skip the numeric decay search.
-    moments, when present, is the exact (mean, variance) of the law, which
-    six_sigma_interval reads instead of cf_moments; it is bit-equal to
-    DensityFn.moments of the family's density, which the CLI windows read.
+    this module calls them on arrays only.  phi is checked once, when the
+    CharFn is built: it must take an array, return the same shape and give
+    phi(0) = 1, or InvalidParamsError is raised.  decay_scale, when present,
+    is a t beyond which |phi| stays below 1e-14; it lets auto_grid skip the
+    numeric decay search.  moments, when present, is the exact (mean,
+    variance) of the law, which six_sigma_interval reads instead of
+    cf_moments; it is bit-equal to DensityFn.moments of the family's
+    density, which the CLI windows read.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -113,6 +117,18 @@ class CharFn:
     decay_scale: Optional[float] = None
     label: str = ""
     moments: Optional[Tuple[float, float]] = None
+
+    def __post_init__(self) -> None:
+        name = self.label or "characteristic function"
+        try:
+            v = np.asarray(self.phi(np.zeros(1)))
+        except TypeError as exc:
+            raise InvalidParamsError(f"phi must accept NumPy arrays; {name} raised: {exc}") from exc
+        if v.shape != (1,):
+            raise InvalidParamsError(f"phi must map an array to an array of the same shape; "
+                                     f"{name} returned shape {v.shape}")
+        if abs(complex(v[0]) - 1.0) > 1e-8:
+            raise InvalidParamsError(f"phi(0) must equal 1, got {complex(v[0])!r} for {name}")
 
 
 @dataclass(frozen=True)
@@ -150,21 +166,6 @@ class Grid2DConfig:
             raise GridError(f"h1 must be positive and finite, got {self.h1!r}")
         if not (self.h2 > 0.0 and math.isfinite(self.h2)):
             raise GridError(f"h2 must be positive and finite, got {self.h2!r}")
-
-
-def _check_cf(cf: CharFn) -> None:
-    """phi must map an array to a same-shape array, with phi(0) = 1."""
-    name = cf.label or "characteristic function"
-    try:
-        v = np.asarray(cf.phi(np.zeros(1)))
-    except TypeError as exc:
-        raise InvalidParamsError(f"phi must accept NumPy arrays; {name} raised: {exc}") from exc
-    if v.shape != (1,):
-        raise InvalidParamsError(
-            f"phi must map an array to an array of the same shape; {name} returned shape {v.shape}"
-        )
-    if abs(complex(v[0]) - 1.0) > 1e-8:
-        raise InvalidParamsError(f"phi(0) must equal 1, got {complex(v[0])!r} for {name}")
 
 
 def normal_cf(mu: float, sigma: float) -> CharFn:
@@ -243,15 +244,17 @@ def cauchy_cf(x0: float = 0.0, gamma: float = 1.0) -> CharFn:
 
 
 def _gil_pelaez(cf: CharFn, x, part: Callable[[np.ndarray, np.ndarray], np.ndarray],
-                name: str, cfg: QuadratureConfig) -> np.ndarray:
-    """int_0^inf part(e^{-itx} phi(t)) dt at every point of x, each point one row."""
-    _check_cf(cf)
-    xx = points(x, name)
-    xs = xx.ravel()[:, None]
-    origin = np.zeros(xs.shape[0])
-    value = integrate_rows(lambda idx, t: part(np.exp(-1j * t * xs[idx]) * cf.phi(t), t),
-                           origin, origin + math.inf, cfg).value
-    return value.reshape(xx.shape)
+                name: str, cfg: QuadratureConfig, limits: Tuple[float, float]) -> np.ndarray:
+    """(1/pi) int_0^inf part(e^{-itx} phi(t)) dt at every finite point of x,
+    each point one row, and limits at -inf and +inf, evaluating no CF."""
+
+    def rows(flat: np.ndarray) -> np.ndarray:
+        xs = flat[:, None]
+        origin = np.zeros(xs.shape[0])
+        return integrate_rows(lambda idx, t: part(np.exp(-1j * t * xs[idx]) * cf.phi(t), t),
+                              origin, origin + math.inf, cfg).value / math.pi
+
+    return at_finite(points(x, name), rows, limits)
 
 
 def gil_pelaez_pdf(cf: CharFn, x, cfg: QuadratureConfig = _GP_CFG):
@@ -261,8 +264,7 @@ def gil_pelaez_pdf(cf: CharFn, x, cfg: QuadratureConfig = _GP_CFG):
     polynomial decay leaves the transformed integrand oscillatory over many
     scales; pass a looser tolerance (around 1e-8) and max_levels of 16-17.
     """
-    value = _gil_pelaez(cf, x, lambda z, t: z.real, "gil_pelaez_pdf", cfg)
-    return like(x, value / math.pi)
+    return like(x, _gil_pelaez(cf, x, lambda z, t: z.real, "gil_pelaez_pdf", cfg, (0.0, 0.0)))
 
 
 def gil_pelaez_cdf(cf: CharFn, x, cfg: QuadratureConfig = _GP_CFG):
@@ -270,7 +272,7 @@ def gil_pelaez_cdf(cf: CharFn, x, cfg: QuadratureConfig = _GP_CFG):
 
     See gil_pelaez_pdf for the tolerance caveat on slowly decaying CFs.
     """
-    raw = 0.5 - _gil_pelaez(cf, x, lambda z, t: z.imag / t, "gil_pelaez_cdf", cfg) / math.pi
+    raw = 0.5 - _gil_pelaez(cf, x, lambda z, t: z.imag / t, "gil_pelaez_cdf", cfg, (0.5, -0.5))
     return like(x, clamp_cdf(raw))
 
 
@@ -304,8 +306,6 @@ def product_joint_cf(cf1: CharFn, cf2: CharFn) -> JointCharFn:
     phi1(s) phi2'(t), which the density needs, raises InvalidParamsError
     when cf2 has no dphi; the CDF needs phi2d only.
     """
-    _check_cf(cf1)
-    _check_cf(cf2)
     label = f"product({cf1.label}, {cf2.label})"
 
     def phi2d(s, t):
@@ -337,8 +337,9 @@ def broda_kan_pdf_indep(
 
 
 def _broda_kan(jcf: JointCharFn, w, cfg: Grid2DConfig, density: bool):
-    """The folded Broda-Kan sum at every point of w: f_W when density is set,
-    F_W - 1/2 otherwise.
+    """The folded Broda-Kan sum at every finite point of w: f_W when density
+    is set, F_W - 1/2 otherwise; at +-inf their limits, 0 and +-1/2, with no
+    CF evaluated.
 
     Both are h1 h2 / pi^2 times the lattice sum of
     Re[G(s, t - x s) - G(s, -t - x s)] / d, with G = dphi2d_dt2 and d = -t
@@ -356,9 +357,9 @@ def _broda_kan(jcf: JointCharFn, w, cfg: Grid2DConfig, density: bool):
     if tabled:
         cf1, cf2, d = pair
         g = cf2.dphi if density else cf2.phi
-        cf, xs = (lambda u, tau: cf1.phi(u) * g(tau)), xx.ravel() - d
+        cf = lambda u, tau: cf1.phi(u) * g(tau)
     else:
-        cf, xs = (jcf.dphi2d_dt2 if density else jcf.phi2d), xx.ravel()
+        cf = jcf.dphi2d_dt2 if density else jcf.phi2d
     ss = s[None, :]
     blocks = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, t.size, _BLOCK_ROWS)]
 
@@ -371,11 +372,14 @@ def _broda_kan(jcf: JointCharFn, w, cfg: Grid2DConfig, density: bool):
         return np.array([np.concatenate([row_sums(x, rows) for rows in blocks]).sum()
                          for x in xs.tolist()])
 
-    total = _tabled_sums(cf1, cf2, xs, s, cfg, density, direct) if tabled else direct(xs)
-    bad = ~np.isfinite(total)
-    if bad.any():
-        raise IntegrandError(f"2D inversion sum is not finite at {float(xx.ravel()[bad][0])!r}")
-    return cfg.h1 * cfg.h2 * total.reshape(xx.shape) / (math.pi * math.pi)
+    def sums(x: np.ndarray) -> np.ndarray:
+        total = _tabled_sums(cf1, cf2, x - d, s, cfg, density, direct) if tabled else direct(x)
+        bad = ~np.isfinite(total)
+        if bad.any():
+            raise IntegrandError(f"2D inversion sum is not finite at {float(x[bad][0])!r}")
+        return cfg.h1 * cfg.h2 * total / (math.pi * math.pi)
+
+    return at_finite(xx, sums, (0.0, 0.0) if density else (-0.5, 0.5))
 
 
 def _inner_table(cf2: CharFn, n: int, h2: float, nodes: int, density: bool) -> np.ndarray:
@@ -585,8 +589,6 @@ def auto_grid(cf1: CharFn, cf2: CharFn, n: int = 500) -> Grid2DConfig:
     """
     if n < 1 or int(n) != n:
         raise GridError(f"n must be a positive integer, got {n!r}")
-    _check_cf(cf1)
-    _check_cf(cf2)
     d1 = cf_decay_range(cf1)
     d2 = cf_decay_range(cf2)
     t1 = min(d1, _H_MAX * n)

@@ -3,7 +3,8 @@
 Subcommands: pdf and cdf write x,value CSV; modality prints the shape
 verdict; interval prints the chosen evaluation window; bench runs the
 timed accuracy protocol and exports records to the file named by --out
-(bench needs --out; it checks that before running anything).
+(bench needs --out, in a directory that exists; it checks both before
+running anything).
 
 The other subcommands read exactly one distribution spec into a Spec of
 one of three kinds: "normal" (a BivNormalParams from --biv, --hake, or
@@ -14,17 +15,19 @@ gives each spec family's density (for mellin) and CF (for the CF engines).
 Engines live in one table, ENGINES, keyed by the --engine id: analytic
 (closed forms), mellin (DE Mellin convolution, densities only), broda-kan
 (2D CF inversion) and gil-pelaez (1D CF inversion).  Each entry states the
-spec kinds it takes and holds a pdf factory, a cdf factory (none for mellin)
-and the default k of a normal spec's --auto-interval window.  A factory
-reads a RunConfig, does the one-time work (densities, CFs, auto_grid, the
-Chebyshev build) and returns a zero-argument evaluator for the whole grid;
-the bench times the same entries.  Every engine's --auto-interval window is
-mean +/- k practical sd (cf.sd_window) from the exact mean and sd of the
-factors: a normal spec's parameters or each factor's DensityFn.moments;
-Cauchy has none.  A num-den window is cut to the support of X1/X2 that the
-factors' DensityFn.support give.  Every subcommand computes its whole output
-first and then writes it once.  Bad specs, bad settings and engine errors
-exit with status 1 and a one-line diagnostic on stderr.
+spec kinds it takes, its set-up, whether it has a CDF (mellin has none) and
+the default k of a normal spec's --auto-interval window.  A set-up reads a
+RunConfig and the grid, does the one-time work once (densities, CFs,
+auto_grid, the Chebyshev build) and returns (pdf, cdf), two zero-argument
+evaluators for the whole grid (cdf is None for mellin); pdf and cdf run one
+set-up per command, and the bench times the same set-up and its pdf.  Every
+engine's --auto-interval window is mean +/- k practical sd (cf.sd_window)
+from the exact mean and sd of the factors: a normal spec's parameters or
+each factor's DensityFn.moments; Cauchy has none.  A num-den window is cut
+to the support of X1/X2 that the factors' DensityFn.support give.  Every
+subcommand computes its whole output first and then writes it once.  Bad
+specs, bad settings and engine errors exit with status 1 and a one-line
+diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
@@ -42,9 +46,6 @@ import numpy as np
 from . import bench as bench_mod
 from .cf import (
     _GP_CFG,
-    CharFn,
-    Grid2DConfig,
-    JointCharFn,
     auto_grid,
     bivariate_normal_joint_cf,
     broda_kan_cdf,
@@ -88,7 +89,7 @@ _FLAGS = {"normal": "--std-ratio/--biv/--hake", "num-den": "--num/--den", "dist"
 
 
 # family -> (parameter names, density factory, CF factory or None), a factory by
-# its name in this module (see Factory); uniform has no CF: it decays like 1/t.
+# its name in this module (see Setup); uniform has no CF: it decays like 1/t.
 _FAMILIES = {
     "normal": (("MU", "SIGMA"), "normal_density", "normal_cf"),
     "chisq": (("K",), "chi_square_density", "chi_square_cf"),
@@ -216,22 +217,20 @@ def _window(cfg: RunConfig) -> Tuple[float, float]:
     return max(lo, s_lo), min(hi, s_hi)
 
 
-# A grid factory does the one-time work and returns an evaluator for the whole
-# grid; library functions are looked up by global name when called, so a
-# wrapper installed on this module's names sees every call.
+# An engine's set-up does the one-time work and returns (pdf, cdf), two
+# evaluators for the whole grid (cdf None for mellin); library functions are
+# looked up by global name when called, so a wrapper installed on this
+# module's names sees every call.
 Evaluator = Callable[[], np.ndarray]
-Factory = Callable[[RunConfig, np.ndarray], Evaluator]
+Setup = Callable[[RunConfig, np.ndarray], Tuple[Evaluator, Optional[Evaluator]]]
 
 
-def _analytic_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
-    return lambda: ratio_pdf_phamgia(cfg.spec.value, xs)
+def _analytic(cfg: RunConfig, xs: np.ndarray) -> Tuple[Evaluator, Evaluator]:
+    p = cfg.spec.value
+    return (lambda: ratio_pdf_phamgia(p, xs)), (lambda: ratio_cdf(p, xs))
 
 
-def _analytic_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
-    return lambda: ratio_cdf(cfg.spec.value, xs)
-
-
-def _mellin_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
+def _mellin(cfg: RunConfig, xs: np.ndarray) -> Tuple[Evaluator, None]:
     if cfg.spec.kind == "normal" and cfg.spec.value.rho != 0.0:
         raise InvalidParamsError(
             "mellin convolution requires independent factors (rho = 0); "
@@ -241,59 +240,41 @@ def _mellin_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
     qcfg = QuadratureConfig(rel_tol=cfg.rel_tol)
     if cfg.cheb_nodes is not None and xs.size > 1:  # one point spans no interval to interpolate on
         interp = ratio_interpolant(f1, f2, float(xs[0]), float(xs[-1]), cfg.cheb_nodes, qcfg)
-        return lambda: cheb_eval_many(interp, xs)
-    return lambda: ratio_pdf_grid(f1, f2, xs, qcfg)
+        return (lambda: cheb_eval_many(interp, xs)), None
+    return (lambda: ratio_pdf_grid(f1, f2, xs, qcfg)), None
 
 
-def _broda_kan_setup(cfg: RunConfig) -> Tuple[JointCharFn, Grid2DConfig]:
-    """The joint CF (bivariate normal for a normal spec) and the auto grid."""
+def _broda_kan(cfg: RunConfig, xs: np.ndarray) -> Tuple[Evaluator, Evaluator]:
+    """The joint CF (bivariate normal for a normal spec) and the auto grid, built once."""
     cf1, cf2 = _factors(cfg.spec, _CF)
     normal = cfg.spec.kind == "normal"
     jcf = bivariate_normal_joint_cf(cfg.spec.value) if normal else product_joint_cf(cf1, cf2)
-    return jcf, auto_grid(cf1, cf2, n=cfg.grid_n)
+    grid = auto_grid(cf1, cf2, n=cfg.grid_n)
+    return (lambda: broda_kan_pdf_joint(jcf, xs, grid)), (lambda: broda_kan_cdf(jcf, xs, grid))
 
 
-def _broda_kan_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
-    jcf, grid = _broda_kan_setup(cfg)
-    return lambda: broda_kan_pdf_joint(jcf, xs, grid)
-
-
-def _broda_kan_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
-    jcf, grid = _broda_kan_setup(cfg)
-    return lambda: broda_kan_cdf(jcf, xs, grid)
-
-
-def _gil_pelaez_setup(cfg: RunConfig) -> Tuple[CharFn, QuadratureConfig]:
-    return _factor(cfg.spec.value, _CF), dataclasses.replace(_GP_CFG, rel_tol=cfg.rel_tol)
-
-
-def _gil_pelaez_pdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
-    cf, qcfg = _gil_pelaez_setup(cfg)
-    return lambda: gil_pelaez_pdf(cf, xs, qcfg)
-
-
-def _gil_pelaez_cdf(cfg: RunConfig, xs: np.ndarray) -> Evaluator:
-    cf, qcfg = _gil_pelaez_setup(cfg)
-    return lambda: gil_pelaez_cdf(cf, xs, qcfg)
+def _gil_pelaez(cfg: RunConfig, xs: np.ndarray) -> Tuple[Evaluator, Evaluator]:
+    cf, qcfg = _factor(cfg.spec.value, _CF), dataclasses.replace(_GP_CFG, rel_tol=cfg.rel_tol)
+    return (lambda: gil_pelaez_pdf(cf, xs, qcfg)), (lambda: gil_pelaez_cdf(cf, xs, qcfg))
 
 
 class Engine(NamedTuple):
-    """One --engine id: the spec kinds it takes, its grid factories and the
-    default k of a normal spec's --auto-interval window."""
+    """One --engine id: the spec kinds it takes, its set-up, whether it has a
+    CDF and the default k of a normal spec's --auto-interval window."""
 
     takes: FrozenSet[str]
-    pdf: Factory
-    cdf: Optional[Factory]
+    setup: Setup
+    cdf: bool
     normal_k: float
 
 
 _TWO_FACTORS = frozenset({"normal", "num-den"})
 
 ENGINES: Dict[str, Engine] = {
-    "analytic": Engine(frozenset({"normal"}), _analytic_pdf, _analytic_cdf, 2.0),
-    "mellin": Engine(_TWO_FACTORS, _mellin_pdf, None, 2.0),
-    "broda-kan": Engine(_TWO_FACTORS, _broda_kan_pdf, _broda_kan_cdf, 6.0),
-    "gil-pelaez": Engine(frozenset({"dist"}), _gil_pelaez_pdf, _gil_pelaez_cdf, 6.0),
+    "analytic": Engine(frozenset({"normal"}), _analytic, True, 2.0),
+    "mellin": Engine(_TWO_FACTORS, _mellin, False, 2.0),
+    "broda-kan": Engine(_TWO_FACTORS, _broda_kan, True, 6.0),
+    "gil-pelaez": Engine(frozenset({"dist"}), _gil_pelaez, True, 6.0),
 }
 
 
@@ -336,15 +317,15 @@ def _write(path: str, text: str) -> None:
 def cmd_grid(args: argparse.Namespace) -> int:
     """pdf or cdf (the subcommand) on --n points of the interval."""
     cfg = _run_config(args)
-    factory = getattr(ENGINES[cfg.engine], args.subcommand)
-    if factory is None:
+    engine = ENGINES[cfg.engine]
+    if args.subcommand == "cdf" and not engine.cdf:
         raise InvalidParamsError(
             f"the {cfg.engine} engine computes densities only; use cdf with another engine"
         )
     lo, hi = _choose_interval(cfg, args.interval, args.auto_interval)
     xs = np.linspace(lo, hi, args.n_points)
-    evaluate = factory(cfg, xs)  # built for an empty grid too, so spec errors still exit 1
-    values = evaluate() if xs.size else xs
+    pdf, cdf = engine.setup(cfg, xs)  # run for an empty grid too, so spec errors still exit 1
+    values = (cdf if args.subcommand == "cdf" else pdf)() if xs.size else xs
     cells = np.empty(2 * xs.size)
     cells[0::2], cells[1::2] = xs, values
     _write(args.out, "x,value\n" + "%.17g,%.17g\n" * xs.size % tuple(cells.tolist()))
@@ -372,6 +353,9 @@ def cmd_interval(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.out == "-":
         raise InvalidParamsError("bench needs --out PATH for the records file")
+    folder = os.path.dirname(args.out)
+    if folder and not os.path.isdir(folder):
+        raise InvalidParamsError(f"--out {args.out!r}: no directory {folder!r} to write it in")
     if args.std_ratio is None:
         raise InvalidParamsError("bench needs --std-ratio A B")
     sr = StdRatioParams(*args.std_ratio)
@@ -482,10 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return handlers[args.subcommand](args)
-    except RatioDistError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RatioDistError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

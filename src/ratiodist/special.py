@@ -48,6 +48,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -109,6 +110,20 @@ def points(x, name: str) -> np.ndarray:
 def like(x, values: np.ndarray):
     """values as a float when x is a scalar, else as an array of x's shape."""
     return float(values) if np.ndim(x) == 0 else values
+
+
+def at_finite(xx: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+              limits: Tuple[float, float]) -> np.ndarray:
+    """f of xx's finite entries, flattened, and limits[0] at -inf and
+    limits[1] at +inf, in xx's shape; f is called on finite points only."""
+    flat = xx.ravel()
+    finite = np.isfinite(flat)
+    if finite.all():
+        return f(flat).reshape(xx.shape)
+    out = np.where(flat < 0.0, *limits)
+    if finite.any():
+        out[finite] = f(flat[finite])
+    return out.reshape(xx.shape)
 
 
 def clamp_cdf(raw: np.ndarray) -> np.ndarray:

@@ -41,6 +41,7 @@ from ratiodist.normal_ratio import (
     StdRatioParams,
     evaluation_interval,
     hake_params,
+    ratio_cdf,
     ratio_pdf_phamgia,
     std_ratio_cdf,
     std_ratio_pdf,
@@ -95,10 +96,9 @@ def test_hermitian_symmetry():
 
 
 def test_invalid_cf_rejected():
-    # phi(0) = 1 is the one property every CF must satisfy
-    bad = CharFn(lambda t: np.full(np.shape(t), 0.5 + 0.0j))
+    # phi(0) = 1 is the one property every CF must satisfy; it is checked when the CF is built
     with pytest.raises(InvalidParamsError, match="phi\\(0\\) must equal 1"):
-        gil_pelaez_pdf(bad, 0.0)
+        CharFn(lambda t: np.full(np.shape(t), 0.5 + 0.0j))
 
 
 @pytest.mark.parametrize(
@@ -109,18 +109,53 @@ def test_invalid_cf_rejected():
     ],
 )
 def test_cf_must_map_arrays_to_arrays(phi, match):
-    # the inversions evaluate phi on whole grids; a scalar-only CF fails at the door
-    cf = CharFn(phi, label="scalar cf")
-    calls = (
-        lambda: gil_pelaez_pdf(cf, 0.0),
-        lambda: gil_pelaez_cdf(cf, 0.0),
-        lambda: auto_grid(cf, normal_cf(1.0, 1.0)),
-        lambda: product_joint_cf(normal_cf(1.0, 1.0), cf),
-        lambda: broda_kan_pdf_indep(normal_cf(1.0, 1.0), cf, 0.5, Grid2DConfig(8, 0.1, 0.1)),
-    )
-    for call in calls:
-        with pytest.raises(InvalidParamsError, match=match):
-            call()
+    # the inversions evaluate phi on whole grids; a scalar-only CF fails when it is built
+    with pytest.raises(InvalidParamsError, match=match):
+        CharFn(phi, label="scalar cf")
+
+
+def _recorded(f, calls):
+    """f, appending the arguments of each call to calls."""
+    def call(*args):
+        calls.append(args)
+        return f(*args)
+    return call
+
+
+def _recording(cf, calls):
+    return CharFn(_recorded(cf.phi, calls), _recorded(cf.dphi, calls), cf.decay_scale, cf.label,
+                  cf.moments)
+
+
+def test_cf_is_checked_once_when_built():
+    # the one (1,)-shaped probe runs at construction; grids and inversions run none
+    calls = []
+    cf = _recording(normal_cf(1.0, 0.5), calls)
+    assert [np.shape(a[0]) for a in calls] == [(1,)]
+    calls.clear()
+    auto_grid(cf, cf)
+    product_joint_cf(cf, cf)
+    gil_pelaez_pdf(cf, np.array([0.1, 0.5, 2.0]))
+    assert calls and all(np.shape(a[0]) != (1,) for a in calls)
+
+
+def test_cf_engines_evaluate_no_cf_at_infinite_points():
+    calls = []
+    n, chi = _recording(normal_cf(1.0, 0.5), calls), _recording(chi_square_cf(5), calls)
+    jcf = bivariate_normal_joint_cf(BivNormalParams(1.0, 2.0, 0.5, 0.7, 0.3))
+    cf1, cf2, d = jcf.pair
+    jcf = dataclasses.replace(jcf, phi2d=_recorded(jcf.phi2d, calls),
+                              dphi2d_dt2=_recorded(jcf.dphi2d_dt2, calls),
+                              pair=(_recording(cf1, calls), _recording(cf2, calls), d))
+    grid = auto_grid(n, chi)
+    calls.clear()
+    for x in (math.inf, -math.inf, np.array([[math.inf], [-math.inf]])):
+        gil_pelaez_pdf(n, x)
+        gil_pelaez_cdf(n, x)
+        broda_kan_pdf_indep(n, chi, x, grid)
+        broda_kan_pdf_joint(jcf, x, grid)
+        broda_kan_cdf(jcf, x, grid)
+    assert calls == []
 
 
 def test_cf_derivative_matches_closed_form():
@@ -294,7 +329,7 @@ def test_cf_decay_range():
     got = cf_decay_range(normal_cf(0.0, 1.0))
     assert math.isclose(got, 8.029469634031459, rel_tol=1e-12)
     with pytest.raises(UndecayedCFError):
-        cf_decay_range(CharFn(lambda t: 1.0 + 0.0j))  # point mass at 0
+        cf_decay_range(CharFn(lambda t: np.ones(np.shape(t), dtype=complex)))  # point mass at 0
 
 
 def test_auto_grid_ranges():
@@ -592,6 +627,25 @@ def test_broda_kan_normal_over_cauchy():
     want = np.array([0.0366, 0.1946, 0.4242, 0.1229, 0.0192])
     got = broda_kan_pdf_indep(normal_cf(1.0, 0.5), cauchy_cf(0.5, 1.0), xs)
     assert np.max(np.abs(got - want)) <= 1e-3
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "Broda-Kan on the correlated pair N(1, 0.5)/N(2, 0.7), rho 0.3, at x = +-100 gives CDF "
+    "0.527 and 0.484 (truth 5.9e-5 and 0.99994) and density -0.0105 (truth ~6e-7), with no "
+    "warning (ROADMAP item 2)"))
+def test_broda_kan_far_points_are_right_or_warn():
+    # references: the closed forms
+    p = BivNormalParams(1.0, 2.0, 0.5, 0.7, 0.3)
+    jcf, cfg = bivariate_normal_joint_cf(p), auto_grid(normal_cf(1.0, 0.5), normal_cf(2.0, 0.7))
+    xs = np.array([-100.0, 100.0])
+    peak = float(np.max(ratio_pdf_phamgia(p, np.linspace(-5.0, 5.0, 20001))))
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        cdf, pdf = broda_kan_cdf(jcf, xs, cfg), broda_kan_pdf_joint(jcf, xs, cfg)
+    if any(issubclass(w.category, AccuracyWarning) for w in seen):
+        return
+    assert np.max(np.abs(cdf - ratio_cdf(p, xs))) <= 1e-8
+    assert np.max(np.abs(pdf - ratio_pdf_phamgia(p, xs))) <= 1e-8 * peak
 
 
 def _negated(cf):

@@ -105,6 +105,34 @@ def test_cdf_broda_kan(capsys):
     assert abs(rows[1][1] - 0.75) <= 1e-3
 
 
+@pytest.mark.parametrize("sub", ["pdf", "cdf"])
+def test_broda_kan_builds_its_joint_cf_and_grid_once(sub, monkeypatch, capsys):
+    calls = []
+
+    def counted(name):
+        build = getattr(cli, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return build(*args, **kwargs)
+        return call
+
+    for name in ("auto_grid", "bivariate_normal_joint_cf"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main([sub, "--engine", "broda-kan", "--biv", "1", "2", "0.5", "0.7", "0.3",
+                 "--interval", "0", "1", "--n", "5"]) == 0
+    assert sorted(calls) == ["auto_grid", "bivariate_normal_joint_cf"]
+
+
+def test_cdf_mellin_is_refused_before_set_up(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("set-up ran for a cdf the engine does not have")
+
+    monkeypatch.setitem(cli.ENGINES, "mellin", cli.ENGINES["mellin"]._replace(setup=refuse))
+    assert main(["cdf", "--engine", "mellin", "--std-ratio", "1.5", "1", "--auto-interval"]) == 1
+    assert "densities only" in capsys.readouterr().err
+
+
 def test_cdf_analytic(capsys):
     rc = main(["cdf", "--engine", "analytic", "--std-ratio", "1.5", "1",
                "--interval", "-1", "2", "--n", "4"])
@@ -167,15 +195,21 @@ def test_bench_tolerance_sweep(tmp_path):
         "mellin-de@0.001", "mellin-de@0.001", "mellin-de@0.0001", "analytic"]
 
 
-def test_bench_checks_out_before_running(monkeypatch, capsys):
+def test_bench_checks_out_before_running(monkeypatch, capsys, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("bench ran an experiment before checking --out")
 
     monkeypatch.setattr(bench, "run_experiment", refuse)
-    rc = main(["bench", "--std-ratio", "1.5", "1", "--method", "broda-kan",
-               "--n", "50", "--runs", "1", "--reps", "10"])
-    assert rc == 1
+    argv = ["bench", "--std-ratio", "1.5", "1", "--method", "broda-kan",
+            "--n", "50", "--runs", "1", "--reps", "10"]
+    assert main(argv) == 1
     assert capsys.readouterr().err == "error: bench needs --out PATH for the records file\n"
+    # an --out whose directory does not exist: one error line, and no file made
+    out = tmp_path / "missing" / "b.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "missing" in err
+    assert not out.parent.exists()
 
 
 def test_bench_json(tmp_path):
@@ -558,7 +592,8 @@ def test_grid_rows_are_written_as_per_row_formatting_writes_them(monkeypatch, tm
     # values that format specially
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
                         1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456789.0])
-    engine = cli.Engine(frozenset({"normal"}), lambda cfg, xs: lambda: special[:xs.size], None, 2.0)
+    engine = cli.Engine(frozenset({"normal"}), lambda cfg, xs: (lambda: special[:xs.size], None),
+                        False, 2.0)
     monkeypatch.setitem(cli.ENGINES, "analytic", engine)
     out = tmp_path / "grid.csv"
     assert main(["pdf", "--std-ratio", "1", "2", "--interval", "1e-300", "1e300",

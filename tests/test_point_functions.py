@@ -100,6 +100,26 @@ def test_array_in_array_out_equal_to_float_calls(name):
     assert np.array_equal(got, want)
 
 
+# the closed forms and the CF engines: a density is 0 at +-inf, a CDF 0 at -inf and 1 at +inf
+_AT_INF = ["std_ratio_pdf", "ratio_pdf_phamgia", "ratio_pdf_hinkley", "std_ratio_cdf", "ratio_cdf",
+           "gil_pelaez_pdf", "gil_pelaez_cdf", "broda_kan_pdf_joint", "broda_kan_cdf",
+           "broda_kan_pdf_indep", "broda_kan_pdf_indep_chisq", "broda_kan_cdf_chisq"]
+
+
+@pytest.mark.parametrize("name", _AT_INF)
+def test_infinite_points_give_the_limits(name):
+    # with no warning (warnings are errors here); an array's finite entries
+    # equal the call on them alone, bit for bit
+    fn = FUNCTIONS[name]
+    lo, hi = (0.0, 1.0) if "cdf" in name else (0.0, 0.0)
+    assert (fn(-math.inf), fn(math.inf)) == (lo, hi)
+    xs = np.array([[-math.inf, -0.4, 1.1], [math.inf, 2.6, -math.inf]])
+    got = fn(xs)
+    finite = np.isfinite(xs)
+    assert np.array_equal(got[finite], fn(xs[finite]))
+    assert np.array_equal(got[~finite], [lo, hi, lo])
+
+
 @pytest.mark.parametrize("name", list(FUNCTIONS))
 def test_nan_raises(name):
     fn = FUNCTIONS[name]
