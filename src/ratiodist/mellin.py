@@ -27,6 +27,18 @@ the array DE sweep (quadrature.integrate_rows); the piece's x-interval picks
 the map and the sweep blocks the rows itself.  A point's two pieces are
 adjacent rows.  Rows are independent, so a point's value does not depend on
 the grid it is evaluated in.
+
+The half-line map puts its nodes at unit scale around lo + 1, which steps
+over narrow mass far from there (N(500,1)/N(500,1) at t = 1) or pays for it
+in refinement levels.  So a ratio row on (lo, oo) whose factors both carry
+moments (m1, v1), (m2, v2) takes the Gaussian hint of f1(t x) f2(x) |x|:
+precision p = t^2/v1 + 1/v2, mode m = +/-(t m1/v1 + m2/v2)/p (the sign of
+the piece) and width p^(-1/2).  When m lies at least 8 widths above lo, the
+row is integrated in z over (0, oo), still by exp-sinh, with
+x = lo + c z^sc, c = m - lo and sc = width/c: the t = 0 node lands on the
+mode and the node spacing there is the width.  Every other row (finite
+pieces, laws without moments, mass near lo, every product row) keeps its
+x-interval and kernel, node for node.
 """
 
 from __future__ import annotations
@@ -98,7 +110,8 @@ class DensityFn:
     checked once, on a one-element array at a point inside the support.
     moments, when present, is the exact (mean, variance) of the law, bit-equal
     to CharFn.moments of the family's CF; the CLI sizes every --auto-interval
-    window from it.  A law without them (Cauchy) leaves it None.
+    window from it, and ratio_pdf places the nodes of a piece whose mass lies
+    far from its origin by it.  A law without them (Cauchy) leaves it None.
     """
 
     f: Density
@@ -229,18 +242,51 @@ def _pieces(f1: DensityFn, f2: DensityFn, product: bool,
     return lo.ravel(), hi.ravel()
 
 
+# a ratio row is mapped onto its mode only when the mode lies this many
+# widths above the row's origin: the Gaussian mass below the origin is then
+# e^(-8^2/2) = e^(-32) of the whole, so moving the nodes off it loses nothing
+_MODE_WIDTHS = 8.0
+
+
+def _mode_rows(f1: DensityFn, f2: DensityFn, t: np.ndarray, side: np.ndarray,
+               lo: np.ndarray, hi: np.ndarray):
+    """The ratio rows to map onto their mode, by the Gaussian hint of the
+    module docstring, with each row's c = m - lo and sc = width/c; side is
+    the sign of each row's piece.  Returns None when no row is mapped.
+    """
+    if f1.moments is None or f2.moments is None:
+        return None
+    (m1, v1), (m2, v2) = f1.moments, f2.moments
+    if not (0.0 < v1 < math.inf and 0.0 < v2 < math.inf):
+        return None
+    # for lo >= 0, (m - lo)^2 p <= m1^2/v1 + m2^2/v2 (Cauchy-Schwarz): below
+    # the gate there, no row of the call is mapped
+    if not m1 * m1 / v1 + m2 * m2 / v2 >= _MODE_WIDTHS ** 2:
+        return None
+    with np.errstate(all="ignore"):
+        p = t * t / v1 + 1.0 / v2
+        c = side * (t * (m1 / v1) + m2 / v2) / p - lo
+        gated = (hi == math.inf) & (c > 0.0) & (c * c * p >= _MODE_WIDTHS ** 2)
+        if not gated.any():
+            return None
+        return gated, c, 1.0 / (c * np.sqrt(p))
+
+
 def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray,
                       cfg: QuadratureConfig) -> np.ndarray:
     """The Mellin kernel at every point of t (finite, 1-D), one batch of rows.
 
     A point's two pieces are adjacent rows, its x > 0 piece first; an empty
     piece contributes 0.  Each nonempty piece is one row of the DE sweep.
+    A ratio row that _mode_rows maps is integrated in z over (0, oo) with
+    x = lo + c z^sc; every other row keeps its x-interval and kernel.
     """
     g1, g2 = _guarded(f1), _guarded(f2)
     lo, hi = _pieces(f1, f2, product, t)
     k = np.flatnonzero(lo < hi)
     s = np.where(k % 2, -1.0, 1.0)[:, None]
     u = t[k // 2, None]
+    lo, hi = lo[k], hi[k]
 
     def kernel(idx, x):
         z = x * s[idx]
@@ -248,8 +294,30 @@ def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray
             return g1(z) * g2((s[idx] * u[idx]) / x) / x
         return g1(z * u[idx]) * g2(z) * x
 
+    mode = None if product else _mode_rows(f1, f2, u[:, 0], s[:, 0], lo, hi)
+    if mode is None:
+        integrand = kernel
+    else:
+        gated, c, sc = mode
+        origin = lo[:, None]
+        c, sc = c[:, None], sc[:, None]
+        lo = np.where(gated, 0.0, lo)
+
+        def integrand(idx, z):
+            g = gated[idx]
+            if not g.any():
+                return kernel(idx, z)
+            i = idx[g]
+            zg = z[g]
+            d = c[i] * zg ** sc[i]  # x - lo, without cancellation
+            x = z.copy()
+            x[g] = origin[i] + d
+            fv = kernel(idx, x)
+            fv[g] *= sc[i] * d / zg
+            return fv
+
     values = np.zeros(2 * t.shape[0])
-    values[k] = integrate_rows(kernel, lo[k], hi[k], cfg).value
+    values[k] = integrate_rows(integrand, lo, hi, cfg).value
     return values[0::2] + values[1::2]
 
 
