@@ -246,13 +246,25 @@ def cauchy_cf(x0: float = 0.0, gamma: float = 1.0) -> CharFn:
 def _gil_pelaez(cf: CharFn, x, part: Callable[[np.ndarray, np.ndarray], np.ndarray],
                 name: str, cfg: QuadratureConfig, limits: Tuple[float, float]) -> np.ndarray:
     """(1/pi) int_0^inf part(e^{-itx} phi(t)) dt at every finite point of x,
-    each point one row, and limits at -inf and +inf, evaluating no CF."""
+    each point one row, and limits at -inf and +inf, evaluating no CF.
+
+    Every row spans (0, oo), so the rows of each integrand call share one
+    row of t (integrate_rows) and phi is evaluated on that row alone.
+    """
 
     def rows(flat: np.ndarray) -> np.ndarray:
         xs = flat[:, None]
         origin = np.zeros(xs.shape[0])
-        return integrate_rows(lambda idx, t: part(np.exp(-1j * t * xs[idx]) * cf.phi(t), t),
-                              origin, origin + math.inf, cfg).value / math.pi
+        try:
+            return integrate_rows(
+                lambda idx, t: part(np.exp(-1j * t * xs[idx]) * cf.phi(t[:1]), t),
+                origin, origin + math.inf, cfg).value / math.pi
+        except IntegrandError as exc:
+            if exc.row is None:  # raised inside phi, not by the sweep
+                raise
+            raise IntegrandError(
+                f"{name}: integrand returned {exc.value!r} at x={float(flat[exc.row])!r} "
+                f"(CF argument t={exc.node!r})", value=exc.value, node=exc.node) from exc
 
     return at_finite(points(x, name), rows, limits)
 

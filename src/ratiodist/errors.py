@@ -20,7 +20,16 @@ class NonConvergenceError(QuadratureError):
 
 
 class IntegrandError(QuadratureError):
-    """The integrand produced a non-finite value at a quadrature node."""
+    """The integrand produced a non-finite value at a quadrature node.
+
+    The DE sweep sets row (the batch index of the failing integral), value
+    (the non-finite value) and node (the abscissa it was returned at), so a
+    caller that integrates one row per evaluation point can name the point.
+    """
+
+    def __init__(self, message: str, row=None, value=None, node=None):
+        super().__init__(message)
+        self.row, self.value, self.node = row, value, node
 
 
 class GridError(RatioDistError, ValueError):

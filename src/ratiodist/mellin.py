@@ -26,7 +26,14 @@ Every nonempty piece of every evaluation point is one row of one batch of
 the array DE sweep (quadrature.integrate_rows); the piece's x-interval picks
 the map and the sweep blocks the rows itself.  A point's two pieces are
 adjacent rows.  Rows are independent, so a point's value does not depend on
-the grid it is evaluated in.
+the grid it is evaluated in.  The sweep gives rows that share an interval
+identical nodes, so when every row of a call spans one interval and none is
+mapped onto its mode (below), the factor that does not depend on the point,
+f2 for the ratio and f1 for the product, is evaluated once per integrand
+call on each distinct node row (x, and -x for the reflected piece) and
+broadcast; the product keeps its order, (f1 f2) x or (f1 f2) / x, so every
+value is the one a full evaluation gives.  A non-finite integrand value
+raises IntegrandError naming the evaluation point t, not the node.
 
 The half-line map puts its nodes at unit scale around lo + 1, which steps
 over narrow mass far from there (N(500,1)/N(500,1) at t = 1) or pays for it
@@ -49,7 +56,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import InvalidParamsError, SingularProductError
+from .errors import IntegrandError, InvalidParamsError, SingularProductError
 from .quadrature import (
     ChebInterpolant,
     QuadratureConfig,
@@ -278,6 +285,8 @@ def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray
 
     A point's two pieces are adjacent rows, its x > 0 piece first; an empty
     piece contributes 0.  Each nonempty piece is one row of the DE sweep.
+    When no row is mapped and every row spans one interval, the point-free
+    factor is evaluated on one node row per piece sign of each call.
     A ratio row that _mode_rows maps is integrated in z over (0, oo) with
     x = lo + c z^sc; every other row keeps its x-interval and kernel.
     """
@@ -288,14 +297,27 @@ def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray
     u = t[k // 2, None]
     lo, hi = lo[k], hi[k]
 
-    def kernel(idx, x):
+    def kernel(idx, x, free=None):
+        # free, when given, is the point-free factor at these nodes
         z = x * s[idx]
         if product:
-            return g1(z) * g2((s[idx] * u[idx]) / x) / x
-        return g1(z * u[idx]) * g2(z) * x
+            return (g1(z) if free is None else free) * g2((s[idx] * u[idx]) / x) / x
+        return g1(z * u[idx]) * (g2(z) if free is None else free) * x
 
     mode = None if product else _mode_rows(f1, f2, u[:, 0], s[:, 0], lo, hi)
-    if mode is None:
+    if mode is None and k.shape[0] > 2 and (lo == lo[0]).all() and (hi == hi[0]).all():
+        # one interval: every call's rows share one row of x (integrate_rows),
+        # so the point-free factor needs one node row per piece sign
+        g = g1 if product else g2
+        piece = k % 2
+        signs = _SIDES[:, None] if piece.any() and not piece.all() else s[:1]
+
+        def integrand(idx, x):
+            if x.shape[0] <= 2:
+                return kernel(idx, x)
+            free = g(x[:1] * signs)
+            return kernel(idx, x, free[piece[idx]] if free.shape[0] == 2 else free)
+    elif mode is None:
         integrand = kernel
     else:
         gated, c, sc = mode
@@ -317,7 +339,15 @@ def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray
             return fv
 
     values = np.zeros(2 * t.shape[0])
-    values[k] = integrate_rows(integrand, lo, hi, cfg).value
+    try:
+        values[k] = integrate_rows(integrand, lo, hi, cfg).value
+    except IntegrandError as exc:
+        if exc.row is None:  # raised inside a density, not by the sweep
+            raise
+        raise IntegrandError(
+            f"{'product' if product else 'ratio'} density integrand returned {exc.value!r} "
+            f"at t={float(u[exc.row, 0])!r} (quadrature node {exc.node!r})",
+            value=exc.value, node=exc.node) from exc
     return values[0::2] + values[1::2]
 
 

@@ -29,20 +29,30 @@ any level has stepped across the valley.
 
 The sweep is array-native: integrate_rows takes a batch of integrals
 ("rows"), each with its own interval, groups them by map and sweeps each
-group in equal blocks of about _BLOCK_ROWS rows, which bounds memory.
-Integrands take and return NumPy arrays.  The node offsets and weights of
-each (map kind, h, side) depend on nothing else, so they are tabulated on
-first use and cached.  Each level makes one integrand call on an (active
-rows x nodes) array holding both t-sides, each side out to the furthest
-reach of earlier levels over the active rows plus _EXTRA nodes (level 0
-takes all of its few nodes): the tail rule cannot fire inside a row's reach,
-so those nodes are needed anyway.  Rows whose rule has not fired by then are
-extended alone, in chunks that double.  The rule reads running sums taken in
-sweep order (np.cumsum), so every row sums exactly the nodes, in exactly the
+group in equal blocks of about _BLOCK_ROWS rows; a block's rows go through
+every level together, so they share its per-call overhead.  Integrands take
+and return NumPy arrays.  The node offsets and weights of each (map kind, h,
+side) depend on nothing else, so they are tabulated on first use and cached.
+Each level cuts its block into equal chunks of rows of at most about
+_BLOCK_CELLS (lane x node) cells, which bounds memory and keeps the arrays
+cache-sized, and makes one integrand call per chunk on a (rows x nodes)
+array holding both t-sides, each side out to the furthest reach of earlier
+levels over the chunk's lanes plus _EXTRA nodes (level 0 takes all of its
+few nodes): the tail rule cannot fire inside a row's reach, so those nodes
+are needed anyway.  Lanes whose rule has not fired by then are extended
+alone, in runs that double.  The rule reads running sums taken in sweep
+order (np.cumsum), so every row sums exactly the nodes, in exactly the
 order, that a node-by-node sweep would, whatever else is in the batch;
 values past a row's stop are ignored.  Each row keeps its own scale, reach
 and convergence test and leaves the batch once it converges.  de_integrate
 is a batch of one row.
+
+A row's nodes depend on its interval alone, so rows of one integrand call
+that share an interval (lo and hi) get identical rows of x, in every call.
+An integrand may rely on that: a factor that depends on x but not on the
+row needs evaluating on one row of x only.  A non-finite value at a summed
+node raises IntegrandError carrying the batch index of its row, so a caller
+can name the point the row belongs to.
 """
 
 from __future__ import annotations
@@ -79,10 +89,15 @@ _EXTRA = 1
 # the step of level 0, and the most nodes one t-side of a row may sum
 _INITIAL_H = 1.0
 _MAX_NODES_PER_SIDE = 1_000_000
-# about this many rows per sweep; bounds the (rows x nodes) arrays of a level
-_BLOCK_ROWS = 128
+# about this many rows per sweep: the rows of a block go through every level
+# together, so the per-call overhead of a level is shared by this many rows
+_BLOCK_ROWS = 512
+# at most about this many (lane x node) cells per integrand call of a level:
+# bounds the arrays of a call and keeps them cache-sized
+_BLOCK_CELLS = 32_768
 
 # A row integrand: given the batch indices of the rows in x, the values at x.
+# Rows of one call that share an interval (lo and hi) get identical rows of x.
 RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -285,10 +300,13 @@ class _Tail:
             lane = np.arange(self.reach.shape[0])[ol][i]
             side = int(self.lanes.side[lane])
             x = self.lanes.nodes(np.array([lane]), side, self.tab, a + j, a + j + 1)[0]
-            raise IntegrandError(
-                f"integrand returned {float(fv[i, j])!r} at x={float(x[0, 0])!r} "
-                f"(t={float(self.tab.t[a + j]) * (1.0 - 2.0 * side)!r})"
-            )
+            _fail(int(self.lanes.row[lane]), float(fv[i, j]), float(x[0, 0]),
+                  float(self.tab.t[a + j]) * (1.0 - 2.0 * side))
+
+
+def _fail(row: int, value: float, x: float, t: float):
+    raise IntegrandError(f"integrand returned {value!r} at x={x!r} (t={t!r})",
+                         row=row, value=value, node=x)
 
 
 def _call(F: RowIntegrand, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -314,50 +332,70 @@ def _level(F: RowIntegrand, lanes: _Lanes, h: float, step: int, reach: np.ndarra
     n_t = tab.t.shape[0]
     m = lanes.rows.shape[0]
     tail = _Tail(lanes, tab, reach, h, cfg)
-    # one call for both sides, each evaluated out to the furthest reach of
-    # its lanes (all of level 0, which has a few nodes)
+    # one call per chunk of rows for both sides, each side evaluated out to
+    # the furthest reach of the chunk's lanes (all of level 0, which has a few
+    # nodes), plus the t = 0 node at level 0
     if scale is None:
+        end = None
         bp = bn = n_t
+        f0 = np.empty(m)
+        tail.scale = np.empty(2 * m)
     else:
-        furthest = np.maximum.reduce(reach.reshape(2, m), axis=1)
-        bp, bn = np.minimum(np.searchsorted(tab.t, furthest) + _EXTRA, n_t).tolist()
-    xp, wp = lanes.nodes(slice(0, m), 0, tab, 0, bp)
-    xn, wn = lanes.nodes(slice(m, 2 * m), 1, tab, 0, bn)
-    x = np.concatenate([xp, xn] + ([lanes.x0[:, None]] if scale is None else []), axis=1)
-    del xp, xn  # large arrays are dropped as soon as they are used, to bound memory
-    fv = _call(F, lanes.rows, x)
-    f0 = None
-    if scale is None:
-        f0 = fv[:, -1].copy()
-        if not np.isfinite(f0).all():
-            i = int(np.argmin(np.isfinite(f0)))
-            raise IntegrandError(
-                f"integrand returned {float(f0[i])!r} at x={float(lanes.x0[i])!r} (t=0.0)"
-            )
-        scale = h * np.abs(f0 * lanes.w0)
-        scale = np.concatenate([scale, scale])
-    tail.scale = scale
-    del x
-    # lanes side by side; the shorter side's extra columns weigh 0 and are not read
-    width = max(bp, bn)
-    fvl, wl = np.zeros((2, 2 * m, width))
-    fvl[:m, :bp], fvl[m:, :bn] = fv[:, :bp], fv[:, bp:bp + bn]
-    wl[:m, :bp], wl[m:, :bn] = wp, wn
-    del fv
-    stops = tail.scan(slice(None), fvl, wl, 0, np.array((bp, bn))[lanes.side])
-    del fvl, wl
-    if np.count_nonzero(stops) < 2 * m:
-        # lanes whose rule has not fired are extended alone, one side at a time
-        for side, a in enumerate((bp, bn)):
-            ol = np.flatnonzero(~stops[side * m:(side + 1) * m]) + side * m
-            grow = _EXTRA
-            while ol.size:
-                b = min(a + grow, n_t)
-                x, w = lanes.nodes(ol, side, tab, a, b)
-                fv = _call(F, lanes.row[ol], x)
-                more = tail.scan(ol, fv, np.broadcast_to(w, fv.shape), a, b - a)
-                ol, a, grow = ol[~more], b, 2 * grow
+        end = np.minimum(np.searchsorted(tab.t, reach) + _EXTRA, n_t)
+        bp, bn = end.reshape(2, m).max(axis=1).tolist()
+        f0 = None
+        tail.scale = scale
+    # equal chunks of at most about _BLOCK_CELLS cells
+    chunk = -(-m // -(-(m * (bp + bn + 1)) // _BLOCK_CELLS))
+    for a in range(0, m, chunk):
+        b = min(a + chunk, m)
+        c = b - a
+        ol = slice(None)
+        if c < m:
+            ol = np.concatenate([np.arange(a, b), np.arange(m + a, m + b)])
+            if end is not None:
+                bp, bn = int(end[a:b].max()), int(end[m + a:m + b].max())
+        xp, wp = lanes.nodes(slice(a, b), 0, tab, 0, bp)
+        xn, wn = lanes.nodes(slice(m + a, m + b), 1, tab, 0, bn)
+        x = np.concatenate([xp, xn] + ([lanes.x0[a:b, None]] if f0 is not None else []), axis=1)
+        del xp, xn  # large arrays are dropped as soon as they are used, to bound memory
+        fv = _call(F, lanes.rows[a:b], x)
+        del x
+        if f0 is not None:
+            f0[a:b] = fv[:, -1]
+            center = f0[a:b]
+            if not np.isfinite(center).all():
+                i = int(np.argmin(np.isfinite(center)))
+                _fail(int(lanes.rows[a + i]), float(center[i]), float(lanes.x0[a + i]), 0.0)
+            tail.scale[a:b] = tail.scale[m + a:m + b] = h * np.abs(center * lanes.w0[a:b])
+        # lanes side by side; the shorter side's extra columns weigh 0 and are not read
+        width = max(bp, bn)
+        fvl, wl = np.zeros((2, 2 * c, width))
+        fvl[:c, :bp], fvl[c:, :bn] = fv[:, :bp], fv[:, bp:bp + bn]
+        wl[:c, :bp], wl[c:, :bn] = wp, wn
+        del fv
+        stops = tail.scan(ol, fvl, wl, 0, np.array((bp, bn)).repeat(c))
+        del fvl, wl
+        if np.count_nonzero(stops) < 2 * c:
+            # lanes whose rule has not fired are extended alone, one side at a time
+            for side, end_side in enumerate((bp, bn)):
+                go_on = np.flatnonzero(~stops[side * c:(side + 1) * c]) + (side * m + a)
+                _extend(F, lanes, tail, go_on, side, end_side)
     return tail, f0
+
+
+def _extend(F: RowIntegrand, lanes: _Lanes, tail: _Tail, ol: np.ndarray, side: int,
+            a: int) -> None:
+    """Evaluate the lanes ol of one side on from table column a, _EXTRA
+    nodes and then twice as many each call, until their rule fires."""
+    tab = tail.tab
+    grow = _EXTRA
+    while ol.size:
+        b = min(a + grow, tab.t.shape[0])
+        x, w = lanes.nodes(ol, side, tab, a, b)
+        fv = _call(F, lanes.row[ol], x)
+        more = tail.scan(ol, fv, np.broadcast_to(w, fv.shape), a, b - a)
+        ol, a, grow = ol[~more], b, 2 * grow
 
 
 class _Batch(NamedTuple):
@@ -416,8 +454,10 @@ def integrate_rows(F: RowIntegrand, lo, hi, cfg: QuadratureConfig) -> _Batch:
     Row i spans (lo[i], hi[i]); its interval picks its map: tanh-sinh when
     both ends are finite, exp-sinh on (lo, oo) and sinh-sinh on the real
     line.  F(idx, x) returns the integrand of rows idx at x, shape
-    (len(idx), n).  Every row must converge: NonConvergenceError otherwise,
-    and IntegrandError on any non-finite value at a summed node.
+    (len(idx), n); rows of one call that share an interval get identical
+    rows of x.  Every row must converge: NonConvergenceError otherwise, and
+    IntegrandError, whose row is the failing row's index, on any non-finite
+    value at a summed node.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     lo_finite, half = lo > -math.inf, hi == math.inf
@@ -522,12 +562,16 @@ def cheb_eval_many(interp: ChebInterpolant, xs: Sequence[float]) -> np.ndarray:
     x = np.asarray(xs, dtype=float)
     if x.size and (x.min() < interp.lo or x.max() > interp.hi):
         raise InvalidParamsError("evaluation points extend outside the interpolation interval")
-    # one (points x nodes) buffer: w_j / (x - x_j); a point on a node gives an
-    # infinite ratio and a nan row, overwritten below with the node's value
-    ratios = np.subtract.outer(x, interp.nodes)
+    # one (nodes x points) buffer of 1 / (x_j - x), and one product of the
+    # rows w_j v_j and w_j with it: numerator and denominator, both negated.
+    # The weights are +/-1 and +/-1/2, so (1/r) (w v) is (w/r) v exactly.  A
+    # point on a node gets an infinite reciprocal and a nan value, overwritten
+    # below with the node's value
+    recip = np.subtract.outer(interp.nodes, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(interp.weights, ratios, out=ratios)
-        out = ratios @ interp.values / ratios.sum(axis=1)
+        np.reciprocal(recip, out=recip)
+        num, den = np.stack([interp.weights * interp.values, interp.weights]) @ recip
+        out = num / den
     # nodes run from hi down to lo
     j = np.minimum(np.searchsorted(-interp.nodes, -x), interp.nodes.shape[0] - 1)
     exact = interp.nodes[j] == x

@@ -11,6 +11,7 @@ import pytest
 from ratiodist.errors import (
     AccuracyWarning,
     GridError,
+    IntegrandError,
     InvalidParamsError,
     NonConvergenceError,
     RatioDistError,
@@ -137,6 +138,40 @@ def test_cf_is_checked_once_when_built():
     product_joint_cf(cf, cf)
     gil_pelaez_pdf(cf, np.array([0.1, 0.5, 2.0]))
     assert calls and all(np.shape(a[0]) != (1,) for a in calls)
+
+
+def test_gil_pelaez_evaluates_one_cf_row_per_integrand_call(monkeypatch):
+    # every row spans (0, oo), so the rows of a call share their t nodes and
+    # phi is evaluated on one of them: CF values = one node row per call
+    node_rows = []
+    sweep = cf_module.integrate_rows
+
+    def recorded_sweep(F, lo, hi, cfg):
+        def G(idx, t):
+            assert (t == t[:1]).all()
+            node_rows.append(t.shape[1])
+            return F(idx, t)
+        return sweep(G, lo, hi, cfg)
+
+    monkeypatch.setattr(cf_module, "integrate_rows", recorded_sweep)
+    calls = []
+    cf = _recording(normal_cf(1.0, 0.5), calls)
+    calls.clear()
+    xs = np.linspace(-1.0, 3.0, 101)
+    got = gil_pelaez_pdf(cf, xs)
+    assert all(np.shape(a[0])[0] == 1 for a in calls)
+    assert sum(np.size(a[0]) for a in calls) == sum(node_rows)
+    assert len(calls) == len(node_rows) > 1
+    monkeypatch.setattr(cf_module, "integrate_rows", sweep)
+    assert np.array_equal(got, [gil_pelaez_pdf(normal_cf(1.0, 0.5), float(x)) for x in xs])
+
+
+@pytest.mark.parametrize("fn", [gil_pelaez_pdf, gil_pelaez_cdf])
+def test_gil_pelaez_integrand_error_names_the_point(fn):
+    # the sweep fails at a node far out in t; the error names the caller's x
+    with pytest.raises(IntegrandError, match=r"at x=1e\+300 ") as exc:
+        fn(normal_cf(1.0, 0.5), np.array([0.5, 1e300]))
+    assert fn.__name__ in str(exc.value)
 
 
 def test_cf_engines_evaluate_no_cf_at_infinite_points():

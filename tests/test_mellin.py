@@ -7,9 +7,11 @@ import warnings
 import numpy as np
 import pytest
 
-from ratiodist.cf import chi_square_cf, normal_cf, sd_window
+from ratiodist import quadrature
+from ratiodist.cf import chi_square_cf, gil_pelaez_pdf, normal_cf, sd_window
 from ratiodist.errors import (
     AccuracyWarning,
+    IntegrandError,
     InvalidParamsError,
     NonConvergenceError,
     SingularProductError,
@@ -494,3 +496,95 @@ def test_non_normal_ratios_raise_no_warnings():
         b = ratio_pdf_grid(fx, fn, np.linspace(-30.0, 30.0, 41), accel=Chebyshev(65))
         c = [product_pdf(fn, fx, t) for t in (-1.0, 0.5)]
     assert np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.all(np.isfinite(c))
+
+
+def _recorded_density(df, shapes):
+    """df, appending the shape of every array it is asked for to shapes."""
+
+    def f(x):
+        shapes.append(np.shape(x))
+        return df.f(x)
+
+    return DensityFn(f, df.support, df.label, df.moments)
+
+
+def test_point_free_factor_is_evaluated_once_per_node_row():
+    # work counted, not timed: the grid's rows all span (0, oo), so chi-square
+    # values are needed on one node row per integrand call; evaluated per row
+    # and node, as the normal factor is, they numbered 399,640
+    s1, s2 = [], []
+    f1 = _recorded_density(normal_density(1.2, 1.0), s1)
+    f2 = _recorded_density(chi_square_density(5), s2)
+    grid = np.linspace(-1.0, 3.0, 1000)
+    vals = ratio_pdf_grid(f1, f2, grid, QuadratureConfig(rel_tol=1e-10))
+    n1, n2 = sum(math.prod(s) for s in s1), sum(math.prod(s) for s in s2)
+    assert n2 <= 10_000
+    assert n1 <= 1.02 * 399_640
+    assert all(s[0] <= 2 for s in s2)
+    want = [ratio_pdf(normal_density(1.2, 1.0), chi_square_density(5), t, QuadratureConfig(1e-10))
+            for t in grid[::37].tolist()]
+    assert vals[::37].tolist() == want
+
+
+@pytest.mark.parametrize("f1, f2, grid", [
+    # finite pieces: x runs over [0, 1/|t|], a different hi for every t
+    (uniform_density(0.0, 1.0), normal_density(1.0, 1.0), np.linspace(0.2, 4.0, 60)),
+    # Hake-scale rows mapped onto their mode all span (0, oo) in z, each with its own map
+    (normal_density(6.0, 1.0), normal_density(24.0, 1.0), np.linspace(0.05, 0.6, 60)),
+], ids=["finite", "mapped"])
+def test_rows_that_differ_evaluate_both_factors_in_full(f1, f2, grid):
+    s2 = []
+    vals = ratio_pdf_grid(f1, _recorded_density(f2, s2), grid)
+    assert max(s[0] for s in s2[1:]) > 2
+    assert vals.tolist() == [ratio_pdf(f1, f2, t) for t in grid.tolist()]
+
+
+@pytest.mark.parametrize("pdf", [ratio_pdf, product_pdf])
+def test_integrand_error_names_the_point(pdf):
+    # f1 is nan past 100 and X2 lies in [1, 2]: only t = 1000 meets such a value
+    nan_tail = DensityFn(lambda x: np.where(x < 100.0, np.exp(-0.5 * x * x), np.nan),
+                         Support.real_line())
+    with pytest.raises(IntegrandError, match=r"at t=1000\.0 ") as exc:
+        pdf(nan_tail, uniform_density(1.0, 2.0), np.array([0.5, 1000.0, 2.0]))
+    assert ("product" if pdf is product_pdf else "ratio") in str(exc.value)
+
+
+_GRID_CASES = [
+    (normal_density(1.5, 1.0), normal_density(1.0, 1.0), np.linspace(-5.0, 8.0, 41)),
+    (normal_density(1.2, 1.0), chi_square_density(5), np.linspace(-1.0, 3.0, 41)),
+    (chi_square_density(5), normal_density(3.0, 1.0), np.linspace(-3.0, 5.0, 41)),
+    (uniform_density(0.0, 1.0), uniform_density(0.0, 1.0), np.linspace(-1.0, 4.0, 41)),
+    (normal_density(6.0, 1.0), normal_density(24.0, 1.0), np.linspace(-1.0, 1.5, 41)),
+]
+
+
+@pytest.fixture(scope="module")
+def float_values():
+    """Every _GRID_CASES point (ratio, product) and Gil-Pelaez point, one call each."""
+    ratio = [[ratio_pdf(f1, f2, t) for t in g.tolist()] for f1, f2, g in _GRID_CASES]
+    product = [[product_pdf(f1, f2, t) for t in g.tolist() if t != 0.0]
+               for f1, f2, g in _GRID_CASES]
+    gp = [gil_pelaez_pdf(normal_cf(1.0, 0.5), x) for x in np.linspace(-1.0, 3.0, 41).tolist()]
+    return ratio, product, gp
+
+
+@pytest.mark.parametrize("rows, cells", [(512, 32_768), (1, 1), (7, 300), (64, 5_000),
+                                         (10_000, 10_000_000)])
+def test_grid_values_do_not_depend_on_blocks_or_chunks(rows, cells, float_values, monkeypatch):
+    monkeypatch.setattr(quadrature, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(quadrature, "_BLOCK_CELLS", cells)
+    ratio, product, gp = float_values
+    for (f1, f2, g), r, p in zip(_GRID_CASES, ratio, product):
+        assert ratio_pdf_grid(f1, f2, g).tolist() == r
+        assert product_pdf(f1, f2, g[g != 0.0]).tolist() == p
+    assert gil_pelaez_pdf(normal_cf(1.0, 0.5), np.linspace(-1.0, 3.0, 41)).tolist() == gp
+
+
+def test_integrand_error_raised_inside_a_density_passes_through():
+    def f(x):
+        if np.size(x) > 1:
+            raise IntegrandError("inner")
+        return np.exp(-0.5 * x * x)
+
+    with pytest.raises(IntegrandError, match="^inner$"):
+        ratio_pdf(DensityFn(f, Support.real_line()), normal_density(1.0, 1.0), np.array([0.5, 2.0]))

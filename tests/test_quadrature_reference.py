@@ -15,6 +15,7 @@ import pytest
 
 from ratiodist.errors import IntegrandError, NonConvergenceError
 from ratiodist.mellin import normal_density, chi_square_density, ratio_pdf
+from ratiodist import quadrature
 from ratiodist.quadrature import _BLOCK_ROWS, QuadratureConfig, de_integrate, integrate_rows
 
 _HALF_PI = math.pi / 2.0
@@ -174,10 +175,12 @@ def test_ratio_pdf_is_the_sum_of_its_two_rows():
 
 
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-3])
-def test_mixed_batch_rows_match_single_rows(rel_tol):
+def test_mixed_batch_rows_match_single_rows(rel_tol, monkeypatch):
     # every case as rows of one batch, all three maps interleaved and each map
     # past _BLOCK_ROWS rows: the interval picks a row's map, the batch blocks
-    # its rows itself, and a row sums the nodes it sums alone
+    # its rows itself, and a row sums the nodes it sums alone; few cells per
+    # call cut each level of a block into several calls
+    monkeypatch.setattr(quadrature, "_BLOCK_CELLS", 4096)
     cfg = QuadratureConfig(rel_tol=rel_tol)
     names = sorted(CASES)
     # in shuffled order, so no block boundary lines up with the cases
@@ -187,7 +190,10 @@ def test_mixed_batch_rows_match_single_rows(rel_tol):
     lo = np.array([CASES[names[c]][1][1] for c in case])
     hi = np.array([CASES[names[c]][1][2] for c in case])
 
+    sizes = []
+
     def F(idx, x):
+        sizes.append(x.size)
         out = np.empty_like(x)
         for c in np.unique(case[idx]).tolist():
             rows = case[idx] == c
@@ -195,6 +201,9 @@ def test_mixed_batch_rows_match_single_rows(rel_tol):
         return out
 
     got = integrate_rows(F, lo, hi, cfg)
+    monkeypatch.undo()
+    # about 4096 cells a call: the blocks (386-514 rows) are cut at every level
+    assert max(sizes) <= 1.5 * 4096
     for c, name in enumerate(names):
         f, (_, a, b) = CASES[name]
         want = de_integrate(f, a, b, cfg)
@@ -202,3 +211,34 @@ def test_mixed_batch_rows_match_single_rows(rel_tol):
         assert np.array_equal(got.value[rows], np.full(rows.sum(), want.value))
         assert (got.n_evals[rows] == want.n_evals).all()
         assert (got.levels[rows] == want.levels).all()
+
+
+@pytest.mark.parametrize("cells", [quadrature._BLOCK_CELLS, 500])
+def test_rows_sharing_an_interval_get_identical_node_rows(cells, monkeypatch):
+    # rows of one call that share lo and hi see the same row of x, in level
+    # calls and in the calls that extend lanes past their reach
+    monkeypatch.setattr(quadrature, "_BLOCK_CELLS", cells)
+    names = ["arctan", "cubic", "exp", "shifted-exp", "valley", "gauss", "mellin-pos"]
+    fs = [CASES[n][0] for n in names] + [BUMPS["bump-40"]]
+    intervals = [CASES[n][1][1:] for n in names] + [(0.0, math.inf)]
+    case = np.random.default_rng(3).permutation(np.tile(np.arange(len(fs)), 40))
+    lo = np.array([intervals[c][0] for c in case])
+    hi = np.array([intervals[c][1] for c in case])
+    shared = []
+
+    def F(idx, x):
+        out = np.empty_like(x)
+        for c in np.unique(case[idx]).tolist():
+            rows = case[idx] == c
+            out[rows] = fs[c](x[rows])
+        for a, b in set(zip(lo[idx].tolist(), hi[idx].tolist())):
+            rows = (lo[idx] == a) & (hi[idx] == b)
+            assert (x[rows] == x[rows][:1]).all()
+            shared.append(rows.sum())
+        return out
+
+    got = integrate_rows(F, lo, hi, QuadratureConfig(rel_tol=1e-10, abs_floor=1e-30))
+    assert max(shared) > 2
+    for c, f in enumerate(fs):
+        want = de_integrate(f, *intervals[c], QuadratureConfig(rel_tol=1e-10, abs_floor=1e-30))
+        assert (got.value[case == c] == want.value).all()
