@@ -257,9 +257,10 @@ _MODE_WIDTHS = 8.0
 
 def _mode_rows(f1: DensityFn, f2: DensityFn, t: np.ndarray, side: np.ndarray,
                lo: np.ndarray, hi: np.ndarray):
-    """The ratio rows to map onto their mode, by the Gaussian hint of the
-    module docstring, with each row's c = m - lo and sc = width/c; side is
-    the sign of each row's piece.  Returns None when no row is mapped.
+    """The power map (c, sc) of every ratio row, by the Gaussian hint of the
+    module docstring: c = m - lo and sc = width/c on the rows mapped onto
+    their mode, c = 0 on the others; side is the sign of each row's piece.
+    Returns None when no row is mapped.
     """
     if f1.moments is None or f2.moments is None:
         return None
@@ -276,7 +277,7 @@ def _mode_rows(f1: DensityFn, f2: DensityFn, t: np.ndarray, side: np.ndarray,
         gated = (hi == math.inf) & (c > 0.0) & (c * c * p >= _MODE_WIDTHS ** 2)
         if not gated.any():
             return None
-        return gated, c, 1.0 / (c * np.sqrt(p))
+        return np.where(gated, c, 0.0), 1.0 / (c * np.sqrt(p))
 
 
 def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray,
@@ -304,8 +305,8 @@ def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray
             return (g1(z) if free is None else free) * g2((s[idx] * u[idx]) / x) / x
         return g1(z * u[idx]) * (g2(z) if free is None else free) * x
 
-    mode = None if product else _mode_rows(f1, f2, u[:, 0], s[:, 0], lo, hi)
-    if mode is None and k.shape[0] > 2 and (lo == lo[0]).all() and (hi == hi[0]).all():
+    power = None if product else _mode_rows(f1, f2, u[:, 0], s[:, 0], lo, hi)
+    if power is None and k.shape[0] > 2 and (lo == lo[0]).all() and (hi == hi[0]).all():
         # one interval: every call's rows share one row of x (integrate_rows),
         # so the point-free factor needs one node row per piece sign
         g = g1 if product else g2
@@ -317,30 +318,12 @@ def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray
                 return kernel(idx, x)
             free = g(x[:1] * signs)
             return kernel(idx, x, free[piece[idx]] if free.shape[0] == 2 else free)
-    elif mode is None:
-        integrand = kernel
     else:
-        gated, c, sc = mode
-        origin = lo[:, None]
-        c, sc = c[:, None], sc[:, None]
-        lo = np.where(gated, 0.0, lo)
-
-        def integrand(idx, z):
-            g = gated[idx]
-            if not g.any():
-                return kernel(idx, z)
-            i = idx[g]
-            zg = z[g]
-            d = c[i] * zg ** sc[i]  # x - lo, without cancellation
-            x = z.copy()
-            x[g] = origin[i] + d
-            fv = kernel(idx, x)
-            fv[g] *= sc[i] * d / zg
-            return fv
+        integrand = kernel
 
     values = np.zeros(2 * t.shape[0])
     try:
-        values[k] = integrate_rows(integrand, lo, hi, cfg).value
+        values[k] = integrate_rows(integrand, lo, hi, cfg, power).value
     except IntegrandError as exc:
         if exc.row is None:  # raised inside a density, not by the sweep
             raise

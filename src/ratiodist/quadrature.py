@@ -195,7 +195,7 @@ class _Lanes:
     t < 0 sides.
     """
 
-    def __init__(self, kind: str, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray):
+    def __init__(self, kind: str, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, power):
         m = rows.shape[0]
         self.kind = kind
         self.rows = rows
@@ -206,6 +206,12 @@ class _Lanes:
         if kind == "half":
             self.x0 = lo + 1.0
             self.base = np.concatenate([lo, lo])
+        elif kind == "power":
+            c, sc = power[0][rows], power[1][rows]
+            self.x0 = lo + c
+            self.w0 = _HALF_PI * sc * c
+            self.base = np.concatenate([lo, lo])
+            self.c, self.sc = np.concatenate([c, c]), np.concatenate([sc, sc])
         elif kind == "real":
             self.x0 = np.zeros(m)
         else:
@@ -221,6 +227,12 @@ class _Lanes:
         """x and weight of table columns a:b for the selected lanes of one side."""
         if self.kind == "half":
             return self.base[sel, None] + tab.off[side, a:b], tab.w[side, a:b]
+        if self.kind == "power":
+            z, sc = tab.off[side, a:b], self.sc[sel, None]
+            d = self.c[sel, None] * z ** sc  # x - lo, without cancellation
+            w = tab.w[side, a:b] * (sc * d / z)
+            w[:, z == 0.0] = 0.0  # past the map's end d / z is 0/0
+            return self.base[sel, None] + d, w
         if self.kind == "real":
             return np.repeat(tab.off[side:side + 1, a:b], self.row[sel].shape[0], axis=0), \
                 tab.w[side, a:b]
@@ -328,7 +340,7 @@ def _level(F: RowIntegrand, lanes: _Lanes, h: float, step: int, reach: np.ndarra
     one not evaluated) and, at level 0 (scale None), the integrand at t = 0,
     from which that level takes its tail scale.
     """
-    tab = _table(lanes.kind, h, step)
+    tab = _table("half" if lanes.kind == "power" else lanes.kind, h, step)
     n_t = tab.t.shape[0]
     m = lanes.rows.shape[0]
     tail = _Tail(lanes, tab, reach, h, cfg)
@@ -405,12 +417,12 @@ class _Batch(NamedTuple):
     levels: np.ndarray
 
 
-def _sweep(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray,
+def _sweep(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray, power, rows: np.ndarray,
            cfg: QuadratureConfig, out: _Batch) -> None:
     """Integrate the rows of one map kind in one sweep, into their entries of out."""
     value, err, n_evals, levels = out
     n = rows.shape[0]
-    lanes = _Lanes(kind, lo, hi, rows)
+    lanes = _Lanes(kind, lo, hi, rows, power)
     h = _INITIAL_H
     # values past a lane's stop may overflow or be nan; they are never summed
     with np.errstate(all="ignore"):
@@ -441,14 +453,14 @@ def _sweep(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray, rows: np.
                 keep = ~done
                 rows, val, e, evals = rows[keep], val[keep], e[keep], evals[keep]
                 reach = reach[np.concatenate([keep, keep])]
-                lanes = _Lanes(kind, lo, hi, rows)
+                lanes = _Lanes(kind, lo, hi, rows, power)
     raise NonConvergenceError(
         f"no convergence after {cfg.max_levels} levels; last err_est={float(e[0])!r}, "
         f"value={float(val[0])!r}"
     )
 
 
-def integrate_rows(F: RowIntegrand, lo, hi, cfg: QuadratureConfig) -> _Batch:
+def integrate_rows(F: RowIntegrand, lo, hi, cfg: QuadratureConfig, power=None) -> _Batch:
     """Integrate a batch of rows by level-doubled DE trapezoid.
 
     Row i spans (lo[i], hi[i]); its interval picks its map: tanh-sinh when
@@ -471,13 +483,15 @@ def integrate_rows(F: RowIntegrand, lo, hi, cfg: QuadratureConfig) -> _Batch:
     n = lo.shape[0]
     out = _Batch(np.empty(n), np.empty(n), np.empty(n, dtype=np.int64),
                  np.empty(n, dtype=np.int64))
-    for kind, rows in (("finite", ~half), ("half", half & lo_finite), ("real", ~lo_finite)):
+    mapped = half & lo_finite & (False if power is None else power[0] > 0.0)
+    for kind, rows in (("finite", ~half), ("half", half & lo_finite & ~mapped),
+                       ("power", mapped), ("real", ~lo_finite)):
         k = rows.nonzero()[0]
         if k.shape[0]:
             # equal blocks of about _BLOCK_ROWS rows
             step = -(-k.shape[0] // max(1, round(k.shape[0] / _BLOCK_ROWS)))
             for a in range(0, k.shape[0], step):
-                _sweep(F, kind, lo, hi, k[a:a + step], cfg, out)
+                _sweep(F, kind, lo, hi, power, k[a:a + step], cfg, out)
     return out
 
 
