@@ -33,19 +33,25 @@ f2 for the ratio and f1 for the product, is evaluated once per integrand
 call on each distinct node row (x, and -x for the reflected piece) and
 broadcast; the product keeps its order, (f1 f2) x or (f1 f2) / x, so every
 value is the one a full evaluation gives.  A non-finite integrand value
-raises IntegrandError naming the evaluation point t, not the node.
+raises IntegrandError naming the evaluation point t and the node x.
 
 The half-line map puts its nodes at unit scale around lo + 1, which steps
 over narrow mass far from there (N(500,1)/N(500,1) at t = 1) or pays for it
-in refinement levels.  So a ratio row on (lo, oo) whose factors both carry
-moments (m1, v1), (m2, v2) takes the Gaussian hint of f1(t x) f2(x) |x|:
-precision p = t^2/v1 + 1/v2, mode m = +/-(t m1/v1 + m2/v2)/p (the sign of
-the piece) and width p^(-1/2).  When m lies at least 8 widths above lo, the
-row is integrated in z over (0, oo), still by exp-sinh, with
-x = lo + c z^sc, c = m - lo and sc = width/c: the t = 0 node lands on the
-mode and the node spacing there is the width.  Every other row (finite
-pieces, laws without moments, mass near lo, every product row) keeps its
-x-interval and kernel, node for node.
+in refinement levels.  So a row on (lo, oo) whose factors both carry
+moments (m1, v1), (m2, v2) takes a Gaussian hint of its integrand: a
+precision p, a mode m, signed as the piece, and a width p^(-1/2)::
+
+    ratio   f1(t x) f2(x) |x|:   p = t^2/v1 + 1/v2,  m = +/-(t m1/v1 + m2/v2)/p
+    product f1(x) f2(t/x) / |x|: p = 1/v1 + q,       m = +/-(m1/v1 + q t/m2)/p
+
+For the product, t/x is linearized about x0 = t/m2, so f2(t/x) acts as a
+normal in x of mean x0 and precision q = m2^4/(v2 t^2); the hint is taken
+only where that normal and f1 overlap, (m1 - x0)^2 q <= 64 (v1 q + 1),
+since for two far-apart bumps m falls between them.  When m lies at least
+8 widths above lo, the row names the sweep's power map with c = m - lo and
+sc = width/c: its t = 0 node lands on the mode and the node spacing there
+scales with the width.  Every other row (finite pieces, laws without
+moments, mass near lo) keeps the half-line map, node for node.
 """
 
 from __future__ import annotations
@@ -117,8 +123,9 @@ class DensityFn:
     checked once, on a one-element array at a point inside the support.
     moments, when present, is the exact (mean, variance) of the law, bit-equal
     to CharFn.moments of the family's CF; the CLI sizes every --auto-interval
-    window from it, and ratio_pdf places the nodes of a piece whose mass lies
-    far from its origin by it.  A law without them (Cauchy) leaves it None.
+    window from it, and ratio_pdf and product_pdf place the nodes of a piece
+    whose mass lies far from its origin by it.  A law without them (Cauchy)
+    leaves it None.
     """
 
     f: Density
@@ -249,17 +256,17 @@ def _pieces(f1: DensityFn, f2: DensityFn, product: bool,
     return lo.ravel(), hi.ravel()
 
 
-# a ratio row is mapped onto its mode only when the mode lies this many
+# a row is mapped onto its mode only when the mode lies this many
 # widths above the row's origin: the Gaussian mass below the origin is then
 # e^(-8^2/2) = e^(-32) of the whole, so moving the nodes off it loses nothing
 _MODE_WIDTHS = 8.0
 
 
-def _mode_rows(f1: DensityFn, f2: DensityFn, t: np.ndarray, side: np.ndarray,
-               lo: np.ndarray, hi: np.ndarray):
-    """The power map (c, sc) of every ratio row, by the Gaussian hint of the
-    module docstring: c = m - lo and sc = width/c on the rows mapped onto
-    their mode, c = 0 on the others; side is the sign of each row's piece.
+def _mode_rows(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray,
+               side: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """The power map (c, sc) of every row, by the Gaussian hint of the module
+    docstring: c = m - lo and sc = width/c on the rows mapped onto their
+    mode, c = 0 on the others; side is the sign of each row's piece.
     Returns None when no row is mapped.
     """
     if f1.moments is None or f2.moments is None:
@@ -267,14 +274,22 @@ def _mode_rows(f1: DensityFn, f2: DensityFn, t: np.ndarray, side: np.ndarray,
     (m1, v1), (m2, v2) = f1.moments, f2.moments
     if not (0.0 < v1 < math.inf and 0.0 < v2 < math.inf):
         return None
-    # for lo >= 0, (m - lo)^2 p <= m1^2/v1 + m2^2/v2 (Cauchy-Schwarz): below
-    # the gate there, no row of the call is mapped
-    if not m1 * m1 / v1 + m2 * m2 / v2 >= _MODE_WIDTHS ** 2:
+    # for a ratio and lo >= 0, (m - lo)^2 p <= m1^2/v1 + m2^2/v2
+    # (Cauchy-Schwarz): below the gate there, no row of the call is mapped
+    if not (product or m1 * m1 / v1 + m2 * m2 / v2 >= _MODE_WIDTHS ** 2):
         return None
     with np.errstate(all="ignore"):
-        p = t * t / v1 + 1.0 / v2
-        c = side * (t * (m1 / v1) + m2 / v2) / p - lo
-        gated = (hi == math.inf) & (c > 0.0) & (c * c * p >= _MODE_WIDTHS ** 2)
+        if product:
+            q = m2 ** 4 / (v2 * t * t)
+            p = 1.0 / v1 + q
+            c = side * (m1 / v1 + q * t / m2) / p - lo
+            # f1 and the linearized f2 must overlap, or the mode falls between them
+            near = (m1 - t / m2) ** 2 * q <= _MODE_WIDTHS ** 2 * (v1 * q + 1.0)
+        else:
+            p = t * t / v1 + 1.0 / v2
+            c = side * (t * (m1 / v1) + m2 / v2) / p - lo
+            near = True
+        gated = near & (hi == math.inf) & (c > 0.0) & (c * c * p >= _MODE_WIDTHS ** 2)
         if not gated.any():
             return None
         return np.where(gated, c, 0.0), 1.0 / (c * np.sqrt(p))
@@ -288,8 +303,7 @@ def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray
     piece contributes 0.  Each nonempty piece is one row of the DE sweep.
     When no row is mapped and every row spans one interval, the point-free
     factor is evaluated on one node row per piece sign of each call.
-    A ratio row that _mode_rows maps is integrated in z over (0, oo) with
-    x = lo + c z^sc; every other row keeps its x-interval and kernel.
+    A row that _mode_rows maps takes the sweep's power map onto its mode.
     """
     g1, g2 = _guarded(f1), _guarded(f2)
     lo, hi = _pieces(f1, f2, product, t)
@@ -305,7 +319,7 @@ def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray
             return (g1(z) if free is None else free) * g2((s[idx] * u[idx]) / x) / x
         return g1(z * u[idx]) * (g2(z) if free is None else free) * x
 
-    power = None if product else _mode_rows(f1, f2, u[:, 0], s[:, 0], lo, hi)
+    power = _mode_rows(f1, f2, product, u[:, 0], s[:, 0], lo, hi)
     if power is None and k.shape[0] > 2 and (lo == lo[0]).all() and (hi == hi[0]).all():
         # one interval: every call's rows share one row of x (integrate_rows),
         # so the point-free factor needs one node row per piece sign

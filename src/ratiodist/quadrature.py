@@ -4,14 +4,19 @@ The integrator follows the tanh-sinh family of substitutions: a smooth map
 x = psi(t) pulls the integration domain onto the whole real t-axis while the
 transformed integrand decays doubly exponentially, so the plain trapezoid
 rule converges at an extreme rate.  The interval of an integral picks one
-of three maps::
+of three maps, and a half-line row may take the fourth, power, instead::
 
     finite (lo, hi):   x = (hi-lo)/2 * tanh((pi/2) sinh t) + (hi+lo)/2
     half line (a, oo): x = a + exp((pi/2) sinh t)
+    power (a, oo):     x = a + c z^sc, z = exp((pi/2) sinh t), c > 0
     real line:         x = sinh((pi/2) sinh t)
 
-A new map kind plugs in at _T_LIMIT, _table and _Lanes, and a location or
-scale of a map at _Lanes; callers name only the interval.
+The power map puts the t = 0 node at a + c with a node spacing of about
+(pi/2) c sc h there, so mass far from a + 1 or narrower than 1 gets nodes
+of its own; it runs on the half-line map's table, and the node weight takes
+its Jacobian sc (x - a)/z.  A new map kind plugs in at _T_LIMIT, _table and
+_Lanes, and a location or scale of a map at _Lanes; callers name the
+interval and, for a half-line row, an optional power map.
 
 Refinement halves the step h and evaluates only the new odd-index nodes;
 previous work is reused through I_new = I_old/2 + h * (odd-node sum), so no
@@ -28,7 +33,8 @@ levels, so mass sitting beyond a valley of negligible terms is not lost once
 any level has stepped across the valley.
 
 The sweep is array-native: integrate_rows takes a batch of integrals
-("rows"), each with its own interval, groups them by map and sweeps each
+("rows"), each with its own interval, groups them by map (power rows form
+a group of their own) and sweeps each
 group in equal blocks of about _BLOCK_ROWS rows; a block's rows go through
 every level together, so they share its per-call overhead.  Integrands take
 and return NumPy arrays.  The node offsets and weights of each (map kind, h,
@@ -47,8 +53,9 @@ values past a row's stop are ignored.  Each row keeps its own scale, reach
 and convergence test and leaves the batch once it converges.  de_integrate
 is a batch of one row.
 
-A row's nodes depend on its interval alone, so rows of one integrand call
-that share an interval (lo and hi) get identical rows of x, in every call.
+A row's nodes depend on its interval and power map alone, so rows of one
+integrand call that share an interval (lo and hi) and are not power rows
+get identical rows of x, in every call.
 An integrand may rely on that: a factor that depends on x but not on the
 row needs evaluating on one row of x only.  A non-finite value at a summed
 node raises IntegrandError carrying the batch index of its row, so a caller
@@ -97,7 +104,8 @@ _BLOCK_ROWS = 512
 _BLOCK_CELLS = 32_768
 
 # A row integrand: given the batch indices of the rows in x, the values at x.
-# Rows of one call that share an interval (lo and hi) get identical rows of x.
+# Rows of one call that share an interval (lo and hi) and are not power rows
+# get identical rows of x.
 RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -465,11 +473,15 @@ def integrate_rows(F: RowIntegrand, lo, hi, cfg: QuadratureConfig, power=None) -
 
     Row i spans (lo[i], hi[i]); its interval picks its map: tanh-sinh when
     both ends are finite, exp-sinh on (lo, oo) and sinh-sinh on the real
-    line.  F(idx, x) returns the integrand of rows idx at x, shape
-    (len(idx), n); rows of one call that share an interval get identical
-    rows of x.  Every row must converge: NonConvergenceError otherwise, and
-    IntegrandError, whose row is the failing row's index, on any non-finite
-    value at a summed node.
+    line.  power, when given, is a pair of arrays (c, sc): a row on
+    (lo, oo) with c[i] > 0 takes the power map x = lo + c z^sc on the
+    exp-sinh nodes z instead, its t = 0 node at lo + c, and is swept with
+    the other power rows; sc is read on those rows only.  F(idx, x) returns
+    the integrand of rows idx at x, shape (len(idx), n); rows of one call
+    that share an interval and are not power rows get identical rows of x.
+    Every row must converge: NonConvergenceError otherwise, and
+    IntegrandError, whose row is the failing row's index and whose node is
+    the failing x, on any non-finite value at a summed node.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     lo_finite, half = lo > -math.inf, hi == math.inf

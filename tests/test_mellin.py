@@ -318,10 +318,6 @@ def test_product_rows_are_bit_identical(f1, f2, want):
     assert [product_pdf(f1, f2, t) for t in (-1.5, 0.5, 2.0, 6.0)] == want
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "the product kernel keeps the unit-scale half-line map, so narrow mass far from x = 1 "
-    "is stepped over and 0.0 comes back with no warning; its Gaussian hint is not f1's "
-    "moments alone"))
 @pytest.mark.parametrize("f1, f2, t, want", [
     # reference: tanh-sinh over x in [488, 512], N(500, 1) +/- 12 sd
     (normal_density(500.0, 1.0), normal_density(500.0, 1.0), 250000.0, 5.641885962246e-4),
@@ -330,6 +326,39 @@ def test_product_rows_are_bit_identical(f1, f2, want):
 ], ids=["N(500,1)*N(500,1)", "N(1,1)*N(500,1)"])
 def test_narrow_distant_product_is_not_silently_zero(f1, f2, t, want):
     assert math.isclose(product_pdf(f1, f2, t), want, rel_tol=1e-8)
+
+
+# mpmath at 30 digits where SciPy quad is off by about 2x: (pair, point) -> density
+_PRODUCT_SWEEP_GOLDEN = {(10, 13): 2.380212633398916e-4, (85, 5): 3.5257300880330695e-3,
+                         (108, 13): 3.568900666896327e-4}
+
+
+def test_seeded_product_sweep_has_no_wrong_points():
+    # 120 seeded normal products, 15 points each over c +/- 3(|a| s2 + |b| s1),
+    # against SciPy quad over X1 in a +/- 14 s1 with break points at 0 and t/b
+    quad = pytest.importorskip("scipy.integrate").quad
+    rng = random.Random(0)
+    kept = wrong = 0
+    for i in range(120):
+        a, b = rng.uniform(-5.0, 40.0), rng.uniform(2.0, 40.0)
+        s1, s2 = rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)
+        c, w = a * b, 3.0 * (abs(a) * s2 + abs(b) * s1)
+        ts = np.linspace(c - w, c + w, 15)
+        ts = ts[ts != 0.0]
+        got = product_pdf(normal_density(a, s1), normal_density(b, s2), ts)
+        lo, hi = a - 14.0 * s1, a + 14.0 * s1
+        for j, t in enumerate(ts.tolist()):
+            want = _PRODUCT_SWEEP_GOLDEN.get((i, j))
+            if want is None:
+                def f(x):
+                    return np.exp(-0.5 * ((x - a) / s1) ** 2 - 0.5 * ((t / x - b) / s2) ** 2) / (
+                        2.0 * np.pi * s1 * s2 * np.abs(x))
+                breaks = [x for x in (0.0, t / b) if lo < x < hi] or None
+                want = quad(f, lo, hi, points=breaks, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+            kept += 1
+            wrong += abs(got[j] - want) > 1e-6 * want
+    assert kept == 1800  # the draw has not drifted
+    assert wrong == 0
 
 
 def test_grid_validation():
@@ -539,13 +568,27 @@ def test_rows_that_differ_evaluate_both_factors_in_full(f1, f2, grid):
     assert vals.tolist() == [ratio_pdf(f1, f2, t) for t in grid.tolist()]
 
 
-@pytest.mark.parametrize("pdf", [ratio_pdf, product_pdf])
-def test_integrand_error_names_the_point(pdf):
-    # f1 is nan past 100 and X2 lies in [1, 2]: only t = 1000 meets such a value
-    nan_tail = DensityFn(lambda x: np.where(x < 100.0, np.exp(-0.5 * x * x), np.nan),
-                         Support.real_line())
-    with pytest.raises(IntegrandError, match=r"at t=1000\.0 ") as exc:
-        pdf(nan_tail, uniform_density(1.0, 2.0), np.array([0.5, 1000.0, 2.0]))
+# f1 is nan past 100 and X2 lies in [1, 2]: only t = 1000 meets such a value
+_NAN_TAIL = DensityFn(lambda x: np.where(x < 100.0, np.exp(-0.5 * x * x), np.nan),
+                      Support.real_line())
+# N(500, 1), nan past 502: the row at t = 1 is mapped onto its mode at 500, and
+# its message names the node x at which the density failed
+_NAN_PAST_502 = DensityFn(
+    lambda x: np.where(x < 502.0, normal_density(500.0, 1.0).f(x), np.nan),
+    Support.real_line(), moments=(500.0, 1.0))
+
+
+@pytest.mark.parametrize("pdf, f1, f2, t, match", [
+    (ratio_pdf, _NAN_TAIL, uniform_density(1.0, 2.0), np.array([0.5, 1000.0, 2.0]),
+     r"at t=1000\.0 "),
+    (product_pdf, _NAN_TAIL, uniform_density(1.0, 2.0), np.array([0.5, 1000.0, 2.0]),
+     r"at t=1000\.0 "),
+    (ratio_pdf, normal_density(500.0, 1.0), _NAN_PAST_502, 1.0,
+     r"at t=1\.0 \(quadrature node 504\.0447"),
+], ids=["ratio_pdf", "product_pdf", "mapped-ratio_pdf"])
+def test_integrand_error_names_the_point(pdf, f1, f2, t, match):
+    with pytest.raises(IntegrandError, match=match) as exc:
+        pdf(f1, f2, t)
     assert ("product" if pdf is product_pdf else "ratio") in str(exc.value)
 
 

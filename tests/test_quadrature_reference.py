@@ -21,13 +21,13 @@ from ratiodist.quadrature import _BLOCK_ROWS, QuadratureConfig, de_integrate, in
 _HALF_PI = math.pi / 2.0
 _MACHINE_FLOOR = 4.0 * 2.220446049250313e-16
 _T_LIMIT = {"finite": math.asinh(350.0 / _HALF_PI), "half": math.asinh(700.0 / _HALF_PI),
-            "real": math.asinh(700.0 / _HALF_PI)}
+            "power": math.asinh(700.0 / _HALF_PI), "real": math.asinh(700.0 / _HALF_PI)}
 _INITIAL_H = 1.0
 _MAX_NODES_PER_SIDE = 1_000_000
 
 
 def _node(tr, t):
-    kind, lo, hi = tr
+    kind, lo, hi = tr[:3]
     if abs(t) > _T_LIMIT[kind]:
         return None
     u = _HALF_PI * math.sinh(t)
@@ -46,10 +46,16 @@ def _node(tr, t):
         if offset == 0.0 and t != 0.0:
             w = 0.0
         return x, w
-    if kind == "half":
+    if kind in ("half", "power"):
         ex = math.exp(u)
         if ex == 0.0:
             return lo, 0.0
+        if kind == "power":
+            # x = lo + c z^sc at the exp-sinh node z, weighed by sc (x - lo)/z
+            c, sc = tr[3:]
+            # NumPy's array power, which can differ from Python's in the last bit
+            d = c * float((np.array([ex]) ** sc)[0])
+            return lo + d, _HALF_PI * cosh_t * ex * (sc * d / ex)
         return lo + ex, _HALF_PI * cosh_t * ex
     return math.sinh(u), _HALF_PI * cosh_t * math.cosh(u)
 
@@ -110,6 +116,7 @@ def reference_de_integrate(f, tr, cfg):
 
 _N1, _N2 = normal_density(1.5, 1.0).f, normal_density(1.0, 1.0).f
 _X5 = chi_square_density(5).f
+_N500 = normal_density(500.0, 1.0).f
 
 CASES = {
     # the known-integral table of test_quadrature
@@ -174,21 +181,59 @@ def test_ratio_pdf_is_the_sum_of_its_two_rows():
     assert ratio_pdf(normal_density(1.5, 1.0), normal_density(1.0, 1.0), 2.0, cfg) == pos + neg
 
 
+# half-line rows on the power map x = lo + c z^sc: (lo, c, sc) and, where
+# known, the closed form
+POWER = {
+    "far-gauss": (normal_density(1000.0, 1.0).f, (0.0, 1000.0, 1e-3), 1.0),
+    "shifted-gauss": (normal_density(50.0, 2.0).f, (10.0, 40.0, 0.05), 1.0),
+    # the x > 0 piece of N(500,1)/N(500,1) at t = 1, on its mode and width
+    "mellin-500": (lambda x: _N500(x) * _N500(x) * x, (0.0, 500.0, 1.0 / (500.0 * math.sqrt(2.0))),
+                   None),
+}
+
+
+def _power_rows(F, lo, c, sc, cfg):
+    lo = np.asarray(lo, dtype=float)
+    return integrate_rows(F, lo, np.full(lo.shape, math.inf), cfg,
+                          (np.asarray(c, dtype=float), np.asarray(sc, dtype=float)))
+
+
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-3])
+@pytest.mark.parametrize("name", sorted(POWER))
+def test_power_sweep_sums_the_reference_nodes(name, rel_tol):
+    f, (lo, c, sc), _ = POWER[name]
+    cfg = QuadratureConfig(rel_tol=rel_tol)
+    want, n_evals, levels = reference_de_integrate(f, ("power", lo, math.inf, c, sc), cfg)
+    got = _power_rows(lambda idx, x: f(x), [lo], [c], [sc], cfg)
+    assert (int(got.levels[0]), int(got.n_evals[0])) == (levels, n_evals)
+    assert abs(got.value[0] - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("name", ["far-gauss", "shifted-gauss"])
+def test_power_row_on_a_far_mode_integrates_to_its_closed_form(name):
+    f, (lo, c, sc), exact = POWER[name]
+    got = _power_rows(lambda idx, x: f(x), [lo], [c], [sc], QuadratureConfig())
+    assert abs(got.value[0] - exact) <= 1e-14 * exact
+
+
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-3])
 def test_mixed_batch_rows_match_single_rows(rel_tol, monkeypatch):
-    # every case as rows of one batch, all three maps interleaved and each map
-    # past _BLOCK_ROWS rows: the interval picks a row's map, the batch blocks
-    # its rows itself, and a row sums the nodes it sums alone; few cells per
-    # call cut each level of a block into several calls
+    # every case as rows of one batch, all four maps interleaved and each map
+    # past _BLOCK_ROWS rows: the interval and the power map pick a row's map,
+    # the batch blocks its rows itself, and a row sums the nodes it sums
+    # alone; few cells per call cut each level of a block into several calls
     monkeypatch.setattr(quadrature, "_BLOCK_CELLS", 4096)
     cfg = QuadratureConfig(rel_tol=rel_tol)
     names = sorted(CASES)
+    powers = sorted(POWER)
     # in shuffled order, so no block boundary lines up with the cases
     case = np.random.default_rng(8).permutation(
-        np.tile(np.arange(len(names)), 2 * _BLOCK_ROWS // 4 + 1))
-    fs = [CASES[name][0] for name in names]
-    lo = np.array([CASES[names[c]][1][1] for c in case])
-    hi = np.array([CASES[names[c]][1][2] for c in case])
+        np.tile(np.arange(len(names) + len(powers)), 2 * _BLOCK_ROWS // 4 + 1))
+    fs = [CASES[name][0] for name in names] + [POWER[name][0] for name in powers]
+    # (lo, hi, c, sc) of each case; c = 0 leaves a row on the map of its interval
+    spec = [CASES[name][1][1:] + (0.0, 0.0) for name in names]
+    spec += [(a, math.inf, c, sc) for a, c, sc in (POWER[name][1] for name in powers)]
+    lo, hi, *power = np.array([spec[k] for k in case]).T
 
     sizes = []
 
@@ -200,17 +245,23 @@ def test_mixed_batch_rows_match_single_rows(rel_tol, monkeypatch):
             out[rows] = fs[c](x[rows])
         return out
 
-    got = integrate_rows(F, lo, hi, cfg)
+    got = integrate_rows(F, lo, hi, cfg, power)
     monkeypatch.undo()
     # about 4096 cells a call: the blocks (386-514 rows) are cut at every level
     assert max(sizes) <= 1.5 * 4096
-    for c, name in enumerate(names):
-        f, (_, a, b) = CASES[name]
-        want = de_integrate(f, a, b, cfg)
-        rows = case == c
-        assert np.array_equal(got.value[rows], np.full(rows.sum(), want.value))
-        assert (got.n_evals[rows] == want.n_evals).all()
-        assert (got.levels[rows] == want.levels).all()
+    for k, name in enumerate(names + powers):
+        if k < len(names):
+            # as in a batch without power maps
+            want = de_integrate(fs[k], *CASES[name][1][1:], cfg)
+            want = (want.value, want.n_evals, want.levels)
+        else:
+            a, _, ck, sck = spec[k]
+            one = _power_rows(lambda idx, x: fs[k](x), [a], [ck], [sck], cfg)
+            want = (one.value[0], one.n_evals[0], one.levels[0])
+        mine = case == k
+        assert np.array_equal(got.value[mine], np.full(mine.sum(), want[0]))
+        assert (got.n_evals[mine] == want[1]).all()
+        assert (got.levels[mine] == want[2]).all()
 
 
 @pytest.mark.parametrize("cells", [quadrature._BLOCK_CELLS, 500])
