@@ -75,6 +75,7 @@ from .errors import (
     GridError,
     IntegrandError,
     InvalidParamsError,
+    NonConvergenceError,
     RatioDistError,
     UndecayedCFError,
 )
@@ -249,7 +250,8 @@ def _gil_pelaez(cf: CharFn, x, part: Callable[[np.ndarray, np.ndarray], np.ndarr
     each point one row, and limits at -inf and +inf, evaluating no CF.
 
     Every row spans (0, oo), so the rows of each integrand call share one
-    row of t (integrate_rows) and phi is evaluated on that row alone.
+    row of t (integrate_rows) and phi is evaluated on that row alone.  A
+    sweep's IntegrandError or NonConvergenceError is raised again naming x.
     """
 
     def rows(flat: np.ndarray) -> np.ndarray:
@@ -265,6 +267,11 @@ def _gil_pelaez(cf: CharFn, x, part: Callable[[np.ndarray, np.ndarray], np.ndarr
             raise IntegrandError(
                 f"{name}: integrand returned {exc.value!r} at x={float(flat[exc.row])!r} "
                 f"(CF argument t={exc.node!r})", value=exc.value, node=exc.node) from exc
+        except NonConvergenceError as exc:
+            if exc.row is None:
+                raise
+            raise NonConvergenceError(f"{name} at x={float(flat[exc.row])!r}: {exc}",
+                                      value=exc.value, err=exc.err) from exc
 
     return at_finite(points(x, name), rows, limits)
 

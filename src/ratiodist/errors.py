@@ -16,7 +16,16 @@ class QuadratureError(RatioDistError):
 
 class NonConvergenceError(QuadratureError):
     """Level-doubling exhausted the maximum refinement depth with the error
-    estimate still above the requested tolerance."""
+    estimate still above the requested tolerance.
+
+    The DE sweep sets row (the batch index of the integral that failed to
+    converge) and, when levels ran out, that row's value and err (its last
+    estimate and error estimate), so a caller can name the point.
+    """
+
+    def __init__(self, message: str, row=None, value=None, err=None):
+        super().__init__(message)
+        self.row, self.value, self.err = row, value, err
 
 
 class IntegrandError(QuadratureError):

@@ -33,7 +33,8 @@ f2 for the ratio and f1 for the product, is evaluated once per integrand
 call on each distinct node row (x, and -x for the reflected piece) and
 broadcast; the product keeps its order, (f1 f2) x or (f1 f2) / x, so every
 value is the one a full evaluation gives.  A non-finite integrand value
-raises IntegrandError naming the evaluation point t and the node x.
+raises IntegrandError naming the evaluation point t and the node x, and a
+row that runs out of levels NonConvergenceError naming t.
 
 The half-line map puts its nodes at unit scale around lo + 1, which steps
 over narrow mass far from there (N(500,1)/N(500,1) at t = 1) or pays for it
@@ -62,7 +63,7 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import IntegrandError, InvalidParamsError, SingularProductError
+from .errors import IntegrandError, InvalidParamsError, NonConvergenceError, SingularProductError
 from .quadrature import (
     ChebInterpolant,
     QuadratureConfig,
@@ -345,6 +346,12 @@ def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray
             f"{'product' if product else 'ratio'} density integrand returned {exc.value!r} "
             f"at t={float(u[exc.row, 0])!r} (quadrature node {exc.node!r})",
             value=exc.value, node=exc.node) from exc
+    except NonConvergenceError as exc:
+        if exc.row is None:
+            raise
+        raise NonConvergenceError(
+            f"{'product' if product else 'ratio'} density at t={float(u[exc.row, 0])!r}: {exc}",
+            value=exc.value, err=exc.err) from exc
     return values[0::2] + values[1::2]
 
 

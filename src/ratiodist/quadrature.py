@@ -53,6 +53,18 @@ values past a row's stop are ignored.  Each row keeps its own scale, reach
 and convergence test and leaves the batch once it converges.  de_integrate
 is a batch of one row.
 
+A block takes one of two sweeps.  A block of more than _SMALL_ROWS rows
+takes the array sweep above (_sweep), whose levels cost a few dozen NumPy
+calls whatever the block's size.  A block of at most _SMALL_ROWS rows, such
+as the one or two rows of a single point, takes the small-block sweep
+(_sweep_small): each level makes the same integrand calls on the same x,
+but the tail rule, lane extension, the level update, the convergence test
+and the node counts are done per lane in Python floats, and a lane's rule
+is read only from two columns before its reach, starting from its running
+sum there (np.cumsum).  Both sweeps sum the same nodes in the same order,
+so a row's value, evaluation count, levels and errors do not depend on the
+sweep that took it.
+
 A row's nodes depend on its interval and power map alone, so rows of one
 integrand call that share an interval (lo and hi) and are not power rows
 get identical rows of x, in every call.
@@ -102,6 +114,11 @@ _BLOCK_ROWS = 512
 # at most about this many (lane x node) cells per integrand call of a level:
 # bounds the arrays of a call and keeps them cache-sized
 _BLOCK_CELLS = 32_768
+# blocks of at most this many rows take the small-block sweep, which keeps
+# the tail rule per lane in Python floats; timed on blocks of 1-16 Mellin and
+# Gil-Pelaez rows it costs 0.5-0.6x the array sweep at 1 row, 0.9x at 8 rows
+# and breaks even at about 12
+_SMALL_ROWS = 8
 
 # A row integrand: given the batch indices of the rows in x, the values at x.
 # Rows of one call that share an interval (lo and hi) and are not power rows
@@ -303,9 +320,8 @@ class _Tail:
             self._check_finite(ol, fv, a, end)
         self.count[ol] += end
         if self.capped and self.count[ol].max() > _MAX_NODES_PER_SIDE:
-            raise NonConvergenceError(
-                f"exceeded {_MAX_NODES_PER_SIDE} nodes on one side at h={h!r}"
-            )
+            lane = np.arange(self.reach.shape[0])[ol][self.count[ol] > _MAX_NODES_PER_SIDE][0]
+            _over_cap(int(self.lanes.row[lane]), h)
         self.total[ol] = tot
         self.stop_t[ol] = t[k]
         if np.count_nonzero(stops) < stops.shape[0]:
@@ -317,16 +333,25 @@ class _Tail:
         if np.any(bad < end):
             i = int(np.argmax(bad < end))
             j = int(bad[i])
-            lane = np.arange(self.reach.shape[0])[ol][i]
-            side = int(self.lanes.side[lane])
-            x = self.lanes.nodes(np.array([lane]), side, self.tab, a + j, a + j + 1)[0]
-            _fail(int(self.lanes.row[lane]), float(fv[i, j]), float(x[0, 0]),
-                  float(self.tab.t[a + j]) * (1.0 - 2.0 * side))
+            _fail_at(self.lanes, self.tab, np.arange(self.reach.shape[0])[ol][i], a + j,
+                     float(fv[i, j]))
 
 
 def _fail(row: int, value: float, x: float, t: float):
     raise IntegrandError(f"integrand returned {value!r} at x={x!r} (t={t!r})",
                          row=row, value=value, node=x)
+
+
+def _fail_at(lanes: _Lanes, tab: _Table, lane: int, col: int, value: float):
+    """_fail for the value at table column col of a lane."""
+    side = int(lanes.side[lane])
+    x = lanes.nodes(np.array([lane]), side, tab, col, col + 1)[0]
+    _fail(int(lanes.row[lane]), value, float(x[0, 0]), float(tab.t[col]) * (1.0 - 2.0 * side))
+
+
+def _over_cap(row: int, h: float):
+    raise NonConvergenceError(f"exceeded {_MAX_NODES_PER_SIDE} nodes on one side at h={h!r}",
+                              row=row)
 
 
 def _call(F: RowIntegrand, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -462,10 +487,186 @@ def _sweep(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray, power, ro
                 rows, val, e, evals = rows[keep], val[keep], e[keep], evals[keep]
                 reach = reach[np.concatenate([keep, keep])]
                 lanes = _Lanes(kind, lo, hi, rows, power)
+    _no_convergence(cfg, int(rows[0]), float(val[0]), float(e[0]))
+
+
+def _no_convergence(cfg: QuadratureConfig, row: int, value: float, err: float):
     raise NonConvergenceError(
-        f"no convergence after {cfg.max_levels} levels; last err_est={float(e[0])!r}, "
-        f"value={float(val[0])!r}"
-    )
+        f"no convergence after {cfg.max_levels} levels; last err_est={err!r}, value={value!r}",
+        row=row, value=value, err=err)
+
+
+class _SmallTail:
+    """The state of _Tail for the lanes of one level of a small block, per
+    lane in Python floats."""
+
+    def __init__(self, lanes: _Lanes, tab: _Table, reach: list, h: float, cfg: QuadratureConfig):
+        n = len(reach)
+        self.lanes, self.tab, self.h = lanes, tab, h
+        # each lane's first column at or past its reach, where its rule may fire
+        self.first = np.searchsorted(tab.t, reach).tolist()
+        self.scale = [0.0] * n  # set before the first scan
+        self.c_tol, self.floor = cfg.rel_tol * 1e-2, 0.1 * cfg.abs_floor
+        self.capped = tab.t.shape[0] > _MAX_NODES_PER_SIDE
+        self.total = [0.0] * n
+        self.count = [0] * n
+        self.stop_t = [0.0] * n
+        self.prev = [(False, False)] * n  # were a lane's last two terms small?
+
+    def scan(self, parts, a: int) -> list:
+        """Apply the tail rule to the columns from a just evaluated.
+
+        parts is a list of (lanes, fv, w): row i of fv (and of w, unless w
+        is one row for all) belongs to the i-th lane.  A lane whose first
+        lies further on starts two columns before it, from its running sum
+        there.  Returns, per part, the lanes that go on.
+        """
+        h, c_tol, floor = self.h, self.c_tol, self.floor
+        going, ends = [], []
+        for ol, fv, w in parts:
+            width = fv.shape[1]
+            cum = None
+            go_on, end_of = [], []
+            for i, lane in enumerate(ol):
+                wi = w if w.ndim == 1 else w[i]
+                first, sc = self.first[lane] - a, self.scale[lane]
+                j, s = 0, self.total[lane]
+                p2, p1 = self.prev[lane]
+                # only a lane's first scan of a level starts before its first;
+                # weights reach 0 only at the end of the map, so a nonzero
+                # weight before the start leaves no zero-weight stop before it
+                if first > 2 and wi[first - 3] != 0.0:
+                    if cum is None:
+                        cum = (fv * w).cumsum(axis=1)
+                    j = first - 2
+                    s = float(cum[i, j - 1]) + 0.0  # as summed from 0.0, never -0.0
+                end = -1
+                for f, wt in zip(fv[i, j:].tolist(), wi[j:].tolist()):
+                    if wt == 0.0:  # stop before evaluating, as at the end of the map
+                        end = j
+                        break
+                    term = f * wt
+                    s += term
+                    thr = (abs(s) * h + sc) * c_tol
+                    small = abs(term) * h < (floor if thr < floor else thr)
+                    if small and p1 and p2 and j >= first:
+                        end = j + 1
+                        break
+                    p2, p1 = p1, small
+                    j += 1
+                self.total[lane] = s
+                if end < 0:
+                    end = width
+                    self.prev[lane] = (p2, p1)
+                    go_on.append(lane)
+                else:
+                    self.stop_t[lane] = float(self.tab.t[a + j])
+                self.count[lane] += end
+                end_of.append(end)
+            going.append(go_on)
+            ends.append(end_of)
+        for (ol, fv, _), end_of in zip(parts, ends):  # a summed value may be non-finite
+            for i, lane in enumerate(ol):
+                if not math.isfinite(self.total[lane]):
+                    bad = np.flatnonzero(~np.isfinite(fv[i, :end_of[i]]))
+                    if bad.shape[0]:
+                        _fail_at(self.lanes, self.tab, lane, a + int(bad[0]), float(fv[i, bad[0]]))
+        if self.capped:
+            for ol, _, _ in parts:
+                for lane in ol:
+                    if self.count[lane] > _MAX_NODES_PER_SIDE:
+                        _over_cap(int(self.lanes.row[lane]), h)
+        return going
+
+
+def _level_small(F: RowIntegrand, lanes: _Lanes, h: float, step: int, reach: list,
+                 scale: Optional[list], cfg: QuadratureConfig):
+    """_level for a small block: the same integrand calls, on the same x."""
+    tab = _table("half" if lanes.kind == "power" else lanes.kind, h, step)
+    n_t = tab.t.shape[0]
+    m = lanes.rows.shape[0]
+    tail = _SmallTail(lanes, tab, reach, h, cfg)
+    if scale is None:
+        end = None
+        bp = bn = n_t
+        f0 = [0.0] * m
+        w0 = lanes.w0.tolist()
+    else:
+        end = [min(j + _EXTRA, n_t) for j in tail.first]
+        bp, bn = max(end[:m]), max(end[m:])
+        f0 = None
+        tail.scale = scale
+    chunk = -(-m // -(-(m * (bp + bn + 1)) // _BLOCK_CELLS))
+    for a in range(0, m, chunk):
+        b = min(a + chunk, m)
+        if end is not None and b - a < m:
+            bp, bn = max(end[a:b]), max(end[m + a:m + b])
+        xp, wp = lanes.nodes(slice(a, b), 0, tab, 0, bp)
+        xn, wn = lanes.nodes(slice(m + a, m + b), 1, tab, 0, bn)
+        x = np.concatenate([xp, xn] + ([lanes.x0[a:b, None]] if f0 is not None else []), axis=1)
+        fv = _call(F, lanes.rows[a:b], x)
+        if f0 is not None:
+            for i, v in enumerate(fv[:, -1].tolist(), a):
+                if not math.isfinite(v):
+                    _fail(int(lanes.rows[i]), v, float(lanes.x0[i]), 0.0)
+                f0[i] = v
+                tail.scale[i] = tail.scale[m + i] = h * abs(v * w0[i])
+        going = tail.scan([(range(a, b), fv[:, :bp], wp),
+                           (range(m + a, m + b), fv[:, bp:bp + bn], wn)], 0)
+        # lanes whose rule has not fired are extended as in _extend
+        for side, (ol, col) in enumerate(zip(going, (bp, bn))):
+            grow = _EXTRA
+            while ol:
+                c = min(col + grow, n_t)
+                x, w = lanes.nodes(np.array(ol), side, tab, col, c)
+                ol = tail.scan([(ol, _call(F, lanes.row[ol], x), w)], col)[0]
+                col, grow = c, 2 * grow
+    return tail, f0
+
+
+def _sweep_small(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray, power,
+                 rows: np.ndarray, cfg: QuadratureConfig, out: _Batch) -> None:
+    """_sweep for a block of at most _SMALL_ROWS rows: the same levels and
+    integrand calls, with the bookkeeping in Python floats."""
+    value, err, n_evals, levels = out
+    n = rows.shape[0]
+    lanes = _Lanes(kind, lo, hi, rows, power)
+    h = _INITIAL_H
+    with np.errstate(all="ignore"):
+        tail, f0 = _level_small(F, lanes, h, 1, [0.0] * (2 * n), None, cfg)
+        total, count, reach = tail.total, tail.count, tail.stop_t
+        val = [h * (f * w + p + q)
+               for f, w, p, q in zip(f0, lanes.w0.tolist(), total[:n], total[n:])]
+        evals = [1 + p + q for p, q in zip(count[:n], count[n:])]
+        e = [0.0] * n
+        for level in range(1, cfg.max_levels + 1):
+            h *= 0.5
+            m = len(val)
+            scale = [abs(v) for v in val]
+            tail, _ = _level_small(F, lanes, h, 2, reach, scale + scale, cfg)
+            total, count = tail.total, tail.count
+            reach = [max(r, s) for r, s in zip(reach, tail.stop_t)]
+            keep = []
+            for i in range(m):
+                new = 0.5 * val[i] + h * (total[i] + total[m + i])
+                e[i] = abs(new - val[i])
+                val[i] = new
+                evals[i] += count[i] + count[m + i]
+                size = abs(new)
+                if e[i] <= cfg.rel_tol * size + cfg.abs_floor or e[i] <= _MACHINE_FLOOR * size:
+                    row = rows[i]
+                    value[row], err[row], levels[row], n_evals[row] = new, e[i], level, evals[i]
+                else:
+                    keep.append(i)
+            if not keep:
+                return
+            if len(keep) < m:
+                rows = rows[keep]
+                val, e, evals = [val[i] for i in keep], [e[i] for i in keep], \
+                    [evals[i] for i in keep]
+                reach = [reach[i] for i in keep] + [reach[m + i] for i in keep]
+                lanes = _Lanes(kind, lo, hi, rows, power)
+    _no_convergence(cfg, int(rows[0]), val[0], e[0])
 
 
 def integrate_rows(F: RowIntegrand, lo, hi, cfg: QuadratureConfig, power=None) -> _Batch:
@@ -503,7 +704,9 @@ def integrate_rows(F: RowIntegrand, lo, hi, cfg: QuadratureConfig, power=None) -
             # equal blocks of about _BLOCK_ROWS rows
             step = -(-k.shape[0] // max(1, round(k.shape[0] / _BLOCK_ROWS)))
             for a in range(0, k.shape[0], step):
-                _sweep(F, kind, lo, hi, power, k[a:a + step], cfg, out)
+                block = k[a:a + step]
+                sweep = _sweep_small if block.shape[0] <= _SMALL_ROWS else _sweep
+                sweep(F, kind, lo, hi, power, block, cfg, out)
     return out
 
 

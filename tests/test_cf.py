@@ -174,6 +174,19 @@ def test_gil_pelaez_integrand_error_names_the_point(fn):
     assert fn.__name__ in str(exc.value)
 
 
+@pytest.mark.parametrize("fn", [gil_pelaez_pdf, gil_pelaez_cdf])
+def test_gil_pelaez_non_convergence_names_the_point(fn):
+    # x = 0.5 and 2 converge and x = 1e3 does not: the error names 1e3 and
+    # carries that point's last value and error estimate
+    with pytest.raises(NonConvergenceError) as one:
+        fn(normal_cf(1.0, 0.5), 1e3)
+    with pytest.raises(NonConvergenceError, match=r"at x=1000\.0: no convergence ") as exc:
+        fn(normal_cf(1.0, 0.5), np.array([0.5, 1e3, 2.0]))
+    assert fn.__name__ in str(exc.value)
+    assert (exc.value.value, exc.value.err) == (one.value.value, one.value.err)
+    assert f"err_est={exc.value.err!r}, value={exc.value.value!r}" in str(exc.value)
+
+
 def test_cf_engines_evaluate_no_cf_at_infinite_points():
     calls = []
     n, chi = _recording(normal_cf(1.0, 0.5), calls), _recording(chi_square_cf(5), calls)

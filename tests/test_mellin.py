@@ -555,6 +555,26 @@ def test_point_free_factor_is_evaluated_once_per_node_row():
     assert vals[::37].tolist() == want
 
 
+@pytest.mark.parametrize("point, calls, cells", [
+    (lambda: ratio_pdf(normal_density(1.5, 1.0), normal_density(2.0, 1.0), 0.8), 7, 1120),
+    (lambda: gil_pelaez_pdf(normal_cf(0.5, 1.0), 0.3), 6, 384),
+], ids=["mellin", "gil-pelaez"])
+def test_single_point_makes_the_pinned_integrand_calls(point, calls, cells, monkeypatch):
+    # work counted, not timed: a single point is a block of one or two rows,
+    # swept by the small-block sweep; it makes exactly the integrand calls,
+    # on exactly the cells, that the array sweep made for it
+    sizes = []
+    call = quadrature._call
+
+    def recorded(F, idx, x):
+        sizes.append(x.size)
+        return call(F, idx, x)
+
+    monkeypatch.setattr(quadrature, "_call", recorded)
+    point()
+    assert (len(sizes), sum(sizes)) == (calls, cells)
+
+
 @pytest.mark.parametrize("f1, f2, grid", [
     # finite pieces: x runs over [0, 1/|t|], a different hi for every t
     (uniform_density(0.0, 1.0), normal_density(1.0, 1.0), np.linspace(0.2, 4.0, 60)),
@@ -590,6 +610,19 @@ def test_integrand_error_names_the_point(pdf, f1, f2, t, match):
     with pytest.raises(IntegrandError, match=match) as exc:
         pdf(f1, f2, t)
     assert ("product" if pdf is product_pdf else "ratio") in str(exc.value)
+
+
+@pytest.mark.parametrize("t", [[0.5, 1.0], [1.0, 0.5]])
+def test_non_convergence_names_the_point(t):
+    # N(1e9,1)/N(1e9,1): t = 0.5 converges and t = 1 does not, whatever the
+    # order; the error names t = 1 and carries that point's last estimates
+    n = normal_density(1e9, 1.0)
+    with pytest.raises(NonConvergenceError) as one:
+        ratio_pdf(n, n, 1.0)
+    with pytest.raises(NonConvergenceError, match=r"ratio density at t=1\.0: no convergence ") as exc:
+        ratio_pdf(n, n, np.array(t))
+    assert (exc.value.value, exc.value.err) == (one.value.value, one.value.err)
+    assert f"err_est={exc.value.err!r}, value={exc.value.value!r}" in str(exc.value)
 
 
 _GRID_CASES = [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ratiodist
+from ratiodist import quadrature
 from ratiodist.errors import InvalidParamsError, NonConvergenceError
 from ratiodist.quadrature import (
     ChebInterpolant,
@@ -79,6 +80,21 @@ def test_de_integrate_nonconvergence_is_reported() -> None:
         de_integrate(
             lambda x: np.where(x > 0.3, 1.0, 0.0), 0.0, 1.0, cfg
         )
+
+
+@pytest.mark.parametrize("n", [2, quadrature._SMALL_ROWS + 1])
+def test_nonconvergence_names_the_failing_row(n) -> None:
+    # row 1 holds a jump and runs out of levels; every other row converges.
+    # Two rows take the small-block sweep, one past its limit the array sweep
+    cfg = QuadratureConfig(rel_tol=1e-12, max_levels=5)
+    jump = np.arange(n) == 1
+    with pytest.raises(NonConvergenceError) as one:
+        de_integrate(lambda x: np.where(x > 0.3, 1.0, 0.0), 0.0, 1.0, cfg)
+    with pytest.raises(NonConvergenceError, match="no convergence after 5 levels") as exc:
+        integrate_rows(lambda idx, x: np.where(jump[idx, None], np.where(x > 0.3, 1.0, 0.0), x * x),
+                       np.zeros(n), np.ones(n), cfg)
+    assert exc.value.row == 1
+    assert (exc.value.value, exc.value.err) == (one.value.value, one.value.err)
 
 
 @pytest.mark.parametrize(

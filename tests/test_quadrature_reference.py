@@ -293,3 +293,67 @@ def test_rows_sharing_an_interval_get_identical_node_rows(cells, monkeypatch):
     for c, f in enumerate(fs):
         want = de_integrate(f, *intervals[c], QuadratureConfig(rel_tol=1e-10, abs_floor=1e-30))
         assert (got.value[case == c] == want.value).all()
+
+
+# the cases of each map, for blocks at the small-block sweep's row limit
+_BY_MAP = {
+    "finite": [n for n in sorted(CASES) if CASES[n][1][0] == "finite"],
+    "half": [n for n in sorted(CASES) if CASES[n][1][0] == "half"],
+    "real": [n for n in sorted(CASES) if CASES[n][1][0] == "real"],
+    "power": sorted(POWER),
+    "bumps": sorted(BUMPS),
+}
+
+
+def _outcome(F, lo, hi, cfg, power):
+    try:
+        r = integrate_rows(F, lo, hi, cfg, power)
+    except (IntegrandError, NonConvergenceError) as exc:
+        return repr((type(exc), str(exc), exc.row, exc.value, getattr(exc, "node", None),
+                     getattr(exc, "err", None)))
+    return r.value.tobytes(), r.n_evals.tolist(), r.levels.tolist()
+
+
+@pytest.mark.parametrize("mode", ["values", "nan", "max-levels-2"])
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-3])
+@pytest.mark.parametrize("extra", [0, 1], ids=["limit", "limit+1"])
+@pytest.mark.parametrize("group", sorted(_BY_MAP))
+def test_small_block_sweep_matches_the_array_sweep(group, extra, rel_tol, mode, monkeypatch):
+    # a block of at most _SMALL_ROWS rows takes the small-block sweep and a
+    # larger one the array sweep; on one block, the two give equal values,
+    # counts and levels, or equal errors naming the same row and node
+    n = quadrature._SMALL_ROWS + extra
+    names = [_BY_MAP[group][k % len(_BY_MAP[group])] for k in range(n)]
+    if group == "power":
+        fs = [POWER[name][0] for name in names]
+        lo, c, sc = np.array([POWER[name][1] for name in names]).T
+        hi, power = np.full(n, math.inf), (c, sc)
+    else:
+        fs = [(BUMPS[name] if group == "bumps" else CASES[name][0]) for name in names]
+        lo, hi = np.array([(0.0, math.inf) if group == "bumps" else CASES[name][1][1:]
+                           for name in names]).T
+        power = None
+    # odd rows return nan past a cut inside their interval (at the node
+    # t = 0 of a power row), so their sweeps fail at different levels
+    cut = np.array([b - 0.1 * (b - a) if b < math.inf else a + 5.0 if a > -math.inf else 0.9
+                    for a, b in zip(lo.tolist(), hi.tolist())])
+
+    def F(idx, x):
+        out = np.stack([fs[i](x[k]) for k, i in enumerate(idx.tolist())])
+        if mode == "nan":
+            out[(idx % 2 == 1)[:, None] & (x > cut[idx, None])] = np.nan
+        return out
+
+    cfg = QuadratureConfig(rel_tol=rel_tol, abs_floor=1e-30 if group == "bumps" else 1e-300,
+                           max_levels=2 if mode == "max-levels-2" else 12)
+    small = []
+    sweep_small = quadrature._sweep_small
+    monkeypatch.setattr(quadrature, "_sweep_small", lambda *a: small.append(1) or sweep_small(*a))
+    default = _outcome(F, lo, hi, cfg, power)
+    assert len(small) == (1 if extra == 0 else 0)
+    # the other sweep on the same block
+    monkeypatch.setattr(quadrature, "_SMALL_ROWS", n - 1 if extra == 0 else n)
+    assert _outcome(F, lo, hi, cfg, power) == default
+    assert len(small) == 1
+    if mode == "nan":
+        assert isinstance(default, str) and "IntegrandError" in default
