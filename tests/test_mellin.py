@@ -558,11 +558,17 @@ def test_point_free_factor_is_evaluated_once_per_node_row():
 @pytest.mark.parametrize("point, calls, cells", [
     (lambda: ratio_pdf(normal_density(1.5, 1.0), normal_density(2.0, 1.0), 0.8), 7, 1120),
     (lambda: gil_pelaez_pdf(normal_cf(0.5, 1.0), 0.3), 6, 384),
-], ids=["mellin", "gil-pelaez"])
-def test_single_point_makes_the_pinned_integrand_calls(point, calls, cells, monkeypatch):
+    (lambda: ratio_pdf_grid(normal_density(1.5, 1.0), normal_density(1.0, 1.0),
+                            np.linspace(-5.0, 8.0, 41)), 6, 25_598),
+    (lambda: ratio_pdf_grid(normal_density(1.2, 1.0), chi_square_density(5),
+                            np.linspace(-1.0, 3.0, 41)), 7, 17_060),
+    (lambda: gil_pelaez_pdf(normal_cf(1.0, 0.5), np.linspace(-1.0, 3.0, 101)), 8, 76_206),
+], ids=["mellin", "gil-pelaez", "mellin-grid", "mellin-chi2-grid", "gil-pelaez-grid"])
+def test_points_and_grids_make_the_pinned_integrand_calls(point, calls, cells, monkeypatch):
     # work counted, not timed: a single point is a block of one or two rows,
-    # swept by the small-block sweep; it makes exactly the integrand calls,
-    # on exactly the cells, that the array sweep made for it
+    # whose bookkeeping is kept in Python floats, and a grid takes blocks of
+    # more rows, kept in arrays; either makes exactly the integrand calls, on
+    # exactly the cells, pinned here
     sizes = []
     call = quadrature._call
 
