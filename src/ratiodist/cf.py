@@ -78,6 +78,7 @@ from .errors import (
     NonConvergenceError,
     RatioDistError,
     UndecayedCFError,
+    raise_at_point,
 )
 from .normal_ratio import BivNormalParams, ratio_practical_moments
 from .quadrature import QuadratureConfig, integrate_rows
@@ -261,17 +262,8 @@ def _gil_pelaez(cf: CharFn, x, part: Callable[[np.ndarray, np.ndarray], np.ndarr
             return integrate_rows(
                 lambda idx, t: part(np.exp(-1j * t * xs[idx]) * cf.phi(t[:1]), t),
                 origin, origin + math.inf, cfg).value / math.pi
-        except IntegrandError as exc:
-            if exc.row is None:  # raised inside phi, not by the sweep
-                raise
-            raise IntegrandError(
-                f"{name}: integrand returned {exc.value!r} at x={float(flat[exc.row])!r} "
-                f"(CF argument t={exc.node!r})", value=exc.value, node=exc.node) from exc
-        except NonConvergenceError as exc:
-            if exc.row is None:
-                raise
-            raise NonConvergenceError(f"{name} at x={float(flat[exc.row])!r}: {exc}",
-                                      value=exc.value, err=exc.err) from exc
+        except (IntegrandError, NonConvergenceError) as exc:
+            raise_at_point(exc, name, "x", flat, "CF argument t=")
 
     return at_finite(points(x, name), rows, limits)
 

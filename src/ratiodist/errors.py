@@ -41,6 +41,20 @@ class IntegrandError(QuadratureError):
         self.row, self.value, self.node = row, value, node
 
 
+def raise_at_point(exc, what: str, var: str, points, node: str):
+    """Raise exc, a DE sweep's IntegrandError or NonConvergenceError, again
+    naming what at var = points[row], the failing row's point; node labels
+    the failing abscissa.  An error raised inside the integrand (row None)
+    is raised unchanged."""
+    if exc.row is None:
+        raise exc
+    at = f"at {var}={float(points[exc.row])!r}"
+    if isinstance(exc, IntegrandError):
+        raise IntegrandError(f"{what} integrand returned {exc.value!r} {at} ({node}{exc.node!r})",
+                             value=exc.value, node=exc.node) from exc
+    raise NonConvergenceError(f"{what} {at}: {exc}", value=exc.value, err=exc.err) from exc
+
+
 class GridError(RatioDistError, ValueError):
     """A 2D inversion grid is malformed (non-positive steps, zero nodes)."""
 

@@ -63,7 +63,8 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import IntegrandError, InvalidParamsError, NonConvergenceError, SingularProductError
+from .errors import (IntegrandError, InvalidParamsError, NonConvergenceError,
+                     SingularProductError, raise_at_point)
 from .quadrature import (
     ChebInterpolant,
     QuadratureConfig,
@@ -339,19 +340,9 @@ def _integrate_pieces(f1: DensityFn, f2: DensityFn, product: bool, t: np.ndarray
     values = np.zeros(2 * t.shape[0])
     try:
         values[k] = integrate_rows(integrand, lo, hi, cfg, power).value
-    except IntegrandError as exc:
-        if exc.row is None:  # raised inside a density, not by the sweep
-            raise
-        raise IntegrandError(
-            f"{'product' if product else 'ratio'} density integrand returned {exc.value!r} "
-            f"at t={float(u[exc.row, 0])!r} (quadrature node {exc.node!r})",
-            value=exc.value, node=exc.node) from exc
-    except NonConvergenceError as exc:
-        if exc.row is None:
-            raise
-        raise NonConvergenceError(
-            f"{'product' if product else 'ratio'} density at t={float(u[exc.row, 0])!r}: {exc}",
-            value=exc.value, err=exc.err) from exc
+    except (IntegrandError, NonConvergenceError) as exc:
+        raise_at_point(exc, f"{'product' if product else 'ratio'} density", "t", u[:, 0],
+                       "quadrature node ")
     return values[0::2] + values[1::2]
 
 

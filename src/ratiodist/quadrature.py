@@ -53,17 +53,15 @@ values past a row's stop are ignored.  Each row keeps its own scale, reach
 and convergence test and leaves the batch once it converges.  de_integrate
 is a batch of one row.
 
-A block takes one of two sweeps.  A block of more than _SMALL_ROWS rows
-takes the array sweep above (_sweep), whose levels cost a few dozen NumPy
-calls whatever the block's size.  A block of at most _SMALL_ROWS rows, such
-as the one or two rows of a single point, takes the small-block sweep
-(_sweep_small): each level makes the same integrand calls on the same x,
-but the tail rule, lane extension, the level update, the convergence test
-and the node counts are done per lane in Python floats, and a lane's rule
-is read only from two columns before its reach, starting from its running
-sum there (np.cumsum).  Both sweeps sum the same nodes in the same order,
-so a row's value, evaluation count, levels and errors do not depend on the
-sweep that took it.
+The block size picks only how the sweep keeps a block's bookkeeping: the
+rows' values, error estimates and counts, and the lanes' tail rule.  More
+than _SMALL_ROWS rows keep it in NumPy arrays (_ArrayBook), whose levels
+cost a few dozen NumPy calls whatever the block's size; at most
+_SMALL_ROWS rows, such as the one or two rows of a single point, keep it
+per lane in Python floats (_FloatBook).  One level loop (_level) makes the
+same integrand calls on the same x for both, and both sum the same nodes
+in the same order, so a row's value, evaluation count, levels and errors
+do not depend on the block size.
 
 A row's nodes depend on its interval and power map alone, so rows of one
 integrand call that share an interval (lo and hi) and are not power rows
@@ -114,10 +112,9 @@ _BLOCK_ROWS = 512
 # at most about this many (lane x node) cells per integrand call of a level:
 # bounds the arrays of a call and keeps them cache-sized
 _BLOCK_CELLS = 32_768
-# blocks of at most this many rows take the small-block sweep, which keeps
-# the tail rule per lane in Python floats; timed on blocks of 1-16 Mellin and
-# Gil-Pelaez rows it costs 0.5-0.6x the array sweep at 1 row, 0.9x at 8 rows
-# and breaks even at about 12
+# blocks of at most this many rows keep their bookkeeping in Python floats,
+# larger ones in NumPy arrays: timed on blocks of 1-16 Mellin and Gil-Pelaez
+# rows, floats cost 0.5-0.6x arrays at 1 row, 0.9x at 8 and break even near 12
 _SMALL_ROWS = 8
 
 # A row integrand: given the batch indices of the rows in x, the values at x.
@@ -269,23 +266,68 @@ class _Lanes:
         return x, w
 
 
-class _Tail:
-    """Tail-rule state of the lanes of one level."""
+class _ArrayBook:
+    """The bookkeeping of a block's sweep in NumPy arrays: per row the value,
+    error estimate and evaluation count; per lane the reach and, for the
+    current level, the tail rule's state, sum, summed-node count and stop
+    point (the last node summed, or the first one not evaluated)."""
 
-    def __init__(self, lanes: _Lanes, tab: _Table, reach: np.ndarray, h: float,
-                 cfg: QuadratureConfig):
-        n = reach.shape[0]
-        self.lanes, self.tab, self.reach, self.h = lanes, tab, reach, h
-        self.scale: Optional[np.ndarray] = None  # per lane, set before the first scan
+    def __init__(self, rows: np.ndarray, cfg: QuadratureConfig):
+        self.rows, self.cfg = rows, cfg
         self.c_tol, self.floor = cfg.rel_tol * 1e-2, 0.1 * cfg.abs_floor
-        # a lane can exceed the node cap only if the map has more nodes
-        self.capped = tab.t.shape[0] > _MAX_NODES_PER_SIDE
+        self.val: Optional[np.ndarray] = None  # set by level 0
+        self.reach = np.zeros(2 * rows.shape[0])
+
+    def level(self, lanes: _Lanes, tab: _Table, h: float):
+        """Start a level on the nodes of tab; returns how far each side of the
+        block's first call goes: every node at level 0, widths() later."""
+        n, n_t = 2 * self.rows.shape[0], tab.t.shape[0]
+        self.lanes, self.tab, self.h = lanes, tab, h
         self.total = np.zeros(n)
         self.count = np.zeros(n, dtype=np.int64)
         self.stop_t = np.zeros(n)
         self.prev = np.zeros((n, 2), dtype=bool)  # were a lane's last two terms small?
+        if self.val is None:  # level 0 takes its scale from the t = 0 node
+            self.scale, self.f0w = np.empty(n), np.empty(n // 2)
+            return n_t, n_t
+        scale = np.abs(self.val)
+        self.scale = np.concatenate([scale, scale])
+        self.end = np.minimum(np.searchsorted(tab.t, self.reach) + _EXTRA, n_t).reshape(2, -1)
+        return self.widths(0, n // 2)
 
-    def scan(self, ol, fv: np.ndarray, w: np.ndarray, a: int, width) -> np.ndarray:
+    def widths(self, a: int, b: int):
+        """Each side's first-call width for rows a:b: its lanes' reach + _EXTRA."""
+        return self.end[:, a:b].max(axis=1).tolist()
+
+    def scan_chunk(self, a: int, b: int, held: list, wp, wn, bp: int, bn: int):
+        """Scan the first call of rows a:b, whose values (held.pop()) hold bp
+        t > 0 columns, bn t < 0 columns and at level 0 the t = 0 node;
+        returns per side the lanes that go on."""
+        c, m, fv = b - a, self.rows.shape[0], held.pop()
+        if self.val is None:
+            f0 = fv[:, -1]
+            if not np.isfinite(f0).all():
+                i = int(np.argmin(np.isfinite(f0)))
+                _fail(int(self.lanes.rows[a + i]), float(f0[i]), float(self.lanes.x0[a + i]), 0.0)
+            self.f0w[a:b] = f0w = f0 * self.lanes.w0[a:b]
+            self.scale[a:b] = self.scale[m + a:m + b] = self.h * np.abs(f0w)
+        ol = slice(None) if c == m else np.concatenate([np.arange(a, b), np.arange(m + a, m + b)])
+        # lanes side by side; the shorter side's extra columns weigh 0 and are not read
+        width = max(bp, bn)
+        fvl, wl = np.zeros((2, 2 * c, width))
+        fvl[:c, :bp], fvl[c:, :bn] = fv[:, :bp], fv[:, bp:bp + bn]
+        wl[:c, :bp], wl[c:, :bn] = wp, wn
+        del fv
+        stops = self._scan(ol, fvl, wl, 0, np.array((bp, bn)).repeat(c))
+        if np.count_nonzero(stops) == 2 * c:
+            return ()
+        return [np.flatnonzero(~stops[side * c:(side + 1) * c]) + (side * m + a) for side in (0, 1)]
+
+    def scan(self, ol: np.ndarray, fv: np.ndarray, w: np.ndarray, a: int) -> np.ndarray:
+        """Scan the lanes ol on from table column a; returns those that go on."""
+        return ol[~self._scan(ol, fv, np.broadcast_to(w, fv.shape), a, fv.shape[1])]
+
+    def _scan(self, ol, fv: np.ndarray, w: np.ndarray, a: int, width) -> np.ndarray:
         """Apply the tail rule to the chunk just evaluated for the lanes ol.
 
         Column j holds table column a + j; lane i has its first width[i]
@@ -319,7 +361,8 @@ class _Tail:
         if not math.isfinite(np.add.reduce(tot)):  # a summed value may be non-finite
             self._check_finite(ol, fv, a, end)
         self.count[ol] += end
-        if self.capped and self.count[ol].max() > _MAX_NODES_PER_SIDE:
+        # a lane can exceed the node cap only if the map has more nodes
+        if self.tab.t.shape[0] > _MAX_NODES_PER_SIDE and self.count[ol].max() > _MAX_NODES_PER_SIDE:
             lane = np.arange(self.reach.shape[0])[ol][self.count[ol] > _MAX_NODES_PER_SIDE][0]
             _over_cap(int(self.lanes.row[lane]), h)
         self.total[ol] = tot
@@ -335,6 +378,38 @@ class _Tail:
             j = int(bad[i])
             _fail_at(self.lanes, self.tab, np.arange(self.reach.shape[0])[ol][i], a + j,
                      float(fv[i, j]))
+
+    def update(self, level: int, out: _Batch) -> bool:
+        """Close a level: update the rows, write those that converge into out
+        and drop them.  Returns whether rows were dropped."""
+        rows, total, count, h = self.rows, self.total, self.count, self.h
+        m = rows.shape[0]
+        if self.val is None:
+            self.val = h * (self.f0w + total[:m] + total[m:])
+            self.evals = 1 + count[:m] + count[m:]
+            self.reach = self.stop_t
+            return False
+        self.reach = np.maximum(self.reach, self.stop_t)
+        self.evals += count[:m] + count[m:]
+        new = 0.5 * self.val + h * (total[:m] + total[m:])
+        e = np.abs(new - self.val)
+        self.val = new
+        size = np.abs(new)
+        done = (e <= self.cfg.rel_tol * size + self.cfg.abs_floor) | (e <= _MACHINE_FLOOR * size)
+        n_done = np.count_nonzero(done)
+        if n_done:
+            value, err, n_evals, levels = out
+            fin = rows[done]
+            value[fin], err[fin], levels[fin] = new[done], e[done], level
+            n_evals[fin] = self.evals[done]
+            if n_done == m:
+                self.rows = rows[:0]
+                return True
+            keep = ~done
+            self.rows, self.val, e, self.evals = rows[keep], new[keep], e[keep], self.evals[keep]
+            self.reach = self.reach[np.concatenate([keep, keep])]
+        self.e = e
+        return n_done > 0
 
 
 def _fail(row: int, value: float, x: float, t: float):
@@ -364,83 +439,40 @@ def _call(F: RowIntegrand, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
     return fv
 
 
-def _level(F: RowIntegrand, lanes: _Lanes, h: float, step: int, reach: np.ndarray,
-           scale: Optional[np.ndarray], cfg: QuadratureConfig):
-    """Sweep both t-sides of one level for every lane.
-
-    reach and scale are per lane.  Returns the tail state (per-lane sums,
-    summed-node counts and stop points: the last node summed, or the first
-    one not evaluated) and, at level 0 (scale None), the integrand at t = 0,
-    from which that level takes its tail scale.
-    """
-    tab = _table("half" if lanes.kind == "power" else lanes.kind, h, step)
+def _level(F: RowIntegrand, lanes: _Lanes, level: int, book) -> None:
+    """Sweep both t-sides of a level, step _INITIAL_H / 2^level, for every
+    lane, keeping the bookkeeping in book (an _ArrayBook or a _FloatBook)."""
+    h = _INITIAL_H * 0.5 ** level
+    tab = _table("half" if lanes.kind == "power" else lanes.kind, h, 2 if level else 1)
     n_t = tab.t.shape[0]
     m = lanes.rows.shape[0]
-    tail = _Tail(lanes, tab, reach, h, cfg)
     # one call per chunk of rows for both sides, each side evaluated out to
     # the furthest reach of the chunk's lanes (all of level 0, which has a few
     # nodes), plus the t = 0 node at level 0
-    if scale is None:
-        end = None
-        bp = bn = n_t
-        f0 = np.empty(m)
-        tail.scale = np.empty(2 * m)
-    else:
-        end = np.minimum(np.searchsorted(tab.t, reach) + _EXTRA, n_t)
-        bp, bn = end.reshape(2, m).max(axis=1).tolist()
-        f0 = None
-        tail.scale = scale
+    bp, bn = book.level(lanes, tab, h)
     # equal chunks of at most about _BLOCK_CELLS cells
     chunk = -(-m // -(-(m * (bp + bn + 1)) // _BLOCK_CELLS))
     for a in range(0, m, chunk):
         b = min(a + chunk, m)
-        c = b - a
-        ol = slice(None)
-        if c < m:
-            ol = np.concatenate([np.arange(a, b), np.arange(m + a, m + b)])
-            if end is not None:
-                bp, bn = int(end[a:b].max()), int(end[m + a:m + b].max())
+        if level and b - a < m:
+            bp, bn = book.widths(a, b)
         xp, wp = lanes.nodes(slice(a, b), 0, tab, 0, bp)
         xn, wn = lanes.nodes(slice(m + a, m + b), 1, tab, 0, bn)
-        x = np.concatenate([xp, xn] + ([lanes.x0[a:b, None]] if f0 is not None else []), axis=1)
+        x = np.concatenate([xp, xn] + ([] if level else [lanes.x0[a:b, None]]), axis=1)
         del xp, xn  # large arrays are dropped as soon as they are used, to bound memory
-        fv = _call(F, lanes.rows[a:b], x)
+        # handed over in a list, so that the array book can drop them before its scan
+        fv = [_call(F, lanes.rows[a:b], x)]
         del x
-        if f0 is not None:
-            f0[a:b] = fv[:, -1]
-            center = f0[a:b]
-            if not np.isfinite(center).all():
-                i = int(np.argmin(np.isfinite(center)))
-                _fail(int(lanes.rows[a + i]), float(center[i]), float(lanes.x0[a + i]), 0.0)
-            tail.scale[a:b] = tail.scale[m + a:m + b] = h * np.abs(center * lanes.w0[a:b])
-        # lanes side by side; the shorter side's extra columns weigh 0 and are not read
-        width = max(bp, bn)
-        fvl, wl = np.zeros((2, 2 * c, width))
-        fvl[:c, :bp], fvl[c:, :bn] = fv[:, :bp], fv[:, bp:bp + bn]
-        wl[:c, :bp], wl[c:, :bn] = wp, wn
-        del fv
-        stops = tail.scan(ol, fvl, wl, 0, np.array((bp, bn)).repeat(c))
-        del fvl, wl
-        if np.count_nonzero(stops) < 2 * c:
-            # lanes whose rule has not fired are extended alone, one side at a time
-            for side, end_side in enumerate((bp, bn)):
-                go_on = np.flatnonzero(~stops[side * c:(side + 1) * c]) + (side * m + a)
-                _extend(F, lanes, tail, go_on, side, end_side)
-    return tail, f0
-
-
-def _extend(F: RowIntegrand, lanes: _Lanes, tail: _Tail, ol: np.ndarray, side: int,
-            a: int) -> None:
-    """Evaluate the lanes ol of one side on from table column a, _EXTRA
-    nodes and then twice as many each call, until their rule fires."""
-    tab = tail.tab
-    grow = _EXTRA
-    while ol.size:
-        b = min(a + grow, tab.t.shape[0])
-        x, w = lanes.nodes(ol, side, tab, a, b)
-        fv = _call(F, lanes.row[ol], x)
-        more = tail.scan(ol, fv, np.broadcast_to(w, fv.shape), a, b - a)
-        ol, a, grow = ol[~more], b, 2 * grow
+        going = book.scan_chunk(a, b, fv, wp, wn, bp, bn)
+        # lanes whose rule has not fired are extended one side at a time, by
+        # _EXTRA nodes and then twice as many each call
+        for side, (ol, col) in enumerate(zip(going, (bp, bn))):
+            grow = _EXTRA
+            while len(ol):
+                c = min(col + grow, n_t)
+                x, w = lanes.nodes(ol, side, tab, col, c)
+                ol = book.scan(ol, _call(F, lanes.row[ol], x), w, col)
+                col, grow = c, 2 * grow
 
 
 class _Batch(NamedTuple):
@@ -452,68 +484,76 @@ class _Batch(NamedTuple):
 
 def _sweep(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray, power, rows: np.ndarray,
            cfg: QuadratureConfig, out: _Batch) -> None:
-    """Integrate the rows of one map kind in one sweep, into their entries of out."""
-    value, err, n_evals, levels = out
-    n = rows.shape[0]
+    """Integrate the rows of one map kind in one sweep, into their entries of
+    out; the block size picks how the bookkeeping is kept."""
+    book = (_FloatBook if rows.shape[0] <= _SMALL_ROWS else _ArrayBook)(rows, cfg)
     lanes = _Lanes(kind, lo, hi, rows, power)
-    h = _INITIAL_H
     # values past a lane's stop may overflow or be nan; they are never summed
     with np.errstate(all="ignore"):
-        tail, f0 = _level(F, lanes, h, 1, np.zeros(2 * n), None, cfg)
-        total, count, reach = tail.total, tail.count, tail.stop_t
-        val = h * (f0 * lanes.w0 + total[:n] + total[n:])
-        evals = 1 + count[:n] + count[n:]
-        for level in range(1, cfg.max_levels + 1):
-            h *= 0.5
-            m = rows.shape[0]
-            scale = np.abs(val)
-            tail, _ = _level(F, lanes, h, 2, reach, np.concatenate([scale, scale]), cfg)
-            total, count = tail.total, tail.count
-            reach = np.maximum(reach, tail.stop_t)
-            evals += count[:m] + count[m:]
-            new = 0.5 * val + h * (total[:m] + total[m:])
-            e = np.abs(new - val)
-            val = new
-            size = np.abs(new)
-            done = (e <= cfg.rel_tol * size + cfg.abs_floor) | (e <= _MACHINE_FLOOR * size)
-            n_done = np.count_nonzero(done)
-            if n_done:
-                fin = rows[done]
-                value[fin], err[fin], levels[fin] = new[done], e[done], level
-                n_evals[fin] = evals[done]
-                if n_done == m:
+        for level in range(cfg.max_levels + 1):
+            _level(F, lanes, level, book)
+            if book.update(level, out):
+                if not book.rows.shape[0]:
                     return
-                keep = ~done
-                rows, val, e, evals = rows[keep], val[keep], e[keep], evals[keep]
-                reach = reach[np.concatenate([keep, keep])]
-                lanes = _Lanes(kind, lo, hi, rows, power)
-    _no_convergence(cfg, int(rows[0]), float(val[0]), float(e[0]))
-
-
-def _no_convergence(cfg: QuadratureConfig, row: int, value: float, err: float):
+                lanes = _Lanes(kind, lo, hi, book.rows, power)
+    row, value, err = int(book.rows[0]), float(book.val[0]), float(book.e[0])
     raise NonConvergenceError(
         f"no convergence after {cfg.max_levels} levels; last err_est={err!r}, value={value!r}",
         row=row, value=value, err=err)
 
 
-class _SmallTail:
-    """The state of _Tail for the lanes of one level of a small block, per
-    lane in Python floats."""
+class _FloatBook:
+    """The bookkeeping of _ArrayBook, per row and lane in Python floats.
 
-    def __init__(self, lanes: _Lanes, tab: _Table, reach: list, h: float, cfg: QuadratureConfig):
-        n = len(reach)
+    A lane's rule is read only from two columns before its reach, starting
+    from its running sum there (np.cumsum).
+    """
+
+    def __init__(self, rows: np.ndarray, cfg: QuadratureConfig):
+        n = rows.shape[0]
+        self.rows, self.cfg = rows, cfg
+        self.c_tol, self.floor = cfg.rel_tol * 1e-2, 0.1 * cfg.abs_floor
+        self.val: Optional[list] = None  # set by level 0
+        self.e = [0.0] * n
+        self.reach = [0.0] * (2 * n)
+
+    def level(self, lanes: _Lanes, tab: _Table, h: float):
+        n, n_t = len(self.reach), tab.t.shape[0]
         self.lanes, self.tab, self.h = lanes, tab, h
         # each lane's first column at or past its reach, where its rule may fire
-        self.first = np.searchsorted(tab.t, reach).tolist()
-        self.scale = [0.0] * n  # set before the first scan
-        self.c_tol, self.floor = cfg.rel_tol * 1e-2, 0.1 * cfg.abs_floor
-        self.capped = tab.t.shape[0] > _MAX_NODES_PER_SIDE
+        self.first = np.searchsorted(tab.t, self.reach).tolist()
         self.total = [0.0] * n
         self.count = [0] * n
         self.stop_t = [0.0] * n
         self.prev = [(False, False)] * n  # were a lane's last two terms small?
+        if self.val is None:
+            self.scale, self.f0w = [0.0] * n, [0.0] * (n // 2)
+            return n_t, n_t
+        scale = list(map(abs, self.val))
+        self.scale = scale + scale
+        self.end = [min(j + _EXTRA, n_t) for j in self.first]
+        return self.widths(0, n // 2)
 
-    def scan(self, parts, a: int) -> list:
+    def widths(self, a: int, b: int):
+        m = self.rows.shape[0]
+        return max(self.end[a:b]), max(self.end[m + a:m + b])
+
+    def scan_chunk(self, a: int, b: int, held: list, wp, wn, bp: int, bn: int):
+        m, fv = self.rows.shape[0], held.pop()
+        if self.val is None:
+            w0 = self.lanes.w0.tolist()
+            for i, v in enumerate(fv[:, -1].tolist(), a):
+                if not math.isfinite(v):
+                    _fail(int(self.lanes.rows[i]), v, float(self.lanes.x0[i]), 0.0)
+                self.f0w[i] = fw = v * w0[i]
+                self.scale[i] = self.scale[m + i] = self.h * abs(fw)
+        return self._scan([(range(a, b), fv[:, :bp], wp),
+                           (range(m + a, m + b), fv[:, bp:bp + bn], wn)], 0)
+
+    def scan(self, ol: list, fv: np.ndarray, w: np.ndarray, a: int) -> list:
+        return self._scan([(ol, fv, w)], a)[0]
+
+    def _scan(self, parts, a: int) -> list:
         """Apply the tail rule to the columns from a just evaluated.
 
         parts is a list of (lanes, fv, w): row i of fv (and of w, unless w
@@ -522,11 +562,11 @@ class _SmallTail:
         there.  Returns, per part, the lanes that go on.
         """
         h, c_tol, floor = self.h, self.c_tol, self.floor
-        going, ends = [], []
+        going = []
         for ol, fv, w in parts:
             width = fv.shape[1]
             cum = None
-            go_on, end_of = [], []
+            go_on = []
             for i, lane in enumerate(ol):
                 wi = w if w.ndim == 1 else w[i]
                 first, sc = self.first[lane] - a, self.scale[lane]
@@ -562,111 +602,48 @@ class _SmallTail:
                 else:
                     self.stop_t[lane] = float(self.tab.t[a + j])
                 self.count[lane] += end
-                end_of.append(end)
-            going.append(go_on)
-            ends.append(end_of)
-        for (ol, fv, _), end_of in zip(parts, ends):  # a summed value may be non-finite
-            for i, lane in enumerate(ol):
-                if not math.isfinite(self.total[lane]):
-                    bad = np.flatnonzero(~np.isfinite(fv[i, :end_of[i]]))
+                if not math.isfinite(s):  # a summed value may be non-finite
+                    bad = np.flatnonzero(~np.isfinite(fv[i, :end]))
                     if bad.shape[0]:
                         _fail_at(self.lanes, self.tab, lane, a + int(bad[0]), float(fv[i, bad[0]]))
-        if self.capped:
+            going.append(go_on)
+        if self.tab.t.shape[0] > _MAX_NODES_PER_SIDE:
             for ol, _, _ in parts:
                 for lane in ol:
                     if self.count[lane] > _MAX_NODES_PER_SIDE:
                         _over_cap(int(self.lanes.row[lane]), h)
         return going
 
-
-def _level_small(F: RowIntegrand, lanes: _Lanes, h: float, step: int, reach: list,
-                 scale: Optional[list], cfg: QuadratureConfig):
-    """_level for a small block: the same integrand calls, on the same x."""
-    tab = _table("half" if lanes.kind == "power" else lanes.kind, h, step)
-    n_t = tab.t.shape[0]
-    m = lanes.rows.shape[0]
-    tail = _SmallTail(lanes, tab, reach, h, cfg)
-    if scale is None:
-        end = None
-        bp = bn = n_t
-        f0 = [0.0] * m
-        w0 = lanes.w0.tolist()
-    else:
-        end = [min(j + _EXTRA, n_t) for j in tail.first]
-        bp, bn = max(end[:m]), max(end[m:])
-        f0 = None
-        tail.scale = scale
-    chunk = -(-m // -(-(m * (bp + bn + 1)) // _BLOCK_CELLS))
-    for a in range(0, m, chunk):
-        b = min(a + chunk, m)
-        if end is not None and b - a < m:
-            bp, bn = max(end[a:b]), max(end[m + a:m + b])
-        xp, wp = lanes.nodes(slice(a, b), 0, tab, 0, bp)
-        xn, wn = lanes.nodes(slice(m + a, m + b), 1, tab, 0, bn)
-        x = np.concatenate([xp, xn] + ([lanes.x0[a:b, None]] if f0 is not None else []), axis=1)
-        fv = _call(F, lanes.rows[a:b], x)
-        if f0 is not None:
-            for i, v in enumerate(fv[:, -1].tolist(), a):
-                if not math.isfinite(v):
-                    _fail(int(lanes.rows[i]), v, float(lanes.x0[i]), 0.0)
-                f0[i] = v
-                tail.scale[i] = tail.scale[m + i] = h * abs(v * w0[i])
-        going = tail.scan([(range(a, b), fv[:, :bp], wp),
-                           (range(m + a, m + b), fv[:, bp:bp + bn], wn)], 0)
-        # lanes whose rule has not fired are extended as in _extend
-        for side, (ol, col) in enumerate(zip(going, (bp, bn))):
-            grow = _EXTRA
-            while ol:
-                c = min(col + grow, n_t)
-                x, w = lanes.nodes(np.array(ol), side, tab, col, c)
-                ol = tail.scan([(ol, _call(F, lanes.row[ol], x), w)], col)[0]
-                col, grow = c, 2 * grow
-    return tail, f0
-
-
-def _sweep_small(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray, power,
-                 rows: np.ndarray, cfg: QuadratureConfig, out: _Batch) -> None:
-    """_sweep for a block of at most _SMALL_ROWS rows: the same levels and
-    integrand calls, with the bookkeeping in Python floats."""
-    value, err, n_evals, levels = out
-    n = rows.shape[0]
-    lanes = _Lanes(kind, lo, hi, rows, power)
-    h = _INITIAL_H
-    with np.errstate(all="ignore"):
-        tail, f0 = _level_small(F, lanes, h, 1, [0.0] * (2 * n), None, cfg)
-        total, count, reach = tail.total, tail.count, tail.stop_t
-        val = [h * (f * w + p + q)
-               for f, w, p, q in zip(f0, lanes.w0.tolist(), total[:n], total[n:])]
-        evals = [1 + p + q for p, q in zip(count[:n], count[n:])]
-        e = [0.0] * n
-        for level in range(1, cfg.max_levels + 1):
-            h *= 0.5
-            m = len(val)
-            scale = [abs(v) for v in val]
-            tail, _ = _level_small(F, lanes, h, 2, reach, scale + scale, cfg)
-            total, count = tail.total, tail.count
-            reach = [max(r, s) for r, s in zip(reach, tail.stop_t)]
-            keep = []
-            for i in range(m):
-                new = 0.5 * val[i] + h * (total[i] + total[m + i])
-                e[i] = abs(new - val[i])
-                val[i] = new
-                evals[i] += count[i] + count[m + i]
-                size = abs(new)
-                if e[i] <= cfg.rel_tol * size + cfg.abs_floor or e[i] <= _MACHINE_FLOOR * size:
-                    row = rows[i]
-                    value[row], err[row], levels[row], n_evals[row] = new, e[i], level, evals[i]
-                else:
-                    keep.append(i)
-            if not keep:
-                return
-            if len(keep) < m:
-                rows = rows[keep]
-                val, e, evals = [val[i] for i in keep], [e[i] for i in keep], \
-                    [evals[i] for i in keep]
-                reach = [reach[i] for i in keep] + [reach[m + i] for i in keep]
-                lanes = _Lanes(kind, lo, hi, rows, power)
-    _no_convergence(cfg, int(rows[0]), val[0], e[0])
+    def update(self, level: int, out: _Batch) -> bool:
+        total, count, h = self.total, self.count, self.h
+        m = self.rows.shape[0]
+        if self.val is None:
+            self.val = [h * (f + p + q) for f, p, q in zip(self.f0w, total[:m], total[m:])]
+            self.evals = [1 + p + q for p, q in zip(count[:m], count[m:])]
+            self.reach = self.stop_t
+            return False
+        val, e, evals, cfg = self.val, self.e, self.evals, self.cfg
+        self.reach = list(map(max, self.reach, self.stop_t))
+        keep = []
+        for i in range(m):
+            new = 0.5 * val[i] + h * (total[i] + total[m + i])
+            e[i] = abs(new - val[i])
+            val[i] = new
+            evals[i] += count[i] + count[m + i]
+            size = abs(new)
+            if e[i] <= cfg.rel_tol * size + cfg.abs_floor or e[i] <= _MACHINE_FLOOR * size:
+                row = self.rows[i]
+                out.value[row], out.err[row], out.levels[row], out.n_evals[row] = \
+                    new, e[i], level, evals[i]
+            else:
+                keep.append(i)
+        if len(keep) < m:
+            self.rows = self.rows[keep]
+            self.val, self.e, self.evals = [val[i] for i in keep], [e[i] for i in keep], \
+                [evals[i] for i in keep]
+            self.reach = [self.reach[i] for i in keep] + [self.reach[m + i] for i in keep]
+            return True
+        return False
 
 
 def integrate_rows(F: RowIntegrand, lo, hi, cfg: QuadratureConfig, power=None) -> _Batch:
@@ -704,9 +681,7 @@ def integrate_rows(F: RowIntegrand, lo, hi, cfg: QuadratureConfig, power=None) -
             # equal blocks of about _BLOCK_ROWS rows
             step = -(-k.shape[0] // max(1, round(k.shape[0] / _BLOCK_ROWS)))
             for a in range(0, k.shape[0], step):
-                block = k[a:a + step]
-                sweep = _sweep_small if block.shape[0] <= _SMALL_ROWS else _sweep
-                sweep(F, kind, lo, hi, power, block, cfg, out)
+                _sweep(F, kind, lo, hi, power, k[a:a + step], cfg, out)
     return out
 
 

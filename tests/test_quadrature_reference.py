@@ -347,8 +347,8 @@ def test_small_block_sweep_matches_the_array_sweep(group, extra, rel_tol, mode, 
     cfg = QuadratureConfig(rel_tol=rel_tol, abs_floor=1e-30 if group == "bumps" else 1e-300,
                            max_levels=2 if mode == "max-levels-2" else 12)
     small = []
-    sweep_small = quadrature._sweep_small
-    monkeypatch.setattr(quadrature, "_sweep_small", lambda *a: small.append(1) or sweep_small(*a))
+    float_book = quadrature._FloatBook
+    monkeypatch.setattr(quadrature, "_FloatBook", lambda *a: small.append(1) or float_book(*a))
     default = _outcome(F, lo, hi, cfg, power)
     assert len(small) == (1 if extra == 0 else 0)
     # the other sweep on the same block
