@@ -666,6 +666,36 @@ def test_tabled_sums_fall_back_to_direct_sum(cf1, cf2, xs):
     assert np.array_equal(broda_kan_cdf(jcf, xs, cfg), broda_kan_cdf(direct, xs, cfg))
 
 
+def _hake0_grid():
+    # the shifted pair is summed at x - d: put x - d on both sides of 0 and on it
+    d = _HAKE0.rho * _HAKE0.sigma1 / _HAKE0.sigma2
+    return (bivariate_normal_joint_cf(_HAKE0),
+            auto_grid(normal_cf(_HAKE0.mu1, _HAKE0.sigma1), normal_cf(_HAKE0.mu2, _HAKE0.sigma2)),
+            d + 0.05 * np.arange(-20.0, 20.0))
+
+
+@pytest.mark.parametrize("fn", [broda_kan_pdf_joint, broda_kan_cdf])
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: (product_joint_cf(normal_cf(0.0, 1.0), chi_square_cf(5)),
+                 auto_grid(normal_cf(0.0, 1.0), chi_square_cf(5)), 0.15 * np.arange(-20.0, 20.0)),
+        _hake0_grid,
+    ],
+    ids=["normal-chisq5", "hake0"],
+)
+def test_tabled_reads_do_not_depend_on_the_read_chunk(monkeypatch, fn, case):
+    # each (point, s) pair is read with its own arithmetic, so a grid read in
+    # chunks of one point's pairs, a grid read in the default chunks and the
+    # grid's float calls agree byte for byte, at x < 0, x = 0 and x > 0
+    jcf, cfg, xs = case()
+    default = fn(jcf, xs, cfg)
+    floats = np.array([fn(jcf, x, cfg) for x in xs.tolist()])
+    monkeypatch.setattr(cf_module, "_TABLE_CELLS", cfg.N + 1)
+    one_point = fn(jcf, xs, cfg)
+    assert default.tobytes() == one_point.tobytes() == floats.tobytes()
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "Broda-Kan on N(1, 0.5)/Cauchy(0.5, 1) is off by up to 0.011 (2.6% of the peak) on its "
     "auto_grid, with no warning; Mellin and Monte Carlo agree to ~1e-4"))
