@@ -50,12 +50,13 @@ and the CDF is the same with phi1(s)/s, phi2 and 1/t.  H does not depend
 on x: _inner_table tabulates it for u >= 0 by FFT, in blocks fixed by the
 lattice, and every x s reads it by _TABLE_P-node barycentric Lagrange
 interpolation, with H(-u) = conj H(u) (-conj H(u) for the CDF), so W -> -W
-stays exact.  A point whose interpolation error estimate exceeds
-_TABLE_TOL of its own scale (as a kink in phi2 makes it), or whose table
-would reach past _TABLE_REACH t lattices, is summed directly on the
-lattice.  So each value depends on the joint CF, the grid and its point
-alone: a grid equals its float calls bit for bit, and the sums agree with
-the direct lattice sum to about 1e-15 of the peak.
+stays exact.  The reads go one stencil tap at a time, each tap over every
+(point, s) pair of a chunk of _TABLE_CELLS.  A point whose interpolation
+error estimate exceeds _TABLE_TOL of its own scale (as a kink in phi2 makes
+it), or whose table would reach past _TABLE_REACH t lattices, is summed
+directly on the lattice.  So each value depends on the joint CF, the grid
+and its point alone: a grid equals its float calls bit for bit, and the sums
+agree with the direct lattice sum to about 1e-15 of the peak.
 
 Moment estimates come from eighth-order central-difference stencils applied
 to the CF at the origin, exploiting Hermitian symmetry so only four
@@ -92,10 +93,11 @@ _TABLE_P = 16  # barycentric Lagrange nodes per read of the tabulated inner sum 
 _TABLE_Q = 4  # offset sub-lattices: the table of H has spacing h2 / _TABLE_Q
 _TABLE_TOL = 1e-12  # a point whose interpolation error estimate exceeds this x peak sums directly
 _TABLE_REACH = 64  # |x| T1 past this many t lattices: the table would cost more than the direct sum
-_TABLE_CELLS = 1024  # (point, s) pairs per chunk: 128 KB stencil arrays ran faster than larger ones
-# barycentric weights (-1)^i C(n - 1, i) of n equispaced nodes, n = P and P - 2
-_BARY_P = np.array([(-1.0) ** i * math.comb(_TABLE_P - 1, i) for i in range(_TABLE_P)])
-_BARY_P2 = np.array([(-1.0) ** i * math.comb(_TABLE_P - 3, i) for i in range(_TABLE_P - 2)])
+_TABLE_CELLS = 8192  # (point, s) pairs per read: 16 points at N = 500; 4096 ran slower, 12288 no faster
+# barycentric weights at stencil tap i: (-1)^i C(P - 1, i); (-1)^i C(P - 3, i - 1) on inner taps
+_BARY = np.array([[(-1.0) ** i * math.comb(_TABLE_P - 1, i),
+                   (-1.0) ** i * math.comb(_TABLE_P - 3, i - 1) if i else 0.0]
+                  for i in range(_TABLE_P)])[:, :, None, None]
 _GP_CFG = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-13)
 
 
@@ -421,14 +423,6 @@ def _inner_table(cf2: CharFn, n: int, h2: float, nodes: int, density: bool) -> n
     return table if density else -table
 
 
-def _barycentric(weights: np.ndarray, inv: np.ndarray, f_re: np.ndarray, f_im: np.ndarray):
-    """Real and imaginary parts of the Lagrange interpolant of the node values
-    f[..., node], from the barycentric weights and inv = 1 / (theta - offset)."""
-    w = weights * inv
-    den = w.sum(axis=-1)
-    return np.einsum("...k,...k->...", w, f_re) / den, np.einsum("...k,...k->...", w, f_im) / den
-
-
 def _tabled_sums(cf1: CharFn, cf2: CharFn, xs: np.ndarray, s: np.ndarray, cfg: Grid2DConfig,
                  density: bool, direct: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
     """The folded lattice sums of an independent pair, read off the table of H.
@@ -456,23 +450,27 @@ def _tabled_sums(cf1: CharFn, cf2: CharFn, xs: np.ndarray, s: np.ndarray, cfg: G
         table = _inner_table(cf2, cfg.N, cfg.h2, nodes, density)
         lead = np.conj(table[centre:0:-1])  # H at u = -centre step .. -step
         ext = np.concatenate([lead if density else -lead, table])  # ext[centre + i]: H at i step
-        ext_re, ext_im = ext.real.copy(), ext.imag.copy()
-        offsets = np.arange(_TABLE_P) - centre
-        chunk = max(1, _TABLE_CELLS // s.size)
+        chunk = min(max(1, _TABLE_CELLS // s.size), near.size)
+        # one set of work arrays for all chunks: made anew at each tap, they cost page faults
+        work = np.zeros((3, 2, chunk, s.size), dtype=complex), np.empty((2, chunk, s.size))
         for lo in range(0, near.size, chunk):
             rows = near[lo:lo + chunk]
             pos = ax[rows, None] * s / step
-            base = np.floor(pos)
-            theta = pos - base
-            hit = theta == 0.0  # u on a node reads the node, and divides by no 0
-            gather = base.astype(np.intp)[..., None] + np.arange(_TABLE_P)
-            f_re, f_im = ext_re[gather], ext_im[gather]
-            inv = 1.0 / (np.where(hit, 0.5, theta)[..., None] - offsets)
-            h_re, h_im = _barycentric(_BARY_P, inv, f_re, f_im)
-            l_re, l_im = _barycentric(_BARY_P2, inv[..., 1:-1], f_re[..., 1:-1], f_im[..., 1:-1])
+            first = np.floor(pos)
+            hit = pos == first  # u on a node reads the node, and divides by no 0
+            theta, first = np.where(hit, 0.5, pos - first), first.astype(np.intp)
+            # running sums of the P- and (P-2)-node interpolants, a tap at a time; the
+            # weights go in weight's real part (its imaginary part stays 0), so no cast
+            (num, weight, prod), den = (a[..., :rows.size, :] for a in work)
+            num.fill(0.0)
+            den.fill(0.0)
+            for k, b in enumerate(_BARY):
+                np.divide(b, theta - (k - centre), out=weight.real)
+                den += weight.real
+                num += np.multiply(weight, ext[k:].take(first), out=prod)
             if hit.any():
-                node_re, node_im = f_re[hit, centre], f_im[hit, centre]
-                h_re[hit], h_im[hit], l_re[hit], l_im[hit] = node_re, node_im, node_re, node_im
+                num[:, hit], den[:, hit] = ext[first[hit] + centre], 1.0
+            (h_re, l_re), (h_im, l_im) = (part / den for part in (num.real, num.imag))
             est[rows] = (c_abs * np.hypot(h_re - l_re, h_im - l_im)).sum(axis=1)
             # x < 0 reads H(-u): conj H(u) for the density, -conj H(u) for the CDF
             flip = np.where(xs[rows] < 0.0, -1.0, 1.0)[:, None]

@@ -666,29 +666,26 @@ def test_tabled_sums_fall_back_to_direct_sum(cf1, cf2, xs):
     assert np.array_equal(broda_kan_cdf(jcf, xs, cfg), broda_kan_cdf(direct, xs, cfg))
 
 
-def _hake0_grid():
-    # the shifted pair is summed at x - d: put x - d on both sides of 0 and on it
-    d = _HAKE0.rho * _HAKE0.sigma1 / _HAKE0.sigma2
-    return (bivariate_normal_joint_cf(_HAKE0),
-            auto_grid(normal_cf(_HAKE0.mu1, _HAKE0.sigma1), normal_cf(_HAKE0.mu2, _HAKE0.sigma2)),
-            d + 0.05 * np.arange(-20.0, 20.0))
+_D0 = _HAKE0.rho * _HAKE0.sigma1 / _HAKE0.sigma2  # the Hake pair is summed at x - d
 
 
 @pytest.mark.parametrize("fn", [broda_kan_pdf_joint, broda_kan_cdf])
 @pytest.mark.parametrize(
-    "case",
+    "jcf, cfg, xs",
     [
-        lambda: (product_joint_cf(normal_cf(0.0, 1.0), chi_square_cf(5)),
-                 auto_grid(normal_cf(0.0, 1.0), chi_square_cf(5)), 0.15 * np.arange(-20.0, 20.0)),
-        _hake0_grid,
+        (product_joint_cf(normal_cf(0.0, 1.0), chi_square_cf(5)),
+         auto_grid(normal_cf(0.0, 1.0), chi_square_cf(5)), 0.15 * np.arange(-20.0, 20.0)),
+        (bivariate_normal_joint_cf(_HAKE0),
+         auto_grid(normal_cf(_HAKE0.mu1, _HAKE0.sigma1), normal_cf(_HAKE0.mu2, _HAKE0.sigma2)),
+         _D0 + 0.05 * np.arange(-20.0, 20.0)),
     ],
     ids=["normal-chisq5", "hake0"],
 )
-def test_tabled_reads_do_not_depend_on_the_read_chunk(monkeypatch, fn, case):
+def test_tabled_reads_do_not_depend_on_the_read_chunk(monkeypatch, fn, jcf, cfg, xs):
     # each (point, s) pair is read with its own arithmetic, so a grid read in
     # chunks of one point's pairs, a grid read in the default chunks and the
-    # grid's float calls agree byte for byte, at x < 0, x = 0 and x > 0
-    jcf, cfg, xs = case()
+    # grid's float calls agree byte for byte, at x < 0, x = 0 and x > 0 of the
+    # summed pair
     default = fn(jcf, xs, cfg)
     floats = np.array([fn(jcf, x, cfg) for x in xs.tolist()])
     monkeypatch.setattr(cf_module, "_TABLE_CELLS", cfg.N + 1)

@@ -319,9 +319,10 @@ def _outcome(F, lo, hi, cfg, power):
 @pytest.mark.parametrize("extra", [0, 1], ids=["limit", "limit+1"])
 @pytest.mark.parametrize("group", sorted(_BY_MAP))
 def test_small_block_sweep_matches_the_array_sweep(group, extra, rel_tol, mode, monkeypatch):
-    # a block of at most _SMALL_ROWS rows takes the small-block sweep and a
-    # larger one the array sweep; on one block, the two give equal values,
-    # counts and levels, or equal errors naming the same row and node
+    # one _sweep keeps the bookkeeping of a block of at most _SMALL_ROWS rows
+    # in a _FloatBook and of a larger one in an _ArrayBook; on one block, the
+    # two books give equal values, counts and levels, or equal errors naming
+    # the same row and node
     n = quadrature._SMALL_ROWS + extra
     names = [_BY_MAP[group][k % len(_BY_MAP[group])] for k in range(n)]
     if group == "power":
@@ -351,7 +352,7 @@ def test_small_block_sweep_matches_the_array_sweep(group, extra, rel_tol, mode, 
     monkeypatch.setattr(quadrature, "_FloatBook", lambda *a: small.append(1) or float_book(*a))
     default = _outcome(F, lo, hi, cfg, power)
     assert len(small) == (1 if extra == 0 else 0)
-    # the other sweep on the same block
+    # the other book on the same block
     monkeypatch.setattr(quadrature, "_SMALL_ROWS", n - 1 if extra == 0 else n)
     assert _outcome(F, lo, hi, cfg, power) == default
     assert len(small) == 1
