@@ -3,6 +3,8 @@
 Method protocol: each method id maps onto an entry of the CLI's engine table
 (``cli.ENGINES``) with fixed settings: analytic, mellin-de (Mellin, direct),
 mellin-de-cheb (Mellin with a 257-node Chebyshev interpolant) and broda-kan.
+That map, ``METHODS``, sits beside ``ENGINES`` in ``cli``; this module imports
+``cli`` for both and re-exports ``METHODS``.
 The entry's set-up, given a ``cli.RunConfig`` whose spec is the normal
 pair N(a, 1)/N(b, 1) of the standardized-ratio parameters and the
 evaluation grid, returns the engine's evaluators; its pdf is a zero-argument
@@ -26,6 +28,7 @@ from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
+from .cli import ENGINES, METHODS, RunConfig, Spec
 from .errors import InvalidParamsError
 from .normal_ratio import StdRatioParams
 from .oracle import reference_pdf_grid
@@ -89,14 +92,7 @@ def eps_max(values: Sequence[float], reference: Sequence[float]) -> float:
     return float(np.max(np.abs(v - r)))
 
 
-# method id -> (engine id in cli.ENGINES, the options it takes, with defaults)
-METHODS: Dict[str, Tuple[str, Dict[str, object]]] = {
-    "analytic": ("analytic", {}),
-    "mellin-de": ("mellin", {"rel_tol": 1e-10}),
-    "mellin-de-cheb": ("mellin", {"rel_tol": 1e-10, "n_nodes": 257}),
-    "broda-kan": ("broda-kan", {"n": 500}),
-}
-# run_experiment option -> cli.RunConfig field
+# run_experiment option -> RunConfig field
 _FIELDS = {"rel_tol": "rel_tol", "n_nodes": "cheb_nodes", "n": "grid_n"}
 
 
@@ -149,8 +145,6 @@ def run_experiment(
     lo, hi = float(interval[0]), float(interval[1])
     if not (lo < hi) or not math.isfinite(lo) or not math.isfinite(hi):
         raise InvalidParamsError(f"interval must be finite with lo < hi, got {interval!r}")
-
-    from .cli import ENGINES, RunConfig, Spec  # cli imports this module for its bench command
 
     sr = _as_params(params)
     xs = np.linspace(lo, hi, n_points)

@@ -28,6 +28,11 @@ to the support of X1/X2 that the factors' DensityFn.support give.  Every
 subcommand computes its whole output first and then writes it once.  Bad
 specs, bad settings and engine errors exit with status 1 and a one-line
 diagnostic on stderr.
+
+Beside ENGINES, METHODS maps each bench --method id onto an ENGINES entry
+with fixed settings.  The bench module imports this one for both tables (and
+re-exports METHODS); this module imports bench only inside the bench command,
+so the other commands never load the harness.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequen
 
 import numpy as np
 
-from . import bench as bench_mod
 from .cf import (
     _GP_CFG,
     auto_grid,
@@ -82,7 +86,7 @@ from .normal_ratio import (
 )
 from .quadrature import QuadratureConfig, cheb_eval_many
 
-__all__ = ["ENGINES", "Engine", "RunConfig", "Spec", "main"]
+__all__ = ["ENGINES", "Engine", "METHODS", "RunConfig", "Spec", "main"]
 
 # spec kind -> the flags that give it
 _FLAGS = {"normal": "--std-ratio/--biv/--hake", "num-den": "--num/--den", "dist": "--dist"}
@@ -277,6 +281,14 @@ ENGINES: Dict[str, Engine] = {
     "gil-pelaez": Engine(frozenset({"dist"}), _gil_pelaez, True, 6.0),
 }
 
+# bench method id -> (engine id in ENGINES, the options it takes, with defaults)
+METHODS: Dict[str, Tuple[str, Dict[str, object]]] = {
+    "analytic": ("analytic", {}),
+    "mellin-de": ("mellin", {"rel_tol": 1e-10}),
+    "mellin-de-cheb": ("mellin", {"rel_tol": 1e-10, "n_nodes": 257}),
+    "broda-kan": ("broda-kan", {"n": 500}),
+}
+
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
     """The spec and the settings the engine reads; the engine must take the spec."""
@@ -351,6 +363,8 @@ def cmd_interval(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from . import bench  # bench imports this module; only this command needs it
+
     if args.out == "-":
         raise InvalidParamsError("bench needs --out PATH for the records file")
     folder = os.path.dirname(args.out)
@@ -362,25 +376,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
     k = 2.0 if args.k is None else args.k
     interval = args.interval or sd_window((sr.a, 1.0), (sr.b, 1.0), k)
 
-    def run(method: str, **opts: object) -> bench_mod.BenchRecord:
-        return bench_mod.run_experiment(
+    def run(method: str, **opts: object) -> bench.BenchRecord:
+        return bench.run_experiment(
             method, sr, interval, n_points=args.n_points, runs=args.runs, reps=args.reps, **opts,
         )
 
     base = run(
-        bench_mod.BASELINE_METHOD,
-        rel_tol=bench_mod.BASELINE_REL_TOL,
-        label=f"{bench_mod.BASELINE_METHOD}@{bench_mod.BASELINE_REL_TOL:g}",
+        bench.BASELINE_METHOD,
+        rel_tol=bench.BASELINE_REL_TOL,
+        label=f"{bench.BASELINE_METHOD}@{bench.BASELINE_REL_TOL:g}",
     )
     records = [dataclasses.replace(base, speedup_vs_baseline=1.0)]
     given = {"n": args.grid_n, "n_nodes": args.cheb_nodes}
     for method in args.methods:
-        takes = bench_mod.METHODS[method][1]
+        takes = METHODS[method][1]
         opts = {k: v for k, v in given.items() if k in takes and v is not None}
         sweep = [{"rel_tol": t, "label": f"{method}@{t:g}"} for t in args.rel_tols]
         for extra in (sweep if "rel_tol" in takes else []) or [{}]:
             records.append(run(method, baseline=base, **opts, **extra))
-    bench_mod.export(records, args.format, args.out)
+    bench.export(records, args.format, args.out)
     return 0
 
 
@@ -441,7 +455,7 @@ def _parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="timed accuracy protocol; exports records")
     p_bench.add_argument("--std-ratio", nargs=2, type=float, metavar=("A", "B"))
     p_bench.add_argument("--method", action="append", dest="methods",
-                         choices=list(bench_mod.method_ids()), default=[])
+                         choices=sorted(METHODS), default=[])
     p_bench.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"))
     p_bench.add_argument("--n", type=int, default=1000, dest="n_points")
     p_bench.add_argument("--k", type=float, default=None)

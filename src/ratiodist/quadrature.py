@@ -754,7 +754,7 @@ def cheb_build(
         )
     if not np.all(np.isfinite(values)):
         bad = x[~np.isfinite(values)][0]
-        raise IntegrandError(f"function returned a non-finite value at node x={bad!r}")
+        raise IntegrandError(f"function returned a non-finite value at node x={float(bad)!r}")
     weights = np.where(j % 2 == 0, 1.0, -1.0)
     weights[0] *= 0.5
     weights[-1] *= 0.5

@@ -392,6 +392,15 @@ def test_auto_grid_ranges():
         auto_grid(normal_cf(0.0, 1.0), normal_cf(0.0, 1.0), n=0)
 
 
+@pytest.mark.parametrize("fn", [broda_kan_pdf_joint, broda_kan_cdf])
+def test_broda_kan_refuses_a_sum_that_is_not_finite(fn):
+    # phi is NaN away from t = 0, so every sum over it is
+    nan_cf = CharFn(lambda t: np.where(t == 0.0, 1.0 + 0.0j, np.nan + 0.0j), label="nan")
+    jcf = product_joint_cf(nan_cf, normal_cf(2.0, 1.0))
+    with pytest.raises(IntegrandError, match=r"2D inversion sum is not finite at 0\.5"):
+        fn(jcf, np.array([0.5, 1.0]), Grid2DConfig(N=64, h1=0.1, h2=0.1))
+
+
 @pytest.mark.parametrize("kwargs", [{"N": 0}, {"h1": -1.0}, {"h2": 0.0}, {"h1": math.inf}])
 def test_grid2dconfig_validation(kwargs):
     base = {"N": 500, "h1": 0.01, "h2": 0.01}

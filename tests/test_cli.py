@@ -299,6 +299,15 @@ _HAKE = ["40", "65", "15", "18", "0.5", "50"]
          "--interval", "0", "1", "--n", "0"],
         ["pdf", "--engine", "broda-kan", "--num", "uniform", "1", "2", "--den", "normal", "1", "1",
          "--interval", "0", "1", "--n", "0"],
+        # a factor spec of an unknown family, or with the wrong number of values
+        ["pdf", "--engine", "mellin", "--num", "gamma", "1", "--den", "normal", "0", "1",
+         "--interval", "0", "1", "--n", "2"],
+        ["pdf", "--engine", "mellin", "--num", "normal", "1", "--den", "normal", "0", "1",
+         "--interval", "0", "1", "--n", "2"],
+        # a grid needs --interval or --auto-interval
+        ["pdf", "--std-ratio", "1.5", "1", "--n", "2"],
+        # modality reads a normal spec only
+        ["modality", "--dist", "normal", "0", "1"],
     ],
 )
 def test_errors_exit_one(argv, capsys):
@@ -307,6 +316,14 @@ def test_errors_exit_one(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+def test_bench_without_a_spec_exits_one_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--method", "analytic", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: bench needs --std-ratio A B\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("engine, spec", [

@@ -371,6 +371,13 @@ def test_grid_validation():
         ratio_pdf_grid(f, f, np.array([0.0, 1.0]), accel="fast")
 
 
+@pytest.mark.parametrize("grid", [[0.5, math.inf], [-math.inf, 0.5]])
+def test_ratio_pdf_grid_refuses_infinite_points(grid):
+    f = normal_density(0.0, 1.0)
+    with pytest.raises(InvalidParamsError, match="grid points must be finite"):
+        ratio_pdf_grid(f, f, np.array(grid))
+
+
 @pytest.mark.parametrize("t", [math.inf, -math.inf, np.array([0.5, math.inf])])
 def test_ratio_pdf_refuses_infinite_points(t):
     f = normal_density(0.0, 1.0)

@@ -24,6 +24,7 @@ from ratiodist.normal_ratio import (
     ratio_cdf,
     ratio_pdf_hinkley,
     ratio_pdf_phamgia,
+    ratio_practical_moments,
     std_ratio_cdf,
     std_ratio_pdf,
     to_standard,
@@ -89,6 +90,18 @@ def test_degenerate_correlation_rejected() -> None:
         BivNormalParams(0.0, 0.0, 1.0, 1.0, -1.0)
     with pytest.raises(InvalidParamsError):
         BivNormalParams(0.0, 0.0, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("cls, args", [
+    (BivNormalParams, (math.nan, 0.0, 1.0, 1.0, 0.0)),
+    (BivNormalParams, (0.0, 0.0, math.inf, 1.0, 0.0)),
+    (BivNormalParams, (0.0, 0.0, 1.0, 1.0, math.nan)),
+    (StdRatioParams, (-math.inf, 1.0)),
+    (StdRatioParams, (1.0, math.nan)),
+])
+def test_params_reject_non_finite_fields(cls, args) -> None:
+    with pytest.raises(InvalidParamsError, match="must be finite"):
+        cls(*args)
 
 
 # -------------------------------------------------------------- standard pdf
@@ -548,6 +561,17 @@ def test_practical_moments_domain() -> None:
     # bivariate route allows a centered numerator
     m = practical_moments(BivNormalParams(0.0, 5.0, 1.0, 1.0, 0.0))
     assert m.mean == 0.0 and m.variance > 0.0
+
+
+@pytest.mark.parametrize("fn, args, match", [
+    (practical_moments, (BivNormalParams(1.0, 0.0, 1.0, 1.0, 0.0),), "nonzero denominator mean"),
+    (ratio_practical_moments, (1.0, 0.0, 2.0, 1.0), "positive scales"),
+    (practical_moments, ((1.5, 1.0),), "unsupported parameter type tuple"),
+    (normal_approx_cdf, (0.1, 0.4, 0.0, 0.05), "delta1, delta2 must be positive"),
+])
+def test_moment_helpers_refuse_bad_inputs(fn, args, match) -> None:
+    with pytest.raises(InvalidParamsError, match=match):
+        fn(*args)
 
 
 def test_evaluation_interval() -> None:

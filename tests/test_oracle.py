@@ -35,6 +35,16 @@ def test_sampler_moments():
     assert u.min() >= 2.0 and u.max() <= 3.0
 
 
+@pytest.mark.parametrize("factory, args, match", [
+    (normal_sampler, (0.0, 0.0), "sigma > 0"),
+    (uniform_sampler, (2.0, 1.0), "finite lo < hi"),
+    (chi_square_sampler, (2.5,), "positive integer"),
+])
+def test_sampler_validation(factory, args, match):
+    with pytest.raises(InvalidParamsError, match=match):
+        factory(*args)
+
+
 def test_mc_ratio_samples_deterministic():
     n0 = normal_sampler(0.0, 1.0)
     a = mc_ratio_samples(n0, n0, 5_000, 42)

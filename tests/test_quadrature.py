@@ -7,7 +7,7 @@ import pytest
 
 import ratiodist
 from ratiodist import quadrature
-from ratiodist.errors import InvalidParamsError, NonConvergenceError
+from ratiodist.errors import IntegrandError, InvalidParamsError, NonConvergenceError
 from ratiodist.quadrature import (
     ChebInterpolant,
     QuadratureConfig,
@@ -130,6 +130,11 @@ def test_integrate_rows_refuses_bad_intervals(lo, hi) -> None:
         integrate_rows(f, np.array([0.0, lo]), np.array([1.0, hi]), _TIGHT)
 
 
+def test_integrate_rows_refuses_an_integrand_of_the_wrong_shape() -> None:
+    with pytest.raises(InvalidParamsError, match="same shape"):
+        integrate_rows(lambda idx, x: np.zeros(1), np.array([0.0]), np.array([1.0]), _TIGHT)
+
+
 def test_cheb_reproduces_smooth_function() -> None:
     interp = cheb_build(np.cos, 0.0, 3.0, 33)
     xs = np.linspace(0.0, 3.0, 101)
@@ -184,6 +189,12 @@ def test_cheb_build_calls_f_once_on_the_node_array() -> None:
 def test_cheb_build_rejects_scalar_functions() -> None:
     with pytest.raises(InvalidParamsError):
         cheb_build(lambda x: 1.0, 0.0, 1.0, 9)
+
+
+def test_cheb_build_names_a_non_finite_node_as_a_float() -> None:
+    with pytest.raises(IntegrandError,
+                       match=r"^function returned a non-finite value at node x=1\.0$"):
+        cheb_build(lambda x: np.where(x == 1.0, np.nan, np.cos(x)), 0.0, 1.0, 9)
 
 
 def test_every_exported_name_resolves() -> None:
