@@ -56,6 +56,16 @@ print(json.dumps(facts))
 """
 
 
+# Runs one CLI command, its output discarded, and lists what it loaded.
+_COMMAND_PROBE = """
+import contextlib, io, json, sys
+from ratiodist.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = main(ARGV) if ARGV else 0
+print(json.dumps({"rc": rc, "loaded": sorted(m for m in sys.modules if m.startswith("ratiodist."))}))
+"""
+
+
 def _probe(code):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(_SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -105,3 +115,43 @@ def test_submodules_resolve_after_importing_cli(cli):
 
 def test_bench_methods_are_the_cli_table(cli):
     assert cli["methods_shared"]
+
+
+_BASE = {"cli", "errors", "normal_ratio", "special"}
+_MELLIN, _CF = _BASE | {"mellin", "quadrature"}, _BASE | {"cf", "quadrature"}
+_HAKE = ["--hake", "10", "15", "4", "4.5", "0.6", "30"]
+
+# case -> (argv, or None to import ratiodist.cli only; the ratiodist modules loaded after it)
+_COMMANDS = {
+    "import-cli": (None, _BASE),
+    "modality": (["modality", "--std-ratio", "2.1", "1"], _BASE),
+    "interval": (["interval", "--std-ratio", "1.5", "1"], _BASE),
+    "analytic-pdf-hake": (["pdf", *_HAKE, "--auto-interval", "--n", "5"], _BASE),
+    "analytic-cdf-hake": (["cdf", *_HAKE, "--auto-interval", "--n", "5"], _BASE),
+    "analytic-pdf-std-ratio": (["pdf", "--std-ratio", "1.5", "1", "--auto-interval", "--n", "5"],
+                               _BASE),
+    "analytic-cdf-std-ratio": (["cdf", "--std-ratio", "1.5", "1", "--auto-interval", "--n", "5"],
+                               _BASE),
+    "mellin-pdf": (["pdf", "--engine", "mellin", "--std-ratio", "1.5", "1", "--auto-interval",
+                    "--n", "5"], _MELLIN),
+    "mellin-pdf-cheb": (["pdf", "--engine", "mellin", "--num", "normal", "1", "0.5", "--den",
+                         "chisq", "5", "--interval", "0.1", "1", "--n", "5", "--cheb-nodes", "17"],
+                        _MELLIN),
+    "broda-kan-pdf": (["pdf", "--engine", "broda-kan", "--biv", "1", "2", "0.5", "0.7", "0.3",
+                       "--interval", "0", "1", "--n", "5", "--grid-n", "64"], _CF),
+    "gil-pelaez-cdf": (["cdf", "--engine", "gil-pelaez", "--dist", "normal", "0", "1",
+                        "--interval", "-1", "1", "--n", "5"], _CF),
+    # a num-den or dist window reads the factors' DensityFn.moments, from mellin
+    "broda-kan-num-den-window": (["interval", "--engine", "broda-kan", "--num", "normal", "1",
+                                  "0.5", "--den", "chisq", "5"], _CF | _MELLIN),
+    "gil-pelaez-dist-window": (["cdf", "--engine", "gil-pelaez", "--dist", "normal", "0", "1",
+                                "--auto-interval", "--n", "5"], _CF | _MELLIN),
+}
+
+
+@pytest.mark.parametrize("case", _COMMANDS)
+def test_a_command_loads_only_the_engine_it_runs(case):
+    argv, loaded = _COMMANDS[case]
+    facts = _probe(_COMMAND_PROBE.replace("ARGV", repr(argv)))
+    assert facts["rc"] == 0
+    assert facts["loaded"] == sorted(f"ratiodist.{m}" for m in loaded)
