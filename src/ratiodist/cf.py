@@ -81,7 +81,7 @@ from .errors import (
     UndecayedCFError,
     raise_at_point,
 )
-from .normal_ratio import BivNormalParams, ratio_practical_moments
+from .normal_ratio import BivNormalParams, sd_window
 from .quadrature import QuadratureConfig, integrate_rows
 from .special import at_finite, clamp_cdf, like, points
 
@@ -113,7 +113,7 @@ class CharFn:
     numeric decay search.  moments, when present, is the exact (mean,
     variance) of the law, which six_sigma_interval reads instead of
     cf_moments; it is bit-equal to DensityFn.moments of the family's
-    density, which the CLI windows read.
+    density, which the CLI's --num/--den and --dist windows read.
     """
 
     phi: Callable[[np.ndarray], np.ndarray]
@@ -526,26 +526,6 @@ def cf_moments(cf: CharFn, h: float = _MOMENT_H) -> Tuple[float, float]:
         raise RatioDistError(f"{cf.label or 'this CF'} has no moments the CF stencil can resolve: "
                              f"steps h, 2h give variances {var!r}, {var_2h!r}")
     return mu, var
-
-
-def sd_window(m1: Tuple[float, float], m2: Tuple[float, float], k: float
-              ) -> Tuple[float, float]:
-    """Evaluation interval for X1/X2 from the (mean, sd) of each factor.
-
-    Normally mean +/- k practical standard deviations of the ratio, from
-    normal_ratio.ratio_practical_moments (Diaz-Frances and Rubio 2013).  When
-    the denominator mean is indistinguishable from 0 (|mu2| <= 1e-6 sd2) the
-    ratio mean is meaningless, so the window is the union of the factors'
-    k-sd intervals.  It takes sds, not variances: an sd below about 1.5e-154
-    squares to a variance of 0.
-    """
-    if k <= 0.0:
-        raise InvalidParamsError(f"k must be positive, got {k!r}")
-    (mu1, sd1), (mu2, sd2) = m1, m2
-    if abs(mu2) > 1e-6 * sd2:
-        m = ratio_practical_moments(mu1, sd1, mu2, sd2)
-        return (m.mean - k * m.sd, m.mean + k * m.sd)
-    return (min(mu1 - k * sd1, mu2 - k * sd2), max(mu1 + k * sd1, mu2 + k * sd2))
 
 
 def six_sigma_interval(cf1: CharFn, cf2: CharFn, k: float = 6.0) -> Tuple[float, float]:

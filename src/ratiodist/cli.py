@@ -10,7 +10,7 @@ The other subcommands read exactly one distribution spec into a Spec of
 one of three kinds: "normal" (a BivNormalParams from --biv, --hake, or
 --std-ratio A B, which stands for N(A, 1)/N(B, 1)), "num-den" (the --num
 and --den spec lists) or "dist" (the --dist spec list).  One table, _FAMILIES,
-gives each spec family's density (for mellin) and CF (for the CF engines).
+gives each spec family's density (a factory of mellin) and CF (of cf).
 
 Engines live in one table, ENGINES, keyed by the --engine id: analytic
 (closed forms), mellin (DE Mellin convolution, densities only), broda-kan
@@ -21,13 +21,20 @@ RunConfig and the grid, does the one-time work once (densities, CFs,
 auto_grid, the Chebyshev build) and returns (pdf, cdf), two zero-argument
 evaluators for the whole grid (cdf is None for mellin); pdf and cdf run one
 set-up per command, and the bench times the same set-up and its pdf.  Every
-engine's --auto-interval window is mean +/- k practical sd (cf.sd_window)
-from the exact mean and sd of the factors: a normal spec's parameters or
-each factor's DensityFn.moments; Cauchy has none.  A num-den window is cut
-to the support of X1/X2 that the factors' DensityFn.support give.  Every
-subcommand computes its whole output first and then writes it once.  Bad
-specs, bad settings and engine errors exit with status 1 and a one-line
-diagnostic on stderr.
+engine's --auto-interval window is mean +/- k practical sd
+(normal_ratio.sd_window), or mean +/- k sd of a --dist law, from the exact
+mean and sd of the factors: a normal spec's parameters or each factor's
+DensityFn.moments; Cauchy has none.  A num-den window is cut to the support
+of X1/X2 that the factors' DensityFn.support give, and a dist window to its
+law's support.  Every subcommand computes its whole output first and then
+writes it once.  Bad specs, bad settings and engine errors exit with status 1
+and a one-line diagnostic on stderr.
+
+This module imports normal_ratio (spec parsing and the analytic engine use
+it) and no other engine: a set-up or factor lookup imports mellin or cf and
+calls library functions through their module when it runs them
+(mellin.ratio_pdf_grid).  So a command loads only the engine it runs, and a
+wrapper installed on an engine module's names sees every call from here.
 
 Beside ENGINES, METHODS maps each bench --method id onto an ENGINES entry
 with fixed settings.  The bench module imports this one for both tables (and
@@ -40,51 +47,22 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from .cf import (
-    _GP_CFG,
-    auto_grid,
-    bivariate_normal_joint_cf,
-    broda_kan_cdf,
-    broda_kan_pdf_joint,
-    cauchy_cf,
-    chi_square_cf,
-    gil_pelaez_cdf,
-    gil_pelaez_pdf,
-    normal_cf,
-    product_joint_cf,
-    sd_window,
-)
+from . import normal_ratio
 from .errors import RatioDistError, InvalidParamsError
-from .mellin import (
-    Support,
-    cauchy_density,
-    chi_square_density,
-    normal_density,
-    ratio_interpolant,
-    ratio_pdf_grid,
-    uniform_density,
-)
-from .normal_ratio import (
-    BivNormalParams,
-    HakeInputs,
-    MODALITY_A0,
-    StdRatioParams,
-    classify_modality,
-    hake_params,
-    modality_curve,
-    ratio_cdf,
-    ratio_pdf_phamgia,
-    to_standard,
-)
-from .quadrature import QuadratureConfig, cheb_eval_many
+from .normal_ratio import MODALITY_A0, BivNormalParams, HakeInputs, StdRatioParams
+
+if TYPE_CHECKING:
+    from .mellin import Support
 
 __all__ = ["ENGINES", "Engine", "METHODS", "RunConfig", "Spec", "main"]
 
@@ -92,8 +70,8 @@ __all__ = ["ENGINES", "Engine", "METHODS", "RunConfig", "Spec", "main"]
 _FLAGS = {"normal": "--std-ratio/--biv/--hake", "num-den": "--num/--den", "dist": "--dist"}
 
 
-# family -> (parameter names, density factory, CF factory or None), a factory by
-# its name in this module (see Setup); uniform has no CF: it decays like 1/t.
+# family -> (parameter names, density factory in mellin, CF factory in cf or
+# None), a factory by its name on its module; uniform has no CF: it decays like 1/t.
 _FAMILIES = {
     "normal": (("MU", "SIGMA"), "normal_density", "normal_cf"),
     "chisq": (("K",), "chi_square_density", "chi_square_cf"),
@@ -101,6 +79,7 @@ _FAMILIES = {
     "cauchy": (("X0", "GAMMA"), "cauchy_density", "cauchy_cf"),
 }
 _DENSITY, _CF = 1, 2
+_HOMES = {_DENSITY: ".mellin", _CF: ".cf"}  # the module of each form's factories
 _SPEC_FORMS = ", ".join(f"'{name} {' '.join(params)}'" for name, (params, *_) in _FAMILIES.items())
 
 
@@ -143,7 +122,7 @@ def _spec(args: argparse.Namespace) -> Spec:
     if args.biv is not None:
         return Spec("normal", BivNormalParams(*args.biv))
     if args.hake is not None:
-        return Spec("normal", hake_params(HakeInputs(*args.hake)))
+        return Spec("normal", normal_ratio.hake_params(HakeInputs(*args.hake)))
     if args.dist is not None:
         return Spec("dist", args.dist)
     if args.num is None or args.den is None:
@@ -163,14 +142,19 @@ def _factor(spec: List[str], form: int):
     if family[form] is None:
         raise InvalidParamsError(f"{spec[0]} has no CF here: it decays like 1/t, too slowly for "
                                  "the CF engines; mellin takes it")
-    return globals()[family[form]](*args)
+    return _factory(family[form], form)(*args)
+
+
+def _factory(name: str, form: int) -> Callable:
+    """The factory called name on the module of form _DENSITY or _CF, imported here."""
+    return getattr(importlib.import_module(_HOMES[form], __package__), name)
 
 
 def _factors(spec: Spec, form: int) -> Tuple:
     """Numerator and denominator of a normal or num-den spec, as densities or CFs."""
     if spec.kind == "num-den":
         return tuple(_factor(s, form) for s in spec.value)
-    p, normal = spec.value, globals()[_FAMILIES["normal"][form]]
+    p, normal = spec.value, _factory(_FAMILIES["normal"][form], form)
     return normal(p.mu1, p.sigma1), normal(p.mu2, p.sigma2)
 
 
@@ -195,71 +179,76 @@ def _ratio_support(num: Support, den: Support) -> Tuple[float, float]:
 
 
 def _window(cfg: RunConfig) -> Tuple[float, float]:
-    """--auto-interval from the factors' exact moments, cut to the ratio's
-    support for a num-den spec; k defaults to the engine's normal_k for a
-    normal spec and to 6 for any other."""
+    """--auto-interval from the factors' exact moments, cut to the support of
+    the ratio for a num-den spec and of the law for a dist spec; k defaults to
+    the engine's normal_k for a normal spec and to 6 for any other."""
     if cfg.spec.kind == "normal":
         # the sds as given: sigma^2 underflows to 0 below about 1.5e-154
-        p, k = cfg.spec.value, ENGINES[cfg.engine].normal_k
-        sds = [(p.mu1, p.sigma1), (p.mu2, p.sigma2)]
+        p, k = cfg.spec.value, ENGINES[cfg.engine].normal_k if cfg.k is None else cfg.k
+        return normal_ratio.sd_window((p.mu1, p.sigma1), (p.mu2, p.sigma2), k)
+    k = 6.0 if cfg.k is None else cfg.k
+    specs = cfg.spec.value if cfg.spec.kind == "num-den" else [cfg.spec.value]
+    densities = [_factor(s, _DENSITY) for s in specs]
+    moments = [d.moments for d in densities]
+    if None in moments:
+        family = specs[moments.index(None)][0]
+        raise InvalidParamsError(f"{family} has no mean or variance; pass --interval")
+    sds = [(mu, math.sqrt(var)) for mu, var in moments]
+    if cfg.spec.kind == "dist":
+        (mu, sd), support = sds[0], densities[0].support
+        lo, hi, s_lo, s_hi = mu - k * sd, mu + k * sd, support.lo, support.hi
     else:
-        k, specs = 6.0, cfg.spec.value if cfg.spec.kind == "num-den" else [cfg.spec.value]
-        densities = [_factor(s, _DENSITY) for s in specs]
-        moments = [d.moments for d in densities]
-        if None in moments:
-            family = specs[moments.index(None)][0]
-            raise InvalidParamsError(f"{family} has no mean or variance; pass --interval")
-        sds = [(mu, math.sqrt(var)) for mu, var in moments]
-    k = k if cfg.k is None else cfg.k
-    if len(sds) == 1:  # --dist
-        mu, sd = sds[0]
-        return (mu - k * sd, mu + k * sd)
-    lo, hi = sd_window(*sds, k)
-    if cfg.spec.kind == "normal":
-        return lo, hi
-    s_lo, s_hi = _ratio_support(*(d.support for d in densities))
+        lo, hi = normal_ratio.sd_window(*sds, k)
+        s_lo, s_hi = _ratio_support(*(d.support for d in densities))
     return max(lo, s_lo), min(hi, s_hi)
 
 
-# An engine's set-up does the one-time work and returns (pdf, cdf), two
-# evaluators for the whole grid (cdf None for mellin); library functions are
-# looked up by global name when called, so a wrapper installed on this
-# module's names sees every call.
+# An engine's set-up imports its engine's module, does the one-time work and
+# returns (pdf, cdf), two evaluators for the whole grid (cdf None for mellin).
+# Library functions are looked up on their module when called, so a wrapper
+# installed on that module's names sees every call.
 Evaluator = Callable[[], np.ndarray]
 Setup = Callable[[RunConfig, np.ndarray], Tuple[Evaluator, Optional[Evaluator]]]
 
 
 def _analytic(cfg: RunConfig, xs: np.ndarray) -> Tuple[Evaluator, Evaluator]:
     p = cfg.spec.value
-    return (lambda: ratio_pdf_phamgia(p, xs)), (lambda: ratio_cdf(p, xs))
+    return (lambda: normal_ratio.ratio_pdf_phamgia(p, xs)), (lambda: normal_ratio.ratio_cdf(p, xs))
 
 
 def _mellin(cfg: RunConfig, xs: np.ndarray) -> Tuple[Evaluator, None]:
+    from . import mellin
+
     if cfg.spec.kind == "normal" and cfg.spec.value.rho != 0.0:
         raise InvalidParamsError(
             "mellin convolution requires independent factors (rho = 0); "
             "use the analytic or broda-kan engine for correlated ratios"
         )
     f1, f2 = _factors(cfg.spec, _DENSITY)
-    qcfg = QuadratureConfig(rel_tol=cfg.rel_tol)
+    qcfg = mellin.QuadratureConfig(rel_tol=cfg.rel_tol)
     if cfg.cheb_nodes is not None and xs.size > 1:  # one point spans no interval to interpolate on
-        interp = ratio_interpolant(f1, f2, float(xs[0]), float(xs[-1]), cfg.cheb_nodes, qcfg)
-        return (lambda: cheb_eval_many(interp, xs)), None
-    return (lambda: ratio_pdf_grid(f1, f2, xs, qcfg)), None
+        interp = mellin.ratio_interpolant(f1, f2, float(xs[0]), float(xs[-1]), cfg.cheb_nodes, qcfg)
+        return (lambda: mellin.cheb_eval_many(interp, xs)), None
+    return (lambda: mellin.ratio_pdf_grid(f1, f2, xs, qcfg)), None
 
 
 def _broda_kan(cfg: RunConfig, xs: np.ndarray) -> Tuple[Evaluator, Evaluator]:
     """The joint CF (bivariate normal for a normal spec) and the auto grid, built once."""
+    from . import cf
+
     cf1, cf2 = _factors(cfg.spec, _CF)
     normal = cfg.spec.kind == "normal"
-    jcf = bivariate_normal_joint_cf(cfg.spec.value) if normal else product_joint_cf(cf1, cf2)
-    grid = auto_grid(cf1, cf2, n=cfg.grid_n)
-    return (lambda: broda_kan_pdf_joint(jcf, xs, grid)), (lambda: broda_kan_cdf(jcf, xs, grid))
+    jcf = cf.bivariate_normal_joint_cf(cfg.spec.value) if normal else cf.product_joint_cf(cf1, cf2)
+    grid = cf.auto_grid(cf1, cf2, n=cfg.grid_n)
+    return ((lambda: cf.broda_kan_pdf_joint(jcf, xs, grid)),
+            (lambda: cf.broda_kan_cdf(jcf, xs, grid)))
 
 
 def _gil_pelaez(cfg: RunConfig, xs: np.ndarray) -> Tuple[Evaluator, Evaluator]:
-    cf, qcfg = _factor(cfg.spec.value, _CF), dataclasses.replace(_GP_CFG, rel_tol=cfg.rel_tol)
-    return (lambda: gil_pelaez_pdf(cf, xs, qcfg)), (lambda: gil_pelaez_cdf(cf, xs, qcfg))
+    from . import cf
+
+    law, qcfg = _factor(cfg.spec.value, _CF), dataclasses.replace(cf._GP_CFG, rel_tol=cfg.rel_tol)
+    return (lambda: cf.gil_pelaez_pdf(law, xs, qcfg)), (lambda: cf.gil_pelaez_cdf(law, xs, qcfg))
 
 
 class Engine(NamedTuple):
@@ -348,10 +337,10 @@ def cmd_modality(args: argparse.Namespace) -> int:
     spec = _spec(args)
     if spec.kind != "normal":
         raise InvalidParamsError(f"modality takes {_FLAGS['normal']}, not {_FLAGS[spec.kind]}")
-    sr = to_standard(spec.value)[0]
-    text = f"{classify_modality(sr, practical=args.practical).value}\n"
+    sr = normal_ratio.to_standard(spec.value)[0]
+    text = f"{normal_ratio.classify_modality(sr, practical=args.practical).value}\n"
     if 1.0 <= sr.a < MODALITY_A0:
-        text += f"b*({sr.a:.17g}) = {modality_curve(sr.a):.17g}\n"
+        text += f"b*({sr.a:.17g}) = {normal_ratio.modality_curve(sr.a):.17g}\n"
     _write(args.out, text)
     return 0
 
@@ -374,7 +363,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InvalidParamsError("bench needs --std-ratio A B")
     sr = StdRatioParams(*args.std_ratio)
     k = 2.0 if args.k is None else args.k
-    interval = args.interval or sd_window((sr.a, 1.0), (sr.b, 1.0), k)
+    interval = args.interval or normal_ratio.sd_window((sr.a, 1.0), (sr.b, 1.0), k)
 
     def run(method: str, **opts: object) -> bench.BenchRecord:
         return bench.run_experiment(

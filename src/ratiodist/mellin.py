@@ -124,8 +124,9 @@ class DensityFn:
     shape; the quadrature evaluates it on whole arrays of nodes.  It is
     checked once, on a one-element array at a point inside the support.
     moments, when present, is the exact (mean, variance) of the law, bit-equal
-    to CharFn.moments of the family's CF; the CLI sizes every --auto-interval
-    window from it, and ratio_pdf and product_pdf place the nodes of a piece
+    to CharFn.moments of the family's CF; the CLI sizes the --auto-interval
+    window of a --num/--den or --dist spec from it (and cuts the window to
+    the support), and ratio_pdf and product_pdf place the nodes of a piece
     whose mass lies far from its origin by it.  A law without them (Cauchy)
     leaves it None.
     """

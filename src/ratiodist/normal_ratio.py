@@ -422,6 +422,26 @@ def ratio_practical_moments(
     return PracticalMoments(mean, variance)
 
 
+def sd_window(m1: Tuple[float, float], m2: Tuple[float, float], k: float
+              ) -> Tuple[float, float]:
+    """Evaluation interval for X1/X2 from the (mean, sd) of each factor.
+
+    Normally mean +/- k practical standard deviations of the ratio, from
+    ratio_practical_moments (Diaz-Frances and Rubio 2013).  When the
+    denominator mean is indistinguishable from 0 (|mu2| <= 1e-6 sd2) the
+    ratio mean is meaningless, so the window is the union of the factors'
+    k-sd intervals.  It takes sds, not variances: an sd below about 1.5e-154
+    squares to a variance of 0.
+    """
+    if k <= 0.0:
+        raise InvalidParamsError(f"k must be positive, got {k!r}")
+    (mu1, sd1), (mu2, sd2) = m1, m2
+    if abs(mu2) > 1e-6 * sd2:
+        m = ratio_practical_moments(mu1, sd1, mu2, sd2)
+        return (m.mean - k * m.sd, m.mean + k * m.sd)
+    return (min(mu1 - k * sd1, mu2 - k * sd2), max(mu1 + k * sd1, mu2 + k * sd2))
+
+
 def practical_moments(p: Union[StdRatioParams, BivNormalParams]) -> PracticalMoments:
     """Practical mean and variance of the ratio described by p."""
     if isinstance(p, StdRatioParams):

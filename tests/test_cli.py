@@ -1,6 +1,7 @@
 """Command-line entry points: grids, verdicts, intervals, bench exports."""
 
 import csv
+import importlib
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ratiodist import bench, cli
+from ratiodist import bench, cf, cli
 from ratiodist.cf import sd_window
 from ratiodist.cli import main
 from ratiodist.normal_ratio import (
@@ -110,7 +111,7 @@ def test_broda_kan_builds_its_joint_cf_and_grid_once(sub, monkeypatch, capsys):
     calls = []
 
     def counted(name):
-        build = getattr(cli, name)
+        build = getattr(cf, name)
 
         def call(*args, **kwargs):
             calls.append(name)
@@ -118,10 +119,43 @@ def test_broda_kan_builds_its_joint_cf_and_grid_once(sub, monkeypatch, capsys):
         return call
 
     for name in ("auto_grid", "bivariate_normal_joint_cf"):
-        monkeypatch.setattr(cli, name, counted(name))
+        monkeypatch.setattr(cf, name, counted(name))
     assert main([sub, "--engine", "broda-kan", "--biv", "1", "2", "0.5", "0.7", "0.3",
                  "--interval", "0", "1", "--n", "5"]) == 0
     assert sorted(calls) == ["auto_grid", "bivariate_normal_joint_cf"]
+
+
+_MELLIN_GRID = ["--engine", "mellin", "--std-ratio", "1.5", "1", "--interval", "0", "2", "--n", "5"]
+_GP_GRID = ["--engine", "gil-pelaez", "--dist", "normal", "1", "0.5", "--interval", "0", "2",
+            "--n", "5"]
+
+# (engine module, function, a command that must call it through that module)
+_CALLED = [
+    ("normal_ratio", "ratio_pdf_phamgia", ["pdf", "--std-ratio", "1.5", "1", "--auto-interval"]),
+    ("normal_ratio", "ratio_cdf", ["cdf", "--std-ratio", "1.5", "1", "--auto-interval"]),
+    ("normal_ratio", "classify_modality", ["modality", "--std-ratio", "2.1", "1"]),
+    ("mellin", "ratio_pdf_grid", ["pdf", *_MELLIN_GRID]),
+    ("mellin", "ratio_interpolant", ["pdf", *_MELLIN_GRID, "--cheb-nodes", "17"]),
+    ("mellin", "cheb_eval_many", ["pdf", *_MELLIN_GRID, "--cheb-nodes", "17"]),
+    ("mellin", "normal_density", ["pdf", *_MELLIN_GRID]),
+    ("cf", "gil_pelaez_pdf", ["pdf", *_GP_GRID]),
+    ("cf", "gil_pelaez_cdf", ["cdf", *_GP_GRID]),
+    ("cf", "normal_cf", ["pdf", *_GP_GRID]),
+]
+
+
+@pytest.mark.parametrize("module, name, argv", _CALLED, ids=[f"{m}.{n}" for m, n, _ in _CALLED])
+def test_cli_calls_library_functions_through_their_module(module, name, argv, monkeypatch, capsys):
+    mod, calls = importlib.import_module(f"ratiodist.{module}"), []
+    fn = getattr(mod, name)
+
+    def wrapped(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(mod, name, wrapped)
+    assert main(argv) == 0, capsys.readouterr().err
+    assert calls
 
 
 def test_cdf_mellin_is_refused_before_set_up(monkeypatch, capsys):
@@ -487,6 +521,16 @@ def test_interval_gil_pelaez_normal_reads_exact_moments(capsys):
     assert main(["interval", "--engine", "gil-pelaez", "--dist", "normal", "0.3", "0.05"]) == 0
     lo, hi = (float(v) for v in capsys.readouterr().out.strip().split(","))
     assert abs(lo - 0.0) <= 1e-15 and abs(hi - 0.6) <= 1e-15
+
+
+@pytest.mark.parametrize("dist, window", [
+    (["chisq", "5"], (0.0, 5.0 + 6.0 * math.sqrt(10.0))),
+    (["uniform", "1", "2"], (1.0, 2.0)),
+    (["normal", "1", "0.5"], (-2.0, 4.0)),  # a law on the real line keeps its moment window
+], ids=["chisq", "uniform", "normal"])
+def test_dist_auto_interval_is_cut_to_the_law_support(dist, window, capsys):
+    assert main(["interval", "--engine", "gil-pelaez", "--dist", *dist]) == 0
+    assert tuple(float(v) for v in capsys.readouterr().out.split(",")) == window
 
 
 def _readme_commands():

@@ -142,8 +142,11 @@ _COMMANDS = {
     "gil-pelaez-cdf": (["cdf", "--engine", "gil-pelaez", "--dist", "normal", "0", "1",
                         "--interval", "-1", "1", "--n", "5"], _CF),
     # a num-den or dist window reads the factors' DensityFn.moments, from mellin
-    "broda-kan-num-den-window": (["interval", "--engine", "broda-kan", "--num", "normal", "1",
-                                  "0.5", "--den", "chisq", "5"], _CF | _MELLIN),
+    "broda-kan-num-den-window": (["pdf", "--engine", "broda-kan", "--num", "normal", "1", "0.5",
+                                  "--den", "chisq", "5", "--auto-interval", "--n", "5",
+                                  "--grid-n", "64"], _CF | _MELLIN),
+    "interval-num-den": (["interval", "--engine", "broda-kan", "--num", "normal", "1", "0.5",
+                          "--den", "chisq", "5"], _MELLIN),
     "gil-pelaez-dist-window": (["cdf", "--engine", "gil-pelaez", "--dist", "normal", "0", "1",
                                 "--auto-interval", "--n", "5"], _CF | _MELLIN),
 }
