@@ -28,7 +28,8 @@ DensityFn.moments; Cauchy has none.  A num-den window is cut to the support
 of X1/X2 that the factors' DensityFn.support give, and a dist window to its
 law's support.  Every subcommand computes its whole output first and then
 writes it once.  Bad specs, bad settings and engine errors exit with status 1
-and a one-line diagnostic on stderr.
+and a one-line diagnostic on stderr; a warning, such as an engine's
+AccuracyWarning, is one "warning: <message>" line there.
 
 This module imports normal_ratio (spec parsing and the analytic engine use
 it) and no other engine: a set-up or factor lookup imports mellin or cf and
@@ -51,6 +52,7 @@ import importlib
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, Optional,
                     Sequence, Tuple)
@@ -58,7 +60,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, FrozenSet, List, NamedTuple, 
 import numpy as np
 
 from . import normal_ratio
-from .errors import RatioDistError, InvalidParamsError
+from .errors import AccuracyWarning, RatioDistError, InvalidParamsError
 from .normal_ratio import MODALITY_A0, BivNormalParams, HakeInputs, StdRatioParams
 
 if TYPE_CHECKING:
@@ -467,11 +469,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "interval": cmd_interval,
         "bench": cmd_bench,
     }
-    try:
-        return handlers[args.subcommand](args)
-    except (RatioDistError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # warnings are recorded and printed as one line each, without a source
+    # location; an AccuracyWarning is shown once per place even where
+    # warnings are errors
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default", AccuracyWarning)
+        try:
+            code = handlers[args.subcommand](args)
+        except (RatioDistError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

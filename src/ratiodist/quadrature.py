@@ -47,11 +47,14 @@ levels over the chunk's lanes plus _EXTRA nodes (level 0 takes all of its
 few nodes): the tail rule cannot fire inside a row's reach, so those nodes
 are needed anyway.  Lanes whose rule has not fired by then are extended
 alone, in runs that double.  The rule reads running sums taken in sweep
-order (np.cumsum), so every row sums exactly the nodes, in exactly the
-order, that a node-by-node sweep would, whatever else is in the batch;
-values past a row's stop are ignored.  Each row keeps its own scale, reach
-and convergence test and leaves the batch once it converges.  de_integrate
-is a batch of one row.
+order (np.cumsum) over every evaluated node, so every row sums exactly the
+nodes, in exactly the order, that a node-by-node sweep would, whatever else
+is in the batch; values past a row's stop are ignored.  As the rule cannot
+fire before a lane's reach, it is read only from two nodes before the reach
+on (before the least reach of a call's lanes, in an array book), or from
+the first node when a weight before that is 0.  Each row keeps its own
+scale, reach and convergence test and leaves the batch once it converges.
+de_integrate is a batch of one row.
 
 The block size picks only how the sweep keeps a block's bookkeeping: the
 rows' values, error estimates and counts, and the lanes' tail rule.  More
@@ -114,8 +117,9 @@ _BLOCK_ROWS = 512
 _BLOCK_CELLS = 32_768
 # blocks of at most this many rows keep their bookkeeping in Python floats,
 # larger ones in NumPy arrays: timed on blocks of 1-16 Mellin and Gil-Pelaez
-# rows, floats cost 0.5-0.6x arrays at 1 row, 0.9x at 8 and break even near 12
-_SMALL_ROWS = 8
+# rows, floats cost 0.4x arrays at 1 row, 0.7-0.8x at 8, 0.8-0.9x at 12 and
+# break even near 16
+_SMALL_ROWS = 12
 
 # A row integrand: given the batch indices of the rows in x, the values at x.
 # Rows of one call that share an interval (lo and hi) and are not power rows
@@ -270,7 +274,18 @@ class _ArrayBook:
     """The bookkeeping of a block's sweep in NumPy arrays: per row the value,
     error estimate and evaluation count; per lane the reach and, for the
     current level, the tail rule's state, sum, summed-node count and stop
-    point (the last node summed, or the first one not evaluated)."""
+    point (the last node summed, or the first one not evaluated).
+
+    Each t-side of a call is scanned on its own, on views of the integrand's
+    values, as a (columns x lanes) array.  Every term is formed and summed in
+    sweep order, but the rule (|term| h, the threshold, three small terms in
+    a row, the reach and a zero weight) is read only from a window: from two
+    columns before the first column at or past the reach of any of the
+    scanned lanes, where it may first fire.  Weights reach 0 only at the end
+    of a map, so a nonzero weight in the column before the window leaves no
+    zero-weight stop before it; if any lane weighs 0 there, the window is
+    the whole call.
+    """
 
     def __init__(self, rows: np.ndarray, cfg: QuadratureConfig):
         self.rows, self.cfg = rows, cfg
@@ -283,27 +298,29 @@ class _ArrayBook:
         block's first call goes: every node at level 0, widths() later."""
         n, n_t = 2 * self.rows.shape[0], tab.t.shape[0]
         self.lanes, self.tab, self.h = lanes, tab, h
+        # each lane's first column at or past its reach, where its rule may fire
+        self.first = np.searchsorted(tab.t, self.reach)
         self.total = np.zeros(n)
         self.count = np.zeros(n, dtype=np.int64)
         self.stop_t = np.zeros(n)
-        self.prev = np.zeros((n, 2), dtype=bool)  # were a lane's last two terms small?
+        self.prev = np.zeros((2, n), dtype=bool)  # were a lane's last two terms small?
         if self.val is None:  # level 0 takes its scale from the t = 0 node
             self.scale, self.f0w = np.empty(n), np.empty(n // 2)
             return n_t, n_t
         scale = np.abs(self.val)
         self.scale = np.concatenate([scale, scale])
-        self.end = np.minimum(np.searchsorted(tab.t, self.reach) + _EXTRA, n_t).reshape(2, -1)
+        self.end = np.minimum(self.first + _EXTRA, n_t).reshape(2, -1)
         return self.widths(0, n // 2)
 
     def widths(self, a: int, b: int):
         """Each side's first-call width for rows a:b: its lanes' reach + _EXTRA."""
         return self.end[:, a:b].max(axis=1).tolist()
 
-    def scan_chunk(self, a: int, b: int, held: list, wp, wn, bp: int, bn: int):
-        """Scan the first call of rows a:b, whose values (held.pop()) hold bp
-        t > 0 columns, bn t < 0 columns and at level 0 the t = 0 node;
-        returns per side the lanes that go on."""
-        c, m, fv = b - a, self.rows.shape[0], held.pop()
+    def scan_chunk(self, a: int, b: int, fv: np.ndarray, wp, wn, bp: int, bn: int):
+        """Scan the first call of rows a:b, whose values fv hold bp t > 0
+        columns, bn t < 0 columns and at level 0 the t = 0 node; returns per
+        side the lanes that go on."""
+        m = self.rows.shape[0]
         if self.val is None:
             f0 = fv[:, -1]
             if not np.isfinite(f0).all():
@@ -311,53 +328,56 @@ class _ArrayBook:
                 _fail(int(self.lanes.rows[a + i]), float(f0[i]), float(self.lanes.x0[a + i]), 0.0)
             self.f0w[a:b] = f0w = f0 * self.lanes.w0[a:b]
             self.scale[a:b] = self.scale[m + a:m + b] = self.h * np.abs(f0w)
-        ol = slice(None) if c == m else np.concatenate([np.arange(a, b), np.arange(m + a, m + b)])
-        # lanes side by side; the shorter side's extra columns weigh 0 and are not read
-        width = max(bp, bn)
-        fvl, wl = np.zeros((2, 2 * c, width))
-        fvl[:c, :bp], fvl[c:, :bn] = fv[:, :bp], fv[:, bp:bp + bn]
-        wl[:c, :bp], wl[c:, :bn] = wp, wn
-        del fv
-        stops = self._scan(ol, fvl, wl, 0, np.array((bp, bn)).repeat(c))
-        if np.count_nonzero(stops) == 2 * c:
-            return ()
-        return [np.flatnonzero(~stops[side * c:(side + 1) * c]) + (side * m + a) for side in (0, 1)]
+        return [np.flatnonzero(~self._scan(slice(a, b), fv[:, :bp], wp, 0)) + a,
+                np.flatnonzero(~self._scan(slice(m + a, m + b), fv[:, bp:bp + bn], wn, 0)) + m + a]
 
     def scan(self, ol: np.ndarray, fv: np.ndarray, w: np.ndarray, a: int) -> np.ndarray:
         """Scan the lanes ol on from table column a; returns those that go on."""
-        return ol[~self._scan(ol, fv, np.broadcast_to(w, fv.shape), a, fv.shape[1])]
+        return ol[~self._scan(ol, fv, w, a)]
 
-    def _scan(self, ol, fv: np.ndarray, w: np.ndarray, a: int, width) -> np.ndarray:
-        """Apply the tail rule to the chunk just evaluated for the lanes ol.
+    def _scan(self, ol, fv: np.ndarray, w: np.ndarray, a: int) -> np.ndarray:
+        """Apply the tail rule to the columns from a just evaluated for the
+        lanes ol, all of one side.
 
-        Column j holds table column a + j; lane i has its first width[i]
-        columns evaluated, and the weights of the others are 0.  Returns the
-        mask of the lanes that stop.
+        Column j of fv (and of w, unless w is one row for all) holds table
+        column a + j.  Returns the mask of the lanes that stop.
         """
-        h = self.h
-        t = self.tab.t[a:a + fv.shape[1]]
-        # running sums in sweep order, from the lane's sum so far; the array
-        # work is done in place, to bound memory and passes
-        cum = np.empty((fv.shape[0], fv.shape[1] + 1))
-        cum[:, 0] = self.total[ol]
-        np.multiply(fv, w, out=cum[:, 1:])
-        small = np.abs(cum[:, 1:])
+        h, (n, width) = self.h, fv.shape
+        # the work runs on columns x lanes, so that the window is one
+        # contiguous block; wt is one column of weights for all lanes or one per lane
+        wt = w.T if w.ndim == 2 else w[:, None]
+        # running sums in sweep order, from the lane's sum so far, over every
+        # column (np.add.accumulate: np.cumsum at less call overhead); the
+        # array work is done in place, to bound memory and passes
+        cum = np.empty((width + 1, n))
+        cum[0] = self.total[ol]
+        np.multiply(fv.T, wt, out=cum[1:])
+        # the rule is read from column s on: two before the first column at
+        # or past a lane's reach, or 0 if a weight before s is 0
+        s = max(int(self.first[ol].min()) - a - 2, 0)
+        if s and not wt[s - 1].all():
+            s = 0
+        small = np.abs(cum[s + 1:])
         small *= h
-        np.cumsum(cum, axis=1, out=cum)
-        thr = np.abs(cum[:, 1:])  # max(c_tol * (scale + h |sum|), floor)
+        np.add.accumulate(cum, axis=0, out=cum)
+        thr = np.abs(cum[s + 1:])  # max(c_tol * (scale + h |sum|), floor)
         thr *= h
-        thr += self.scale[ol, None]
+        thr += self.scale[ol]
         thr *= self.c_tol
         np.maximum(thr, self.floor, out=thr)
-        small = np.concatenate([self.prev[ol], small < thr], axis=1)
-        fire = small[:, 2:] & small[:, 1:-1] & small[:, :-2] & (t >= self.reach[ol, None])
-        zero = w == 0.0  # stop before evaluating, as at the end of the map
+        # before s the rule cannot fire, so the two columns before s read as not small
+        prev = self.prev[:, ol] if s == 0 else np.zeros((2, n), dtype=bool)
+        small = np.concatenate([prev, small < thr])
+        t = self.tab.t[a + s:a + width]
+        fire = small[2:] & small[1:-1] & small[:-2] & (t[:, None] >= self.reach[ol])
+        zero = wt[s:] == 0.0  # stop before evaluating, as at the end of the map
         event = fire | zero
-        k = event.argmax(axis=1)
-        r = np.arange(k.shape[0])
-        stops = event[r, k] & (k < width)
-        end = np.where(stops, k + 1 - zero[r, k], width)  # nodes summed from this chunk
-        tot = cum[r, end]
+        k = event.argmax(axis=0)
+        r = np.arange(n)
+        stops = event[k, r]
+        zk = zero[k, r] if zero.shape[1] == n else zero[k, 0]
+        end = np.where(stops, k + (s + 1) - zk, width)  # nodes summed from this call
+        tot = cum[end, r]
         if not math.isfinite(np.add.reduce(tot)):  # a summed value may be non-finite
             self._check_finite(ol, fv, a, end)
         self.count[ol] += end
@@ -367,8 +387,8 @@ class _ArrayBook:
             _over_cap(int(self.lanes.row[lane]), h)
         self.total[ol] = tot
         self.stop_t[ol] = t[k]
-        if np.count_nonzero(stops) < stops.shape[0]:
-            self.prev[ol] = small[r[:, None], end[:, None] + np.arange(2)]
+        if not stops.all():  # the lanes that go on end at width
+            self.prev[:, ol] = small[-2:]
         return stops
 
     def _check_finite(self, ol, fv: np.ndarray, a: int, end: np.ndarray) -> None:
@@ -460,10 +480,10 @@ def _level(F: RowIntegrand, lanes: _Lanes, level: int, book) -> None:
         xn, wn = lanes.nodes(slice(m + a, m + b), 1, tab, 0, bn)
         x = np.concatenate([xp, xn] + ([] if level else [lanes.x0[a:b, None]]), axis=1)
         del xp, xn  # large arrays are dropped as soon as they are used, to bound memory
-        # handed over in a list, so that the array book can drop them before its scan
-        fv = [_call(F, lanes.rows[a:b], x)]
+        fv = _call(F, lanes.rows[a:b], x)
         del x
         going = book.scan_chunk(a, b, fv, wp, wn, bp, bn)
+        del fv
         # lanes whose rule has not fired are extended one side at a time, by
         # _EXTRA nodes and then twice as many each call
         for side, (ol, col) in enumerate(zip(going, (bp, bn))):
@@ -505,8 +525,12 @@ def _sweep(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray, power, ro
 class _FloatBook:
     """The bookkeeping of _ArrayBook, per row and lane in Python floats.
 
-    A lane's rule is read only from two columns before its reach, starting
-    from its running sum there (np.cumsum).
+    Both books read the rule from the same window: a lane's rule is read
+    only from two columns before its reach, starting from its running sum
+    there (np.cumsum), or from the first column if the weight before that is
+    0.  The array book opens one window for all the lanes of a call, at the
+    least reach among them; columns between it and a lane's own reach
+    cannot fire.
     """
 
     def __init__(self, rows: np.ndarray, cfg: QuadratureConfig):
@@ -538,8 +562,8 @@ class _FloatBook:
         m = self.rows.shape[0]
         return max(self.end[a:b]), max(self.end[m + a:m + b])
 
-    def scan_chunk(self, a: int, b: int, held: list, wp, wn, bp: int, bn: int):
-        m, fv = self.rows.shape[0], held.pop()
+    def scan_chunk(self, a: int, b: int, fv: np.ndarray, wp, wn, bp: int, bn: int):
+        m = self.rows.shape[0]
         if self.val is None:
             w0 = self.lanes.w0.tolist()
             for i, v in enumerate(fv[:, -1].tolist(), a):

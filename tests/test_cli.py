@@ -106,6 +106,18 @@ def test_cdf_broda_kan(capsys):
     assert abs(rows[1][1] - 0.75) <= 1e-3
 
 
+def test_a_warning_is_one_line_on_stderr(capsys):
+    # the Broda-Kan CDF of N(1, 0.5)/chi2(5) on a coarse grid dips below 0;
+    # its AccuracyWarning prints as its message alone, with no source
+    # location, and does not stop the command where warnings are errors
+    rc = main(["cdf", "--engine", "broda-kan", "--num", "normal", "1", "0.5", "--den", "chisq",
+               "5", "--auto-interval", "--n", "4", "--grid-n", "64"])
+    assert rc == 0
+    assert capsys.readouterr().err == (
+        "warning: CDF value -0.00032696597090509094 exceeds [0, 1] by more than 1e-8 before "
+        "clamping; the integration grid or tolerance is likely inadequate\n")
+
+
 @pytest.mark.parametrize("sub", ["pdf", "cdf"])
 def test_broda_kan_builds_its_joint_cf_and_grid_once(sub, monkeypatch, capsys):
     calls = []

@@ -358,3 +358,141 @@ def test_small_block_sweep_matches_the_array_sweep(group, extra, rel_tol, mode, 
     assert len(small) == 1
     if mode == "nan":
         assert isinstance(default, str) and "IntegrandError" in default
+
+
+# An _ArrayBook reads the tail rule of a level call only from two columns
+# before the first column at or past the reach of any of the call's lanes.
+# Each block below runs on the _ArrayBook and is checked row by row against
+# the node-by-node reference, and as a whole against the same block on the
+# _FloatBook.
+
+def _window_block(fs, lo, hi, cfg, monkeypatch, power=None):
+    """The outcome of the rows fs as one block on the array book, equal to
+    the float book's; and the scans of the array book, as (h, a, width, the
+    lanes' first columns from a, whether a lane weighs 0 three columns before
+    the first of those)."""
+    n = len(fs)
+
+    def F(idx, x):
+        return np.stack([fs[i](x[k]) for k, i in enumerate(idx.tolist())])
+
+    scans = []
+    scan = quadrature._ArrayBook._scan
+
+    def spy(book, ol, fv, w, a):
+        first = book.first[ol] - a
+        col = int(first.min()) - 3
+        zero_before = col >= 0 and not np.broadcast_to(w, fv.shape)[:, col].all()
+        scans.append((book.h, a, fv.shape[1], first, zero_before))
+        return scan(book, ol, fv, w, a)
+
+    monkeypatch.setattr(quadrature._ArrayBook, "_scan", spy)
+    monkeypatch.setattr(quadrature, "_SMALL_ROWS", n - 1)
+    got = _outcome(F, lo, hi, cfg, power)
+    monkeypatch.setattr(quadrature, "_SMALL_ROWS", n)
+    assert _outcome(F, lo, hi, cfg, power) == got
+    return got, scans
+
+
+def _rows_match_the_reference(got, fs, trs, cfg):
+    value, n_evals, levels = got
+    value = np.frombuffer(value)
+    for i, (f, tr) in enumerate(zip(fs, trs)):
+        want, want_evals, want_levels = reference_de_integrate(f, tr, cfg)
+        assert (levels[i], n_evals[i]) == (want_levels, want_evals)
+        assert abs(value[i] - want) <= 1e-15 * abs(want)
+
+
+def _reach_block():
+    # short and long reaches on both t-sides of the half line: exp(-x)
+    # stops early, 1/(1 + x^2) only near the end of the map, and the bumps
+    # past a valley the coarse levels step over
+    fs = [CASES["exp"][0], lambda x: 1.0 / (1.0 + x * x), BUMPS["bump-40"],
+          CASES["half-gauss"][0], BUMPS["bump-13360"], CASES["mellin-pos"][0]] * 2
+    return fs, np.zeros(len(fs)), np.full(len(fs), math.inf)
+
+
+@pytest.mark.parametrize("cells", [None, 200], ids=["one-chunk", "chunks"])
+def test_window_on_lanes_whose_reaches_differ(cells, monkeypatch):
+    if cells:
+        monkeypatch.setattr(quadrature, "_BLOCK_CELLS", cells)
+    fs, lo, hi = _reach_block()
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_floor=1e-30)
+    got, scans = _window_block(fs, lo, hi, cfg, monkeypatch)
+    _rows_match_the_reference(got, fs, [("half", 0.0, math.inf)] * len(fs), cfg)
+    level_calls = [(h, a, first) for h, a, _, first, _ in scans if h < 1.0 and a == 0]
+    # one call's lanes first reach many columns apart
+    assert max(int(first.max() - first.min()) for _, _, first in level_calls) >= 10
+    # one call per side and level, or a level cut into several chunks
+    calls = max(sum(1 for c in level_calls if c[0] == h) for h, _, _ in level_calls)
+    assert (calls > 2) == bool(cells)
+
+
+def test_window_falls_back_on_a_finite_block_with_an_early_zero_weight(monkeypatch):
+    # rows of width 2e-300 weigh 0 from |t| ~ 3.56 on, where their offsets
+    # from the ends underflow; 1/sqrt(x) rows on (0, 1) reach further, so a
+    # level call holds a 0 weight in the column before its window
+    fs = [np.ones_like if k % 3 == 0 else CASES["inv-sqrt"][0] for k in range(12)]
+    lo, hi = np.zeros(12), np.array([2e-300 if k % 3 == 0 else 1.0 for k in range(12)])
+    cfg = QuadratureConfig(rel_tol=1e-10, abs_floor=0.0)
+    got, scans = _window_block(fs, lo, hi, cfg, monkeypatch)
+    _rows_match_the_reference(got, fs, [("finite", 0.0, b) for b in hi.tolist()], cfg)
+    assert any(zero_before for *_, zero_before in scans)
+
+
+def test_window_falls_back_on_a_power_block_with_an_early_zero_weight(monkeypatch):
+    # half-line rows on the power map x = z^sc: at sc = 5 the t < 0 nodes
+    # underflow to x = 0, with weight 0, from t ~ -5.2 on, while the terms
+    # of (x)^-0.9 exp(-x) stay large up to there; sc = 0.5 rows reach further
+    n = 10
+    f = lambda x: x ** -0.9 * np.exp(-x)
+    fs = [f] * n
+    lo, c = np.zeros(n), np.ones(n)
+    sc = np.array([5.0 if k % 2 == 0 else 0.5 for k in range(n)])
+    cfg = QuadratureConfig(rel_tol=1e-3)
+    got, scans = _window_block(fs, lo, np.full(n, math.inf), cfg, monkeypatch, (c, sc))
+    _rows_match_the_reference(got, fs, [("power", 0.0, math.inf, 1.0, s) for s in sc.tolist()],
+                              cfg)
+    assert any(zero_before for *_, zero_before in scans)
+
+
+def _x_half(t):
+    return math.exp(_HALF_PI * math.sinh(t))
+
+
+@pytest.mark.parametrize("t_bad, before", [(0.5, True), (5.5, False)],
+                         ids=["before-window", "inside-window"])
+def test_window_reports_a_nan_before_or_inside_it(t_bad, before, monkeypatch):
+    # 1/(1 + (x/s)^2) rows reach near the end of the half-line map, so from
+    # level 1 on a call reads the rule from column 4 on; one row returns nan
+    # around the level-1 node t = 0.5 (column 0) or t = 5.5 (column 5),
+    # between the nodes of level 0
+    n, bad = 10, 3
+    nan_lo, nan_hi = _x_half(t_bad - 0.05), _x_half(t_bad + 0.05)
+
+    def make(s, nan):
+        def f(x):
+            out = 1.0 / (1.0 + (x / s) ** 2)
+            if nan:
+                out = np.where((x > nan_lo) & (x < nan_hi), np.nan, out)
+            return out
+        return f
+
+    fs = [make(1.0 + k, k == bad) for k in range(n)]
+    cfg = QuadratureConfig()
+    got, scans = _window_block(fs, np.zeros(n), np.full(n, math.inf), cfg, monkeypatch)
+    # the first level-1 call of the t > 0 side, whose window starts after
+    # the nan's column 0, or at or before its column 5
+    h, a, _, first, _ = next(s for s in scans if s[0] == 0.5)
+    col = round((t_bad - h) / (2 * h))
+    assert (col < first.min() - 2) == before
+    with pytest.raises(IntegrandError) as ref:
+        reference_de_integrate(fs[bad], ("half", 0.0, math.inf), cfg)
+    with pytest.raises(IntegrandError) as exc:
+        integrate_rows(lambda idx, x: np.stack([fs[i](x[k]) for k, i in enumerate(idx.tolist())]),
+                       np.zeros(n), np.full(n, math.inf), cfg)
+    assert exc.value.row == bad
+    assert str(exc.value).startswith(str(ref.value) + " (t=")
+    assert exc.value.node == float(str(ref.value).rsplit("x=", 1)[1])
+    assert got == repr((IntegrandError, str(exc.value), bad, exc.value.value, exc.value.node,
+                        None))
