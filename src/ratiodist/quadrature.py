@@ -49,12 +49,12 @@ are needed anyway.  Lanes whose rule has not fired by then are extended
 alone, in runs that double.  The rule reads running sums taken in sweep
 order (np.cumsum) over every evaluated node, so every row sums exactly the
 nodes, in exactly the order, that a node-by-node sweep would, whatever else
-is in the batch; values past a row's stop are ignored.  As the rule cannot
-fire before a lane's reach, it is read only from two nodes before the reach
-on (before the least reach of a call's lanes, in an array book), or from
-the first node when a weight before that is 0.  Each row keeps its own
-scale, reach and convergence test and leaves the batch once it converges.
-de_integrate is a batch of one row.
+is in the batch; values past a row's stop are ignored.  The rule cannot
+fire before a lane's reach, so it is read only from two nodes before the
+reach (in an array book, before the least reach among a call's lanes), or
+from a call's first node when a weight before that is 0.  Each row keeps
+its own scale, reach and convergence test and leaves the batch once it
+converges.  de_integrate is a batch of one row.
 
 The block size picks only how the sweep keeps a block's bookkeeping: the
 rows' values, error estimates and counts, and the lanes' tail rule.  More
