@@ -443,7 +443,7 @@ def test_window_falls_back_on_a_finite_block_with_an_early_zero_weight(monkeypat
 def test_window_falls_back_on_a_power_block_with_an_early_zero_weight(monkeypatch):
     # half-line rows on the power map x = z^sc: at sc = 5 the t < 0 nodes
     # underflow to x = 0, with weight 0, from t ~ -5.2 on, while the terms
-    # of (x)^-0.9 exp(-x) stay large up to there; sc = 0.5 rows reach further
+    # of x^-0.9 exp(-x) stay large up to there; sc = 0.5 rows reach further
     n = 10
     f = lambda x: x ** -0.9 * np.exp(-x)
     fs = [f] * n
