@@ -82,10 +82,11 @@ def test_de_integrate_nonconvergence_is_reported() -> None:
         )
 
 
-@pytest.mark.parametrize("n", [2, quadrature._SMALL_ROWS + 1])
+@pytest.mark.parametrize("n", [2, 9, quadrature._SMALL_ROWS + 1])
 def test_nonconvergence_names_the_failing_row(n) -> None:
     # row 1 holds a jump and runs out of levels; every other row converges.
-    # Two rows take the small-block sweep, one past its limit the array sweep
+    # Two and nine rows take the small-block sweep, one past its limit the
+    # array sweep
     cfg = QuadratureConfig(rel_tol=1e-12, max_levels=5)
     jump = np.arange(n) == 1
     with pytest.raises(NonConvergenceError) as one:
