@@ -14,13 +14,15 @@ of three maps, and a half-line row may take the fourth, power, instead::
 The power map puts the t = 0 node at a + c with a node spacing of about
 (pi/2) c sc h there, so mass far from a + 1 or narrower than 1 gets nodes
 of its own; it runs on the half-line map's table, and the node weight takes
-its Jacobian sc (x - a)/z.  A new map kind plugs in at _T_LIMIT, _table and
-_Lanes, and a location or scale of a map at _Lanes; callers name the
-interval and, for a half-line row, an optional power map.
+its Jacobian sc (x - a)/z.  Every map ends where its weight is 0: the tables
+past _T_LIMIT, and a power row also where its nodes overflow.  A new map
+kind plugs in at _T_LIMIT, _table and _Lanes, and a location or scale of a
+map at _Lanes; callers name the interval and, for a half-line row, an
+optional power map.
 
-Refinement halves the step h and evaluates only the new odd-index nodes;
-previous work is reused through I_new = I_old/2 + h * (odd-node sum), so no
-abscissa is ever evaluated twice.
+Refinement halves the step h, at most 18 times (max_levels), and evaluates
+only the new odd-index nodes; previous work is reused through I_new =
+I_old/2 + h * (odd-node sum), so no abscissa is ever evaluated twice.
 
 Tail truncation on each side stops after three consecutive node terms fall
 below max(rel_tol * |integral so far| * 1e-2, abs_floor/10).  Because the
@@ -106,9 +108,10 @@ _T_LIMIT = {
 # by _EXTRA nodes, then by doubling chunks
 _EXTRA = 1
 
-# the step of level 0, and the most nodes one t-side of a row may sum
+# the step of level 0, and the deepest level: its largest tables hold 890,327
+# nodes a side, level 19's 1,780,652, each built node by node and cached
 _INITIAL_H = 1.0
-_MAX_NODES_PER_SIDE = 1_000_000
+_MAX_LEVELS = 18
 # about this many rows per sweep: the rows of a block go through every level
 # together, so the per-call overhead of a level is shared by this many rows
 _BLOCK_ROWS = 512
@@ -134,7 +137,8 @@ class QuadratureConfig:
     rel_tol drives both the convergence test and the tail truncation
     threshold.  abs_floor is an absolute escape hatch for integrals whose
     true value is at or near zero; the default 1e-300 makes the control
-    purely relative.
+    purely relative.  max_levels lies in [1, 18]: each level doubles the node
+    tables, which are built in Python and cached, to 890,327 a side at 18.
     """
 
     rel_tol: float = 1e-10
@@ -146,8 +150,9 @@ class QuadratureConfig:
             raise InvalidParamsError(f"rel_tol must lie in [1e-15, 1e-1], got {self.rel_tol!r}")
         if not (self.abs_floor >= 0.0):
             raise InvalidParamsError(f"abs_floor must be >= 0, got {self.abs_floor!r}")
-        if self.max_levels < 1:
-            raise InvalidParamsError(f"max_levels must be >= 1, got {self.max_levels!r}")
+        n = self.max_levels
+        if not (isinstance(n, (int, np.integer)) and 1 <= n <= _MAX_LEVELS):
+            raise InvalidParamsError(f"max_levels must be an int in [1, {_MAX_LEVELS}], got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -232,14 +237,14 @@ class _Lanes:
         if kind == "half":
             self.x0 = lo + 1.0
             self.base = np.concatenate([lo, lo])
+        elif kind == "real":  # the half-line path, on the real-line table
+            self.x0, self.base = np.zeros(m), np.zeros(2 * m)
         elif kind == "power":
             c, sc = power[0][rows], power[1][rows]
             self.x0 = lo + c
             self.w0 = _HALF_PI * sc * c
             self.base = np.concatenate([lo, lo])
             self.c, self.sc = np.concatenate([c, c]), np.concatenate([sc, sc])
-        elif kind == "real":
-            self.x0 = np.zeros(m)
         else:
             halfw = 0.5 * (hi - lo)
             self.x0 = 0.5 * (lo + hi)
@@ -251,17 +256,14 @@ class _Lanes:
 
     def nodes(self, sel, side: int, tab: _Table, a: int, b: int) -> Tuple[np.ndarray, np.ndarray]:
         """x and weight of table columns a:b for the selected lanes of one side."""
-        if self.kind == "half":
+        if self.kind in ("half", "real"):
             return self.base[sel, None] + tab.off[side, a:b], tab.w[side, a:b]
         if self.kind == "power":
             z, sc = tab.off[side, a:b], self.sc[sel, None]
             d = self.c[sel, None] * z ** sc  # x - lo, without cancellation
             w = tab.w[side, a:b] * (sc * d / z)
-            w[:, z == 0.0] = 0.0  # past the map's end d / z is 0/0
+            w[~np.isfinite(w)] = 0.0  # the map ends: d / z is 0/0 past the table, inf past overflow
             return self.base[sel, None] + d, w
-        if self.kind == "real":
-            return np.repeat(tab.off[side:side + 1, a:b], self.row[sel].shape[0], axis=0), \
-                tab.w[side, a:b]
         offset = self.two_halfw[sel, None] / tab.off[side, a:b]
         x = self.base[sel, None] + offset if side else self.base[sel, None] - offset
         sech = tab.sech[side, a:b]
@@ -281,10 +283,10 @@ class _ArrayBook:
     sweep order, but the rule (|term| h, the threshold, three small terms in
     a row, the reach and a zero weight) is read only from a window: from two
     columns before the first column at or past the reach of any of the
-    scanned lanes, where it may first fire.  Weights reach 0 only at the end
-    of a map, so a nonzero weight in the column before the window leaves no
-    zero-weight stop before it; if any lane weighs 0 there, the window is
-    the whole call.
+    scanned lanes, where it may first fire.  Zero weights end a map, so they
+    form a suffix of each side, and a nonzero weight in the column before the
+    window leaves no zero-weight stop before it; if any lane weighs 0 there,
+    the window is the whole call.
     """
 
     def __init__(self, rows: np.ndarray, cfg: QuadratureConfig):
@@ -381,10 +383,6 @@ class _ArrayBook:
         if not math.isfinite(np.add.reduce(tot)):  # a summed value may be non-finite
             self._check_finite(ol, fv, a, end)
         self.count[ol] += end
-        # a lane can exceed the node cap only if the map has more nodes
-        if self.tab.t.shape[0] > _MAX_NODES_PER_SIDE and self.count[ol].max() > _MAX_NODES_PER_SIDE:
-            lane = np.arange(self.reach.shape[0])[ol][self.count[ol] > _MAX_NODES_PER_SIDE][0]
-            _over_cap(int(self.lanes.row[lane]), h)
         self.total[ol] = tot
         self.stop_t[ol] = t[k]
         if not stops.all():  # the lanes that go on end at width
@@ -442,11 +440,6 @@ def _fail_at(lanes: _Lanes, tab: _Table, lane: int, col: int, value: float):
     side = int(lanes.side[lane])
     x = lanes.nodes(np.array([lane]), side, tab, col, col + 1)[0]
     _fail(int(lanes.row[lane]), value, float(x[0, 0]), float(tab.t[col]) * (1.0 - 2.0 * side))
-
-
-def _over_cap(row: int, h: float):
-    raise NonConvergenceError(f"exceeded {_MAX_NODES_PER_SIDE} nodes on one side at h={h!r}",
-                              row=row)
 
 
 def _call(F: RowIntegrand, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -631,11 +624,6 @@ class _FloatBook:
                     if bad.shape[0]:
                         _fail_at(self.lanes, self.tab, lane, a + int(bad[0]), float(fv[i, bad[0]]))
             going.append(go_on)
-        if self.tab.t.shape[0] > _MAX_NODES_PER_SIDE:
-            for ol, _, _ in parts:
-                for lane in ol:
-                    if self.count[lane] > _MAX_NODES_PER_SIDE:
-                        _over_cap(int(self.lanes.row[lane]), h)
         return going
 
     def update(self, level: int, out: _Batch) -> bool:
@@ -788,7 +776,7 @@ def cheb_build(
 def cheb_eval_many(interp: ChebInterpolant, xs: Sequence[float]) -> np.ndarray:
     """Evaluate the interpolant at points inside [lo, hi]; nodes give their values exactly."""
     x = np.asarray(xs, dtype=float)
-    if x.size and (x.min() < interp.lo or x.max() > interp.hi):
+    if x.size and not (interp.lo <= x.min() and x.max() <= interp.hi):
         raise InvalidParamsError("evaluation points extend outside the interpolation interval")
     # one (nodes x points) buffer of 1 / (x_j - x), and one product of the
     # rows w_j v_j and w_j with it: numerator and denominator, both negated.

@@ -105,11 +105,17 @@ def test_nonconvergence_names_the_failing_row(n) -> None:
         {"rel_tol": 0.5},
         {"abs_floor": -1.0},
         {"max_levels": 0},
+        {"max_levels": 19},
+        {"max_levels": 2.5},
     ],
 )
 def test_config_validation(kwargs) -> None:
     with pytest.raises(InvalidParamsError):
         QuadratureConfig(**kwargs)
+
+
+def test_config_accepts_the_deepest_level() -> None:
+    assert QuadratureConfig(max_levels=18).max_levels == 18
 
 
 def test_finite_transform_requires_ordered_interval() -> None:
@@ -164,6 +170,8 @@ def test_cheb_rejects_points_outside_interval() -> None:
         cheb_eval_many(interp, [1.5])
     with pytest.raises(InvalidParamsError):
         cheb_eval_many(interp, [0.2, 1.2])
+    with pytest.raises(InvalidParamsError):
+        cheb_eval_many(interp, [0.5, math.nan])
 
 
 def test_cheb_build_requires_lobatto_count() -> None:

@@ -216,6 +216,16 @@ def test_power_row_on_a_far_mode_integrates_to_its_closed_form(name):
     assert abs(got.value[0] - exact) <= 1e-14 * exact
 
 
+@pytest.mark.parametrize("n", [1, quadrature._SMALL_ROWS + 1])
+def test_power_row_ends_where_its_nodes_overflow(n):
+    # at sc = 20, c z^sc overflows far inside the half-line table: past there
+    # a node has x = inf and weight inf, and the map ends as at its table's
+    # end.  One row takes the small-block sweep, _SMALL_ROWS + 1 the array sweep
+    got = _power_rows(lambda idx, x: x ** -0.9 * np.exp(-x), np.zeros(n), np.ones(n),
+                      np.full(n, 20.0), QuadratureConfig(rel_tol=1e-3))
+    assert np.all(np.abs(got.value - math.gamma(0.1)) <= 1e-3 * math.gamma(0.1))
+
+
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-3])
 def test_mixed_batch_rows_match_single_rows(rel_tol, monkeypatch):
     # every case as rows of one batch, all four maps interleaved and each map
