@@ -58,15 +58,15 @@ from a call's first node when a weight before that is 0.  Each row keeps
 its own scale, reach and convergence test and leaves the batch once it
 converges.  de_integrate is a batch of one row.
 
-The block size picks only how the sweep keeps a block's bookkeeping: the
-rows' values, error estimates and counts, and the lanes' tail rule.  More
-than _SMALL_ROWS rows keep it in NumPy arrays (_ArrayBook), whose levels
-cost a few dozen NumPy calls whatever the block's size; at most
-_SMALL_ROWS rows, such as the one or two rows of a single point, keep it
-per lane in Python floats (_FloatBook).  One level loop (_level) makes the
-same integrand calls on the same x for both, and both sum the same nodes
-in the same order, so a row's value, evaluation count, levels and errors
-do not depend on the block size.
+One level loop (_level) lays out every integrand call of every block and
+reads the t = 0 node; it hands each t-side of a call to the block's book,
+which keeps the tail rule and the rows' state (values, error estimates,
+counts, reaches).  The block size picks only the book: more than
+_SMALL_ROWS rows keep NumPy arrays (_ArrayBook), whose levels cost a few
+dozen NumPy calls whatever the block's size; at most _SMALL_ROWS rows, such
+as the one or two rows of a single point, keep Python floats per lane
+(_FloatBook).  Both sum the same nodes in the same order, so a row's value,
+evaluation count, levels and errors do not depend on the block size.
 
 A row's nodes depend on its interval and power map alone, so rows of one
 integrand call that share an interval (lo and hi) and are not power rows
@@ -135,9 +135,10 @@ class QuadratureConfig:
     """Tolerances and the refinement limit of the DE sweep.
 
     rel_tol drives both the convergence test and the tail truncation
-    threshold.  abs_floor is an absolute escape hatch for integrals whose
-    true value is at or near zero; the default 1e-300 makes the control
-    purely relative.  max_levels lies in [1, 18]: each level doubles the node
+    threshold.  abs_floor, finite and >= 0, is an absolute escape hatch for
+    integrals whose true value is at or near zero (an infinite one would
+    pass every level); the default 1e-300 makes the control purely
+    relative.  max_levels lies in [1, 18]: each level doubles the node
     tables, which are built in Python and cached, to 890,327 a side at 18.
     """
 
@@ -148,8 +149,8 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if not (1e-15 <= self.rel_tol <= 1e-1):
             raise InvalidParamsError(f"rel_tol must lie in [1e-15, 1e-1], got {self.rel_tol!r}")
-        if not (self.abs_floor >= 0.0):
-            raise InvalidParamsError(f"abs_floor must be >= 0, got {self.abs_floor!r}")
+        if not (0.0 <= self.abs_floor < math.inf):
+            raise InvalidParamsError(f"abs_floor must be finite and >= 0, got {self.abs_floor!r}")
         n = self.max_levels
         if not (isinstance(n, (int, np.integer)) and 1 <= n <= _MAX_LEVELS):
             raise InvalidParamsError(f"max_levels must be an int in [1, {_MAX_LEVELS}], got {n!r}")
@@ -273,15 +274,15 @@ class _Lanes:
 
 
 class _ArrayBook:
-    """The bookkeeping of a block's sweep in NumPy arrays: per row the value,
-    error estimate and evaluation count; per lane the reach and, for the
-    current level, the tail rule's state, sum, summed-node count and stop
-    point (the last node summed, or the first one not evaluated).
+    """The tail rule and rows' state of a block's sweep in NumPy arrays: per
+    row the value, error estimate and evaluation count; per lane the reach
+    and, for the current level, the tail rule's state, sum, summed-node
+    count and stop point (the last node summed, or the first one not evaluated).
 
-    Each t-side of a call is scanned on its own, on views of the integrand's
-    values, as a (columns x lanes) array.  Every term is formed and summed in
-    sweep order, but the rule (|term| h, the threshold, three small terms in
-    a row, the reach and a zero weight) is read only from a window: from two
+    scan takes one t-side of a call, on views of the integrand's values, as
+    a (columns x lanes) array.  Every term is formed and summed in sweep
+    order, but the rule (|term| h, the threshold, three small terms in a
+    row, the reach and a zero weight) is read only from a window: from two
     columns before the first column at or past the reach of any of the
     scanned lanes, where it may first fire.  Zero weights end a map, so they
     form a suffix of each side, and a nonzero weight in the column before the
@@ -318,24 +319,15 @@ class _ArrayBook:
         """Each side's first-call width for rows a:b: its lanes' reach + _EXTRA."""
         return self.end[:, a:b].max(axis=1).tolist()
 
-    def scan_chunk(self, a: int, b: int, fv: np.ndarray, wp, wn, bp: int, bn: int):
-        """Scan the first call of rows a:b, whose values fv hold bp t > 0
-        columns, bn t < 0 columns and at level 0 the t = 0 node; returns per
-        side the lanes that go on."""
+    def start(self, a: int, b: int, f0w: np.ndarray) -> None:
+        """Keep the t = 0 terms f0w of rows a:b at level 0, and the rows' scale."""
         m = self.rows.shape[0]
-        if self.val is None:
-            f0 = fv[:, -1]
-            if not np.isfinite(f0).all():
-                i = int(np.argmin(np.isfinite(f0)))
-                _fail(int(self.lanes.rows[a + i]), float(f0[i]), float(self.lanes.x0[a + i]), 0.0)
-            self.f0w[a:b] = f0w = f0 * self.lanes.w0[a:b]
-            self.scale[a:b] = self.scale[m + a:m + b] = self.h * np.abs(f0w)
-        return [np.flatnonzero(~self._scan(slice(a, b), fv[:, :bp], wp, 0)) + a,
-                np.flatnonzero(~self._scan(slice(m + a, m + b), fv[:, bp:bp + bn], wn, 0)) + m + a]
+        self.f0w[a:b] = f0w
+        self.scale[a:b] = self.scale[m + a:m + b] = self.h * np.abs(f0w)
 
-    def scan(self, ol: np.ndarray, fv: np.ndarray, w: np.ndarray, a: int) -> np.ndarray:
-        """Scan the lanes ol on from table column a; returns those that go on."""
-        return ol[~self._scan(ol, fv, w, a)]
+    def scan(self, ol, fv: np.ndarray, w: np.ndarray, a: int) -> np.ndarray:
+        """Scan the lanes ol (a slice or an array) from table column a; returns those going on."""
+        return np.arange(self.reach.shape[0])[ol][~self._scan(ol, fv, w, a)]
 
     def _scan(self, ol, fv: np.ndarray, w: np.ndarray, a: int) -> np.ndarray:
         """Apply the tail rule to the columns from a just evaluated for the
@@ -381,21 +373,13 @@ class _ArrayBook:
         end = np.where(stops, k + (s + 1) - zk, width)  # nodes summed from this call
         tot = cum[end, r]
         if not math.isfinite(np.add.reduce(tot)):  # a summed value may be non-finite
-            self._check_finite(ol, fv, a, end)
+            _fail_summed(self.lanes, self.tab, np.arange(self.reach.shape[0])[ol], fv, a, end)
         self.count[ol] += end
         self.total[ol] = tot
         self.stop_t[ol] = t[k]
         if not stops.all():  # the lanes that go on end at width
             self.prev[:, ol] = small[-2:]
         return stops
-
-    def _check_finite(self, ol, fv: np.ndarray, a: int, end: np.ndarray) -> None:
-        bad = np.where(np.isfinite(fv), fv.shape[1], np.arange(fv.shape[1])).min(axis=1)
-        if np.any(bad < end):
-            i = int(np.argmax(bad < end))
-            j = int(bad[i])
-            _fail_at(self.lanes, self.tab, np.arange(self.reach.shape[0])[ol][i], a + j,
-                     float(fv[i, j]))
 
     def update(self, level: int, out: _Batch) -> bool:
         """Close a level: update the rows, write those that converge into out
@@ -435,11 +419,17 @@ def _fail(row: int, value: float, x: float, t: float):
                          row=row, value=value, node=x)
 
 
-def _fail_at(lanes: _Lanes, tab: _Table, lane: int, col: int, value: float):
-    """_fail for the value at table column col of a lane."""
-    side = int(lanes.side[lane])
-    x = lanes.nodes(np.array([lane]), side, tab, col, col + 1)[0]
-    _fail(int(lanes.row[lane]), value, float(x[0, 0]), float(tab.t[col]) * (1.0 - 2.0 * side))
+def _fail_summed(lanes: _Lanes, tab: _Table, ids, fv: np.ndarray, a: int, end) -> None:
+    """_fail at the first non-finite value that a scan summed, if any: row i
+    of fv holds table columns a on of lane ids[i], which summed end[i] of them."""
+    bad = np.where(np.isfinite(fv), fv.shape[1], np.arange(fv.shape[1])).min(axis=1)
+    if np.any(bad < end):
+        i = int(np.argmax(bad < end))
+        lane, col = int(ids[i]), a + int(bad[i])
+        side = int(lanes.side[lane])
+        x = lanes.nodes(np.array([lane]), side, tab, col, col + 1)[0]
+        _fail(int(lanes.row[lane]), float(fv[i, bad[i]]), float(x[0, 0]),
+              float(tab.t[col]) * (1.0 - 2.0 * side))
 
 
 def _call(F: RowIntegrand, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -453,8 +443,9 @@ def _call(F: RowIntegrand, idx: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _level(F: RowIntegrand, lanes: _Lanes, level: int, book) -> None:
-    """Sweep both t-sides of a level, step _INITIAL_H / 2^level, for every
-    lane, keeping the bookkeeping in book (an _ArrayBook or a _FloatBook)."""
+    """Sweep both t-sides of a level, step _INITIAL_H / 2^level, for every lane:
+    lay out the integrand calls, read the t = 0 node and hand each t-side of
+    a call to book (an _ArrayBook or a _FloatBook)."""
     h = _INITIAL_H * 0.5 ** level
     tab = _table("half" if lanes.kind == "power" else lanes.kind, h, 2 if level else 1)
     n_t = tab.t.shape[0]
@@ -475,7 +466,14 @@ def _level(F: RowIntegrand, lanes: _Lanes, level: int, book) -> None:
         del xp, xn  # large arrays are dropped as soon as they are used, to bound memory
         fv = _call(F, lanes.rows[a:b], x)
         del x
-        going = book.scan_chunk(a, b, fv, wp, wn, bp, bn)
+        if not level:
+            f0 = fv[:, -1]
+            if not np.isfinite(f0).all():
+                i = int(np.argmin(np.isfinite(f0)))
+                _fail(int(lanes.rows[a + i]), float(f0[i]), float(lanes.x0[a + i]), 0.0)
+            book.start(a, b, f0 * lanes.w0[a:b])
+        going = (book.scan(slice(a, b), fv[:, :bp], wp, 0),
+                 book.scan(slice(m + a, m + b), fv[:, bp:bp + bn], wn, 0))
         del fv
         # lanes whose rule has not fired are extended one side at a time, by
         # _EXTRA nodes and then twice as many each call
@@ -516,7 +514,7 @@ def _sweep(F: RowIntegrand, kind: str, lo: np.ndarray, hi: np.ndarray, power, ro
 
 
 class _FloatBook:
-    """The bookkeeping of _ArrayBook, per row and lane in Python floats.
+    """The tail rule and rows' state of _ArrayBook, in Python floats.
 
     Both books read the rule from the same window: a lane's rule is read
     only from two columns before its reach, starting from its running sum
@@ -555,76 +553,63 @@ class _FloatBook:
         m = self.rows.shape[0]
         return max(self.end[a:b]), max(self.end[m + a:m + b])
 
-    def scan_chunk(self, a: int, b: int, fv: np.ndarray, wp, wn, bp: int, bn: int):
+    def start(self, a: int, b: int, f0w: np.ndarray) -> None:
         m = self.rows.shape[0]
-        if self.val is None:
-            w0 = self.lanes.w0.tolist()
-            for i, v in enumerate(fv[:, -1].tolist(), a):
-                if not math.isfinite(v):
-                    _fail(int(self.lanes.rows[i]), v, float(self.lanes.x0[i]), 0.0)
-                self.f0w[i] = fw = v * w0[i]
-                self.scale[i] = self.scale[m + i] = self.h * abs(fw)
-        return self._scan([(range(a, b), fv[:, :bp], wp),
-                           (range(m + a, m + b), fv[:, bp:bp + bn], wn)], 0)
+        self.f0w[a:b] = f0w = f0w.tolist()
+        self.scale[a:b] = self.scale[m + a:m + b] = [self.h * abs(fw) for fw in f0w]
 
-    def scan(self, ol: list, fv: np.ndarray, w: np.ndarray, a: int) -> list:
-        return self._scan([(ol, fv, w)], a)[0]
+    def scan(self, ol, fv: np.ndarray, w: np.ndarray, a: int) -> list:
+        """Apply the tail rule to the columns from a just evaluated for the
+        lanes ol (a slice or a list), all of one side.
 
-    def _scan(self, parts, a: int) -> list:
-        """Apply the tail rule to the columns from a just evaluated.
-
-        parts is a list of (lanes, fv, w): row i of fv (and of w, unless w
-        is one row for all) belongs to the i-th lane.  A lane whose first
-        lies further on starts two columns before it, from its running sum
-        there.  Returns, per part, the lanes that go on.
+        Row i of fv (and of w, unless w is one row for all) belongs to the
+        i-th lane.  A lane whose first lies further on starts two columns
+        before it, from its running sum there.  Returns the lanes that go on.
         """
+        if isinstance(ol, slice):
+            ol = range(ol.start, ol.stop)
         h, c_tol, floor = self.h, self.c_tol, self.floor
-        going = []
-        for ol, fv, w in parts:
-            width = fv.shape[1]
-            cum = None
-            go_on = []
-            for i, lane in enumerate(ol):
-                wi = w if w.ndim == 1 else w[i]
-                first, sc = self.first[lane] - a, self.scale[lane]
-                j, s = 0, self.total[lane]
-                p2, p1 = self.prev[lane]
-                # only a lane's first scan of a level starts before its first;
-                # weights reach 0 only at the end of the map, so a nonzero
-                # weight before the start leaves no zero-weight stop before it
-                if first > 2 and wi[first - 3] != 0.0:
-                    if cum is None:
-                        cum = (fv * w).cumsum(axis=1)
-                    j = first - 2
-                    s = float(cum[i, j - 1]) + 0.0  # as summed from 0.0, never -0.0
-                end = -1
-                for f, wt in zip(fv[i, j:].tolist(), wi[j:].tolist()):
-                    if wt == 0.0:  # stop before evaluating, as at the end of the map
-                        end = j
-                        break
-                    term = f * wt
-                    s += term
-                    thr = (abs(s) * h + sc) * c_tol
-                    small = abs(term) * h < (floor if thr < floor else thr)
-                    if small and p1 and p2 and j >= first:
-                        end = j + 1
-                        break
-                    p2, p1 = p1, small
-                    j += 1
-                self.total[lane] = s
-                if end < 0:
-                    end = width
-                    self.prev[lane] = (p2, p1)
-                    go_on.append(lane)
-                else:
-                    self.stop_t[lane] = float(self.tab.t[a + j])
-                self.count[lane] += end
-                if not math.isfinite(s):  # a summed value may be non-finite
-                    bad = np.flatnonzero(~np.isfinite(fv[i, :end]))
-                    if bad.shape[0]:
-                        _fail_at(self.lanes, self.tab, lane, a + int(bad[0]), float(fv[i, bad[0]]))
-            going.append(go_on)
-        return going
+        width = fv.shape[1]
+        cum = None
+        go_on = []
+        for i, lane in enumerate(ol):
+            wi = w if w.ndim == 1 else w[i]
+            first, sc = self.first[lane] - a, self.scale[lane]
+            j, s = 0, self.total[lane]
+            p2, p1 = self.prev[lane]
+            # only a lane's first scan of a level starts before its first;
+            # weights reach 0 only at the end of the map, so a nonzero
+            # weight before the start leaves no zero-weight stop before it
+            if first > 2 and wi[first - 3] != 0.0:
+                if cum is None:
+                    cum = (fv * w).cumsum(axis=1)
+                j = first - 2
+                s = float(cum[i, j - 1]) + 0.0  # as summed from 0.0, never -0.0
+            end = -1
+            for f, wt in zip(fv[i, j:].tolist(), wi[j:].tolist()):
+                if wt == 0.0:  # stop before evaluating, as at the end of the map
+                    end = j
+                    break
+                term = f * wt
+                s += term
+                thr = (abs(s) * h + sc) * c_tol
+                small = abs(term) * h < (floor if thr < floor else thr)
+                if small and p1 and p2 and j >= first:
+                    end = j + 1
+                    break
+                p2, p1 = p1, small
+                j += 1
+            self.total[lane] = s
+            if end < 0:
+                end = width
+                self.prev[lane] = (p2, p1)
+                go_on.append(lane)
+            else:
+                self.stop_t[lane] = float(self.tab.t[a + j])
+            self.count[lane] += end
+            if not math.isfinite(s):  # a summed value may be non-finite
+                _fail_summed(self.lanes, self.tab, (lane,), fv[i:i + 1], a, end)
+        return go_on
 
     def update(self, level: int, out: _Batch) -> bool:
         total, count, h = self.total, self.count, self.h
@@ -744,13 +729,13 @@ def cheb_build(
 ) -> ChebInterpolant:
     """Sample f at n_nodes Chebyshev-Lobatto points on [lo, hi].
 
-    n_nodes must be 2^k + 1 with k >= 2 so node sets nest under doubling.
+    n_nodes must be an integer 2^k + 1, k >= 2, so node sets nest under doubling.
     f is called once, on the whole node array, and must return an array of
     the same shape.
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidParamsError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
-    if n_nodes < 5 or not _is_pow2(n_nodes - 1):
+    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 5 or not _is_pow2(n_nodes - 1):
         raise InvalidParamsError(f"n_nodes must be 2^k+1 with k >= 2, got {n_nodes!r}")
     n = n_nodes - 1
     j = np.arange(n_nodes)

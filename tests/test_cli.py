@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -448,6 +449,19 @@ def test_module_invocation():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "x,value"
+
+
+def test_module_entry_point_exits_with_main(monkeypatch, capsys):
+    # python -m ratiodist runs ratiodist/__main__.py, which prints what main
+    # prints and exits with its return code
+    argv = ["interval", "--std-ratio", "1.5", "1", "--auto-interval"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["ratiodist", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ratiodist", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == want
 
 
 def test_interval_broda_kan_hake(capsys):

@@ -49,6 +49,7 @@ def test_support_validation():
         Support.finite(0.0, math.inf)
     s = Support.half_line(0.0)
     assert s.contains(0.0) and s.contains(1e300) and not s.contains(-1e-300)
+    assert Support(-math.inf, 3.0).inner_point() == 2.0
 
 
 @pytest.mark.parametrize(
@@ -298,11 +299,16 @@ _UNMAPPED_RATIOS = [
      [0.6111111111111109, 1.3827160493827162, 1.5000000000000002, 0.19204152249134954]),
     (normal_density(1.0, 0.5), cauchy_density(0.5, 1.0), [-2.0, -0.4, 0.3, 4.0],
      [0.03660225701393184, 0.19460725564305287, 0.42420792707263716, 0.01915502848417415]),
+    # a law with an infinite variance is never mapped onto a mode, as with
+    # moments=None; with N(30, 1)'s own moments the row gives ...855
+    (DensityFn(normal_density(30.0, 1.0).f, Support.real_line(), "n", (30.0, math.inf)),
+     normal_density(40.0, 1.0), [0.75], [12.766152972845788]),
 ]
 
 
 @pytest.mark.parametrize("f1, f2, ts, want", _UNMAPPED_RATIOS,
-                         ids=["N/N", "N/N'", "N/chisq", "chisq/N", "U/U", "N/Cauchy"])
+                         ids=["N/N", "N/N'", "N/chisq", "chisq/N", "U/U", "N/Cauchy",
+                              "N(var inf)/N"])
 def test_unmapped_ratio_rows_are_bit_identical(f1, f2, ts, want):
     assert [ratio_pdf(f1, f2, t) for t in ts] == want
     assert ratio_pdf(f1, f2, np.array(ts)).tolist() == want

@@ -424,6 +424,9 @@ def test_hake_inputs_validation() -> None:
         HakeInputs(50.0, 70.0, 0.0, 10.0, 0.0, 1)
     with pytest.raises(InvalidParamsError):
         HakeInputs(50.0, 70.0, 10.0, 10.0, 0.0, 0)
+    with pytest.raises(InvalidParamsError, match="zero variance"):
+        # valid inputs whose gain numerator variance underflows to 0
+        hake_params(HakeInputs(40.0, 60.0, 1e-200, 1e-200, 0.5, 30))
 
 
 def test_hake_ab_textbook_case() -> None:

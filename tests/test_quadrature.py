@@ -98,6 +98,28 @@ def test_nonconvergence_names_the_failing_row(n) -> None:
     assert (exc.value.value, exc.value.err) == (one.value.value, one.value.err)
 
 
+@pytest.mark.parametrize("n", [1, quadrature._SMALL_ROWS + 1])
+@pytest.mark.parametrize(
+    ("lo", "hi", "power", "x0"),
+    [(0.0, 1.0, None, 0.5), (2.0, math.inf, None, 3.0), (-math.inf, math.inf, None, 0.0),
+     (2.0, math.inf, (3.0, 0.5), 5.0)],
+    ids=["finite", "half", "real", "power"],
+)
+def test_nan_at_the_t0_node_names_the_last_row(n, lo, hi, power, x0) -> None:
+    # the last row returns nan at its t = 0 node only, which level 0 reads
+    # before either t-side.  One row takes the small-block sweep, one past
+    # its limit the array sweep
+    def F(idx, x):
+        out = np.exp(-np.abs(x))
+        out[(idx == n - 1)[:, None] & (x == x0)] = np.nan
+        return out
+
+    pw = None if power is None else (np.full(n, power[0]), np.full(n, power[1]))
+    with pytest.raises(IntegrandError, match=r"\(t=0\.0\)$") as exc:
+        integrate_rows(F, np.full(n, lo), np.full(n, hi), _TIGHT, pw)
+    assert (exc.value.row, exc.value.node) == (n - 1, x0)
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -107,6 +129,7 @@ def test_nonconvergence_names_the_failing_row(n) -> None:
         {"max_levels": 0},
         {"max_levels": 19},
         {"max_levels": 2.5},
+        {"abs_floor": math.inf},
     ],
 )
 def test_config_validation(kwargs) -> None:
@@ -179,6 +202,8 @@ def test_cheb_build_requires_lobatto_count() -> None:
         cheb_build(np.cos, 0.0, 1.0, 100)
     with pytest.raises(InvalidParamsError):
         cheb_build(np.cos, 1.0, 0.0, 17)
+    with pytest.raises(InvalidParamsError):
+        cheb_build(np.cos, 0.0, 1.0, 5.0)
 
 
 def test_cheb_build_calls_f_once_on_the_node_array() -> None:
