@@ -1,7 +1,7 @@
 """Benchmark harness: repeated grid evaluations, runtime statistics, accuracy.
 
 Method protocol: each method id maps onto an entry of the CLI's engine table
-(``cli.ENGINES``) with fixed settings: analytic, mellin-de (Mellin, direct),
+(``cli.ENGINES``) and its default settings: analytic, mellin-de (Mellin, direct),
 mellin-de-cheb (Mellin with a 257-node Chebyshev interpolant) and broda-kan.
 That map, ``METHODS``, sits beside ``ENGINES`` in ``cli``; this module imports
 ``cli`` for both and re-exports ``METHODS``.
@@ -92,10 +92,6 @@ def eps_max(values: Sequence[float], reference: Sequence[float]) -> float:
     return float(np.max(np.abs(v - r)))
 
 
-# run_experiment option -> RunConfig field
-_FIELDS = {"rel_tol": "rel_tol", "n_nodes": "cheb_nodes", "n": "grid_n"}
-
-
 def method_ids() -> Tuple[str, ...]:
     return tuple(sorted(METHODS))
 
@@ -122,8 +118,8 @@ def run_experiment(
 
     baseline is a mean runtime in seconds (or a BenchRecord carrying one);
     speedup_vs_baseline = baseline / runtime_mean_s, or NaN when absent.
-    Extra keyword options set the method's engine: rel_tol (mellin-de,
-    mellin-de-cheb), n_nodes (mellin-de-cheb) and n (broda-kan).  label,
+    Extra keyword options set the method's RunConfig settings: rel_tol (mellin-de,
+    mellin-de-cheb), cheb_nodes (mellin-de-cheb) and grid_n (broda-kan).  label,
     when given, replaces the method id in the record so tolerance-sweep rows
     stay distinguishable in the fixed CSV schema.
     Any engine failure propagates; no partial record is produced.
@@ -148,8 +144,7 @@ def run_experiment(
 
     sr = _as_params(params)
     xs = np.linspace(lo, hi, n_points)
-    fields = {_FIELDS[k]: v for k, v in {**takes, **opts}.items()}
-    cfg = RunConfig(engine, Spec.std_ratio(sr), **fields)  # type: ignore[arg-type]
+    cfg = RunConfig(engine, Spec.std_ratio(sr), **{**takes, **opts})  # type: ignore[arg-type]
 
     t0 = time.perf_counter()
     evaluate = ENGINES[engine].setup(cfg, xs)[0]

@@ -15,9 +15,10 @@ gives each spec family's density (a factory of mellin) and CF (of cf).
 Engines live in one table, ENGINES, keyed by the --engine id: analytic
 (closed forms), mellin (DE Mellin convolution, densities only), broda-kan
 (2D CF inversion) and gil-pelaez (1D CF inversion).  Each entry states the
-spec kinds it takes, its set-up, whether it has a CDF (mellin has none) and
-the default k of a normal spec's --auto-interval window.  A set-up reads a
-RunConfig and the grid, does the one-time work once (densities, CFs,
+spec kinds it takes, its set-up, whether it has a CDF (mellin has none), the
+default k of a normal spec's --auto-interval window and the RunConfig settings
+it reads (a flag it does not read, such as --grid-n, is refused).  A set-up
+reads a RunConfig and the grid, does the one-time work once (densities, CFs,
 auto_grid, the Chebyshev build) and returns (pdf, cdf), two zero-argument
 evaluators for the whole grid (cdf is None for mellin); pdf and cdf run one
 set-up per command, and the bench times the same set-up and its pdf.  Every
@@ -37,10 +38,11 @@ calls library functions through their module when it runs them
 (mellin.ratio_pdf_grid).  So a command loads only the engine it runs, and a
 wrapper installed on an engine module's names sees every call from here.
 
-Beside ENGINES, METHODS maps each bench --method id onto an ENGINES entry
-with fixed settings.  The bench module imports this one for both tables (and
-re-exports METHODS); this module imports bench only inside the bench command,
-so the other commands never load the harness.
+Beside ENGINES, METHODS maps each bench --method id onto an ENGINES entry and
+the settings it takes, by the same names, with their defaults; bench refuses a
+setting that none of its methods takes.  The bench module imports this one for
+both tables (and re-exports METHODS); this module imports bench only inside the
+bench command, so the other commands never load the harness.
 """
 
 from __future__ import annotations
@@ -228,8 +230,9 @@ def _mellin(cfg: RunConfig, xs: np.ndarray) -> Tuple[Evaluator, None]:
         )
     f1, f2 = _factors(cfg.spec, _DENSITY)
     qcfg = mellin.QuadratureConfig(rel_tol=cfg.rel_tol)
-    if cfg.cheb_nodes is not None and xs.size > 1:  # one point spans no interval to interpolate on
-        interp = mellin.ratio_interpolant(f1, f2, float(xs[0]), float(xs[-1]), cfg.cheb_nodes, qcfg)
+    cheb = None if cfg.cheb_nodes is None else mellin.Chebyshev(cfg.cheb_nodes)
+    if cheb is not None and xs.size > 1:  # one point spans no interval to interpolate on
+        interp = mellin.ratio_interpolant(f1, f2, float(xs[0]), float(xs[-1]), cheb.n_nodes, qcfg)
         return (lambda: mellin.cheb_eval_many(interp, xs)), None
     return (lambda: mellin.ratio_pdf_grid(f1, f2, xs, qcfg)), None
 
@@ -254,40 +257,50 @@ def _gil_pelaez(cfg: RunConfig, xs: np.ndarray) -> Tuple[Evaluator, Evaluator]:
 
 
 class Engine(NamedTuple):
-    """One --engine id: the spec kinds it takes, its set-up, whether it has a
-    CDF and the default k of a normal spec's --auto-interval window."""
+    """One --engine id: the spec kinds it takes, its set-up, whether it has a CDF, the
+    default k of a normal spec's --auto-interval window and the RunConfig settings it reads."""
 
     takes: FrozenSet[str]
     setup: Setup
     cdf: bool
     normal_k: float
+    reads: FrozenSet[str] = frozenset()
 
 
 _TWO_FACTORS = frozenset({"normal", "num-den"})
 
 ENGINES: Dict[str, Engine] = {
     "analytic": Engine(frozenset({"normal"}), _analytic, True, 2.0),
-    "mellin": Engine(_TWO_FACTORS, _mellin, False, 2.0),
-    "broda-kan": Engine(_TWO_FACTORS, _broda_kan, True, 6.0),
-    "gil-pelaez": Engine(frozenset({"dist"}), _gil_pelaez, True, 6.0),
+    "mellin": Engine(_TWO_FACTORS, _mellin, False, 2.0, frozenset({"rel_tol", "cheb_nodes"})),
+    "broda-kan": Engine(_TWO_FACTORS, _broda_kan, True, 6.0, frozenset({"grid_n"})),
+    "gil-pelaez": Engine(frozenset({"dist"}), _gil_pelaez, True, 6.0, frozenset({"rel_tol"})),
 }
 
-# bench method id -> (engine id in ENGINES, the options it takes, with defaults)
+# bench method id -> (engine id in ENGINES, the settings it takes, with defaults)
 METHODS: Dict[str, Tuple[str, Dict[str, object]]] = {
     "analytic": ("analytic", {}),
     "mellin-de": ("mellin", {"rel_tol": 1e-10}),
-    "mellin-de-cheb": ("mellin", {"rel_tol": 1e-10, "n_nodes": 257}),
-    "broda-kan": ("broda-kan", {"n": 500}),
+    "mellin-de-cheb": ("mellin", {"rel_tol": 1e-10, "cheb_nodes": 257}),
+    "broda-kan": ("broda-kan", {"grid_n": 500}),
 }
 
 
+def _given(args: argparse.Namespace, reads: FrozenSet[str], reader: str) -> Dict[str, object]:
+    """The RunConfig settings given by their flags; one that reader does not read is refused."""
+    given = {k: v for k in ("rel_tol", "cheb_nodes", "grid_n")
+             if (v := vars(args).get(k)) is not None}
+    unread = [f"--{k.replace('_', '-')}" for k in given if k not in reads]
+    if unread:
+        raise InvalidParamsError(f"{', '.join(unread)}: not read by {reader}")
+    return given
+
+
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    """The spec and the settings the engine reads; the engine must take the spec."""
-    if args.n_points < 0:
-        raise InvalidParamsError(f"--n must be >= 0, got {args.n_points!r}")
+    """The spec and the settings given; the engine must take the spec and read each setting."""
     if args.k is not None and not args.k > 0.0:
         raise InvalidParamsError(f"--k must be > 0, got {args.k!r}")
-    cfg = RunConfig(args.engine, _spec(args), args.k, args.rel_tol, args.cheb_nodes, args.grid_n)
+    given = _given(args, ENGINES[args.engine].reads, f"the {args.engine} engine")
+    cfg = RunConfig(args.engine, _spec(args), args.k, **given)
     takes = ENGINES[cfg.engine].takes
     if cfg.spec.kind not in takes:
         raise InvalidParamsError(
@@ -319,6 +332,8 @@ def _write(path: str, text: str) -> None:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     """pdf or cdf (the subcommand) on --n points of the interval."""
+    if args.n_points < 0:
+        raise InvalidParamsError(f"--n must be >= 0, got {args.n_points!r}")
     cfg = _run_config(args)
     engine = ENGINES[cfg.engine]
     if args.subcommand == "cdf" and not engine.cdf:
@@ -348,7 +363,7 @@ def cmd_modality(args: argparse.Namespace) -> int:
 
 
 def cmd_interval(args: argparse.Namespace) -> int:
-    lo, hi = _choose_interval(_run_config(args), args.interval, True)
+    lo, hi = _choose_interval(_run_config(args), None, True)
     _write(args.out, f"{lo:.17g},{hi:.17g}\n")
     return 0
 
@@ -363,6 +378,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InvalidParamsError(f"--out {args.out!r}: no directory {folder!r} to write it in")
     if args.std_ratio is None:
         raise InvalidParamsError("bench needs --std-ratio A B")
+    given = _given(args, frozenset().union(*(METHODS[m][1] for m in args.methods)), "any --method")
     sr = StdRatioParams(*args.std_ratio)
     k = 2.0 if args.k is None else args.k
     interval = args.interval or normal_ratio.sd_window((sr.a, 1.0), (sr.b, 1.0), k)
@@ -378,11 +394,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
         label=f"{bench.BASELINE_METHOD}@{bench.BASELINE_REL_TOL:g}",
     )
     records = [dataclasses.replace(base, speedup_vs_baseline=1.0)]
-    given = {"n": args.grid_n, "n_nodes": args.cheb_nodes}
     for method in args.methods:
         takes = METHODS[method][1]
-        opts = {k: v for k, v in given.items() if k in takes and v is not None}
-        sweep = [{"rel_tol": t, "label": f"{method}@{t:g}"} for t in args.rel_tols]
+        opts = {k: v for k, v in given.items() if k in takes and k != "rel_tol"}  # rel_tol: a sweep
+        sweep = [{"rel_tol": t, "label": f"{method}@{t:g}"} for t in given.get("rel_tol", [])]
         for extra in (sweep if "rel_tol" in takes else []) or [{}]:
             records.append(run(method, baseline=base, **opts, **extra))
     bench.export(records, args.format, args.out)
@@ -401,37 +416,38 @@ def _add_dist_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", nargs="+", metavar="SPEC", help=f"distribution, one of {_SPEC_FORMS}")
 
 
-def _add_grid_args(p: argparse.ArgumentParser) -> None:
+def _add_engine_args(p: argparse.ArgumentParser, grid: bool) -> None:
     p.add_argument("--engine", choices=list(ENGINES), default="analytic")
-    p.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"))
-    p.add_argument("--auto-interval", action="store_true")
-    p.add_argument("--n", type=int, default=1000, dest="n_points")
     p.add_argument("--k", type=float, default=None,
                    help="interval half-width in sd units (default 2 for a normal spec on "
                         "the analytic and mellin engines, 6 otherwise)")
-    p.add_argument("--rel-tol", type=float, default=1e-10)
-    p.add_argument("--cheb-nodes", type=int, default=None)
-    p.add_argument("--grid-n", type=int, default=500)
     p.add_argument("--out", default="-")
+    if grid:  # the interval command reads none of these
+        p.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"))
+        p.add_argument("--auto-interval", action="store_true")
+        p.add_argument("--n", type=int, default=1000, dest="n_points")
+        p.add_argument("--rel-tol", type=float, default=None)
+        p.add_argument("--cheb-nodes", type=int, default=None)
+        p.add_argument("--grid-n", type=int, default=None)
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument tree, built once per process on first use.  Parsing
-    leaves it as it was: no default is ever written to (--method's append
-    action copies its list, and nothing appends to --rel-tol's)."""
+    """The argument tree, built once per process on first use.  Flags take full names only
+    (interval's --n is not --num); parsing writes to no default (--method's append copies)."""
     parser = argparse.ArgumentParser(
         prog="ratiodist", description="Ratio-distribution engines: PDF, CDF, modality, benchmarks."
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=functools.partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     p_pdf = sub.add_parser("pdf", help="density values over a grid as x,value CSV")
     _add_dist_args(p_pdf)
-    _add_grid_args(p_pdf)
+    _add_engine_args(p_pdf, grid=True)
 
     p_cdf = sub.add_parser("cdf", help="distribution function over a grid as x,value CSV")
     _add_dist_args(p_cdf)
-    _add_grid_args(p_cdf)
+    _add_engine_args(p_cdf, grid=True)
 
     p_mod = sub.add_parser("modality", help="unimodal/bimodal verdict and critical curve")
     _add_dist_args(p_mod)
@@ -441,7 +457,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_int = sub.add_parser("interval", help="moment-based evaluation interval as lo,hi")
     _add_dist_args(p_int)
-    _add_grid_args(p_int)
+    _add_engine_args(p_int, grid=False)
 
     p_bench = sub.add_parser("bench", help="timed accuracy protocol; exports records")
     p_bench.add_argument("--std-ratio", nargs=2, type=float, metavar=("A", "B"))
@@ -452,9 +468,9 @@ def _parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k", type=float, default=None)
     p_bench.add_argument("--runs", type=int, default=3)
     p_bench.add_argument("--reps", type=int, default=10)
-    p_bench.add_argument("--rel-tol", type=float, nargs="+", dest="rel_tols", default=[])
+    p_bench.add_argument("--rel-tol", type=float, nargs="+", default=None)
     p_bench.add_argument("--cheb-nodes", type=int, default=None)
-    p_bench.add_argument("--grid-n", type=int, default=500)
+    p_bench.add_argument("--grid-n", type=int, default=None)
     p_bench.add_argument("--format", choices=["csv", "json"], default="csv")
     p_bench.add_argument("--out", default="-")
     return parser

@@ -70,6 +70,7 @@ from .quadrature import (
     QuadratureConfig,
     cheb_build,
     cheb_eval_many,
+    check_n_nodes,
     integrate_rows,
 )
 from .special import like, points
@@ -156,9 +157,12 @@ class Direct:
 
 @dataclass(frozen=True)
 class Chebyshev:
-    """Build one barycentric interpolant from n_nodes direct evaluations."""
+    """Build one barycentric interpolant from n_nodes direct evaluations (2^k + 1, k >= 2)."""
 
     n_nodes: int = 257
+
+    def __post_init__(self) -> None:
+        check_n_nodes(self.n_nodes)
 
 
 GridAccel = Union[Direct, Chebyshev]

@@ -717,8 +717,9 @@ class ChebInterpolant:
     weights: np.ndarray
 
 
-def _is_pow2(m: int) -> bool:
-    return m >= 1 and (m & (m - 1)) == 0
+def check_n_nodes(n_nodes: int) -> None:
+    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 5 or (n_nodes - 1) & (n_nodes - 2):
+        raise InvalidParamsError(f"n_nodes must be 2^k+1 with k >= 2, got {n_nodes!r}")
 
 
 def cheb_build(
@@ -735,8 +736,7 @@ def cheb_build(
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidParamsError(f"need finite lo < hi, got ({lo!r}, {hi!r})")
-    if not isinstance(n_nodes, (int, np.integer)) or n_nodes < 5 or not _is_pow2(n_nodes - 1):
-        raise InvalidParamsError(f"n_nodes must be 2^k+1 with k >= 2, got {n_nodes!r}")
+    check_n_nodes(n_nodes)
     n = n_nodes - 1
     j = np.arange(n_nodes)
     xi = np.cos(np.pi * j / n)

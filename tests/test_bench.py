@@ -10,12 +10,14 @@ import pytest
 from ratiodist.bench import (
     BASELINE_METHOD,
     BASELINE_REL_TOL,
+    METHODS,
     BenchRecord,
     eps_max,
     export,
     method_ids,
     run_experiment,
 )
+from ratiodist.cli import ENGINES
 from ratiodist.errors import InvalidParamsError
 
 _CSV_HEADER = (
@@ -28,6 +30,9 @@ def test_registry():
     assert set(ids) == {"analytic", "broda-kan", "mellin-de", "mellin-de-cheb"}
     assert BASELINE_METHOD in ids
     assert BASELINE_REL_TOL == 1e-3
+    # a method takes only settings its engine reads, by the same names
+    for engine, takes in METHODS.values():
+        assert set(takes) <= ENGINES[engine].reads
 
 
 def test_eps_max():
@@ -92,7 +97,7 @@ def test_run_experiment_label_and_tolerance():
 
 def test_run_experiment_cheb_setup():
     rec = run_experiment(
-        "mellin-de-cheb", (1.5, 1.0), (-2.0, 5.0), n_points=40, runs=1, reps=10, n_nodes=65
+        "mellin-de-cheb", (1.5, 1.0), (-2.0, 5.0), n_points=40, runs=1, reps=10, cheb_nodes=65
     )
     assert rec.setup_time_s > 0.0
     assert rec.eps_max <= 1e-6
@@ -101,7 +106,8 @@ def test_run_experiment_cheb_setup():
 
 
 def test_run_experiment_broda_kan():
-    rec = run_experiment("broda-kan", (1.5, 1.0), (-1.0, 2.0), n_points=5, runs=1, reps=10, n=128)
+    rec = run_experiment("broda-kan", (1.5, 1.0), (-1.0, 2.0), n_points=5, runs=1, reps=10,
+                         grid_n=128)
     assert rec.eps_max <= 1e-3
 
 
@@ -114,7 +120,7 @@ def test_run_experiment_broda_kan():
         {"n_points": 0},
         {"interval": (1.0, 1.0)},
         {"interval": (0.0, math.inf)},
-        {"n": 64},  # analytic takes no options
+        {"grid_n": 64},  # analytic takes no settings
     ],
 )
 def test_run_experiment_validation(kwargs):

@@ -1,6 +1,7 @@
 """Command-line entry points: grids, verdicts, intervals, bench exports."""
 
 import csv
+import dataclasses
 import importlib
 import json
 import math
@@ -331,9 +332,13 @@ _HAKE = ["40", "65", "15", "18", "0.5", "50"]
         ["interval", "--std-ratio", "1.5", "1", "--k", "1e308"],
         ["pdf", "--engine", "analytic", "--std-ratio", "1.5", "1", "--auto-interval",
          "--k", "1e308", "--n", "3"],
-        # --cheb-nodes 0 is a bad node count, not "not given"
+        # --cheb-nodes 0 is a bad node count, not "not given", whatever the grid size
         ["pdf", "--engine", "mellin", "--std-ratio", "1.5", "1", "--interval", "0", "1",
          "--n", "3", "--cheb-nodes", "0"],
+        ["pdf", "--engine", "mellin", "--std-ratio", "1.5", "1", "--interval", "0", "1",
+         "--n", "0", "--cheb-nodes", "0"],
+        ["pdf", "--engine", "mellin", "--std-ratio", "1.5", "1", "--interval", "0", "1",
+         "--n", "1", "--cheb-nodes", "0"],
         # interval refuses a spec its engine does not take
         ["interval", "--engine", "gil-pelaez", "--std-ratio", "1.5", "1"],
         ["interval", "--engine", "analytic", "--num", "normal", "1", "1", "--den", "chisq", "5"],
@@ -454,7 +459,7 @@ def test_module_invocation():
 def test_module_entry_point_exits_with_main(monkeypatch, capsys):
     # python -m ratiodist runs ratiodist/__main__.py, which prints what main
     # prints and exits with its return code
-    argv = ["interval", "--std-ratio", "1.5", "1", "--auto-interval"]
+    argv = ["interval", "--std-ratio", "1.5", "1"]
     assert main(argv) == 0
     want = capsys.readouterr().out
     monkeypatch.setattr(sys, "argv", ["ratiodist", *argv])
@@ -560,18 +565,28 @@ def test_dist_auto_interval_is_cut_to_the_law_support(dist, window, capsys):
 
 
 def _readme_commands():
-    """The ratiodist lines of the README's sh blocks, bench aside."""
+    """The ratiodist commands of the README's sh blocks, continuation lines joined."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
-    return [shlex.split(ln)[1:] for block in blocks for ln in block.splitlines()
-            if ln.startswith("ratiodist ") and not ln.startswith("ratiodist bench")]
+    lines = [ln for block in blocks for ln in block.replace("\\\n", " ").splitlines()]
+    return [shlex.split(ln)[1:] for ln in lines if ln.startswith("ratiodist ")]
 
 
 def test_readme_examples_run(capsys):
-    commands = _readme_commands()
+    commands = [argv for argv in _readme_commands() if argv[0] != "bench"]
     assert commands
     for argv in commands:
         assert main(argv) == 0, (argv, capsys.readouterr().err)
+
+
+def test_readme_bench_example_runs(tmp_path, capsys):
+    # the baseline row and one row for each of its two methods
+    (argv,) = [argv for argv in _readme_commands() if argv[0] == "bench"]
+    out = tmp_path / "bench.csv"
+    argv[argv.index("--out") + 1] = str(out)
+    assert main(argv) == 0, capsys.readouterr().err
+    lines = out.read_text().splitlines()
+    assert lines[0] == bench.CSV_COLUMNS and len(lines) == 4
 
 
 def test_gil_pelaez_far_tail_converges(capsys):
@@ -627,10 +642,70 @@ def _check_grid(rc, captured, refusal):
 @pytest.mark.parametrize("spec", sorted(_SPECS))
 @pytest.mark.parametrize("engine, sub", sorted(_ACCEPTS))
 def test_engine_table_spec_matrix(engine, sub, spec, capsys):
-    argv = [sub, "--engine", engine, *_SPECS[spec], "--auto-interval", "--n", "4",
-            "--grid-n", "64"]
-    rc = main(argv)
+    argv = [sub, "--engine", engine, *_SPECS[spec], "--auto-interval", "--n", "4"]
+    rc = main(argv + (["--grid-n", "64"] if "grid_n" in cli.ENGINES[engine].reads else []))
     _check_grid(rc, capsys.readouterr(), None if spec in _ACCEPTS[(engine, sub)] else "")
+
+
+# setting -> its flag and two valid values that give different grids on an engine that reads it
+_SETTINGS = {
+    "rel_tol": ("--rel-tol", "1e-3", "1e-12"),
+    "cheb_nodes": ("--cheb-nodes", "5", "17"),
+    "grid_n": ("--grid-n", "32", "64"),
+}
+_ENGINE_SPECS = {"analytic": "std-ratio", "mellin": "std-ratio", "broda-kan": "std-ratio",
+                 "gil-pelaez": "dist"}
+
+
+def test_settings_cover_every_run_config_setting():
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"engine", "spec", "k"}
+    assert set(_SETTINGS) == fields and set(_ENGINE_SPECS) == set(cli.ENGINES)
+
+
+@pytest.mark.parametrize("setting", sorted(_SETTINGS))
+@pytest.mark.parametrize("engine", sorted(cli.ENGINES))
+def test_an_engine_reads_each_setting_it_declares_and_refuses_the_rest(engine, setting, capsys):
+    flag, *values = _SETTINGS[setting]
+    argv = ["pdf", "--engine", engine, *_SPECS[_ENGINE_SPECS[engine]], "--interval", "-0.5", "1.5",
+            "--n", "5", flag]
+    if setting not in cli.ENGINES[engine].reads:
+        for value in values:
+            _check_grid(main(argv + [value]), capsys.readouterr(), f"{flag}: not read by the "
+                        f"{engine} engine")
+        return
+    outs = []
+    for value in values:
+        assert main(argv + [value]) == 0, capsys.readouterr().err
+        outs.append(capsys.readouterr().out)
+    assert outs[0] != outs[1]
+
+
+@pytest.mark.parametrize("flag", [["--n", "7"], ["--rel-tol", "0.5"], ["--cheb-nodes", "2"],
+                                  ["--grid-n", "3"], ["--interval", "0", "1"], ["--auto-interval"]],
+                         ids=lambda flag: flag[0])
+def test_interval_refuses_the_flags_it_does_not_read(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["interval", "--std-ratio", "1.5", "1", *flag])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("methods, flags, refused", [
+    (["analytic"], ["--grid-n", "0", "--cheb-nodes", "0"], "--cheb-nodes, --grid-n"),
+    (["analytic", "broda-kan"], ["--rel-tol", "1e-3"], "--rel-tol"),
+    ([], ["--grid-n", "64"], "--grid-n"),
+    (["mellin-de", "broda-kan"], ["--cheb-nodes", "17"], "--cheb-nodes"),
+])
+def test_bench_refuses_a_setting_none_of_its_methods_takes(methods, flags, refused, tmp_path,
+                                                            monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("bench ran an experiment before checking its settings")
+
+    monkeypatch.setattr(bench, "run_experiment", refuse)
+    out = tmp_path / "b.csv"
+    argv = ["bench", "--std-ratio", "1.5", "1", *flags, "--out", str(out)]
+    assert main(argv + [f"--method={m}" for m in methods]) == 1
+    assert capsys.readouterr().err == f"error: {refused}: not read by any --method\n"
+    assert not out.exists()
 
 
 # one spec of each family of cli._FAMILIES; the explicit interval keeps clear of

@@ -399,6 +399,14 @@ def test_grid_single_point(accel):
     assert math.isclose(vals[0], ratio_pdf(f, f, 0.5), rel_tol=1e-14)
 
 
+@pytest.mark.parametrize("grid, n_nodes", [([0.5], 0), ([0.5, 0.5], -3)])
+def test_grid_refuses_a_bad_node_count_at_any_grid_size(grid, n_nodes):
+    # one point, or two equal ones, needs no interpolant, and the count is still checked
+    f = normal_density(0.0, 1.0)
+    with pytest.raises(InvalidParamsError, match="2\\^k\\+1"):
+        ratio_pdf_grid(f, f, grid, accel=Chebyshev(n_nodes))
+
+
 def test_chebyshev_accel_matches_direct():
     f1, f2 = normal_density(1.5, 1.0), normal_density(1.0, 1.0)
     lo, hi = evaluation_interval(StdRatioParams(1.5, 1.0), 2.0)
