@@ -7,7 +7,8 @@ That map, ``METHODS``, sits beside ``ENGINES`` in ``cli``; this module imports
 ``cli`` for both and re-exports ``METHODS``.
 The entry's set-up, given a ``cli.RunConfig`` whose spec is the normal
 pair N(a, 1)/N(b, 1) of the standardized-ratio parameters and the
-evaluation grid, returns the engine's evaluators; its pdf is a zero-argument
+evaluation grid (the bench command's is the window of ``pdf --auto-interval``
+on any engine), returns the engine's evaluators; its pdf is a zero-argument
 callable producing the full PDF grid.  The set-up is the setup phase
 (interpolant building lives there) and is timed separately from the
 realizations, which each call the pdf evaluator once.  One untimed warm-up
@@ -144,7 +145,7 @@ def run_experiment(
 
     sr = _as_params(params)
     xs = np.linspace(lo, hi, n_points)
-    cfg = RunConfig(engine, Spec.std_ratio(sr), **{**takes, **opts})  # type: ignore[arg-type]
+    cfg = RunConfig(Spec.std_ratio(sr), **{**takes, **opts})  # type: ignore[arg-type]
 
     t0 = time.perf_counter()
     evaluate = ENGINES[engine].setup(cfg, xs)[0]

@@ -1,7 +1,7 @@
 """Command-line interface over the ratio-distribution engines.
 
 Subcommands: pdf and cdf write x,value CSV; modality prints the shape
-verdict; interval prints the chosen evaluation window; bench runs the
+verdict; interval prints the --auto-interval window; bench runs the
 timed accuracy protocol and exports records to the file named by --out
 (bench needs --out, in a directory that exists; it checks both before
 running anything).
@@ -15,22 +15,24 @@ gives each spec family's density (a factory of mellin) and CF (of cf).
 Engines live in one table, ENGINES, keyed by the --engine id: analytic
 (closed forms), mellin (DE Mellin convolution, densities only), broda-kan
 (2D CF inversion) and gil-pelaez (1D CF inversion).  Each entry states the
-spec kinds it takes, its set-up, whether it has a CDF (mellin has none), the
-default k of a normal spec's --auto-interval window and the RunConfig settings
-it reads (a flag it does not read, such as --grid-n, is refused).  A set-up
+spec kinds it takes, its set-up, whether it has a CDF (mellin has none) and
+the RunConfig settings it reads (a flag it does not read, such as --grid-n, is
+refused); a RunConfig holds the spec and exactly those settings.  A set-up
 reads a RunConfig and the grid, does the one-time work once (densities, CFs,
 auto_grid, the Chebyshev build) and returns (pdf, cdf), two zero-argument
 evaluators for the whole grid (cdf is None for mellin); pdf and cdf run one
-set-up per command, and the bench times the same set-up and its pdf.  Every
-engine's --auto-interval window is mean +/- k practical sd
-(normal_ratio.sd_window), or mean +/- k sd of a --dist law, from the exact
-mean and sd of the factors: a normal spec's parameters or each factor's
-DensityFn.moments; Cauchy has none.  A num-den window is cut to the support
-of X1/X2 that the factors' DensityFn.support give, and a dist window to its
-law's support.  Every subcommand computes its whole output first and then
-writes it once.  Bad specs, bad settings and engine errors exit with status 1
-and a one-line diagnostic on stderr; a warning, such as an engine's
-AccuracyWarning, is one "warning: <message>" line there.
+set-up per command, and the bench times the same set-up and its pdf.  The
+window belongs to the spec, not the engine: pdf, cdf, interval and bench all
+take it from _choose_interval.  The --auto-interval window is mean +/- k
+practical sd (normal_ratio.sd_window), or mean +/- k sd of a --dist law
+(k = 2 for a normal spec, 6 otherwise), from the exact mean and sd of the
+factors: a normal spec's parameters or each factor's DensityFn.moments;
+Cauchy has none.  A num-den window is cut to the support of X1/X2 that the
+factors' DensityFn.support give, and a dist window to its law's support.
+Every subcommand computes its whole output first and then writes it once.
+Bad specs, bad settings and engine errors exit with status 1 and a one-line
+diagnostic on stderr; a warning, such as an engine's AccuracyWarning, is one
+"warning: <message>" line there.
 
 This module imports normal_ratio (spec parsing and the analytic engine use
 it) and no other engine: a set-up or factor lookup imports mellin or cf and
@@ -101,11 +103,9 @@ class Spec(NamedTuple):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """What an engine reads: its id, the distribution and its settings."""
+    """What an engine reads: the distribution and the settings that Engine.reads names."""
 
-    engine: str
     spec: Spec
-    k: Optional[float] = None
     rel_tol: float = 1e-10
     cheb_nodes: Optional[int] = None
     grid_n: int = 500
@@ -182,23 +182,24 @@ def _ratio_support(num: Support, den: Support) -> Tuple[float, float]:
     return min(corners), max(corners)
 
 
-def _window(cfg: RunConfig) -> Tuple[float, float]:
+def _window(spec: Spec, k: Optional[float]) -> Tuple[float, float]:
     """--auto-interval from the factors' exact moments, cut to the support of
     the ratio for a num-den spec and of the law for a dist spec; k defaults to
-    the engine's normal_k for a normal spec and to 6 for any other."""
-    if cfg.spec.kind == "normal":
+    2 for a normal spec and to 6 for any other."""
+    if k is None:
+        k = 2.0 if spec.kind == "normal" else 6.0
+    if spec.kind == "normal":
         # the sds as given: sigma^2 underflows to 0 below about 1.5e-154
-        p, k = cfg.spec.value, ENGINES[cfg.engine].normal_k if cfg.k is None else cfg.k
+        p = spec.value
         return normal_ratio.sd_window((p.mu1, p.sigma1), (p.mu2, p.sigma2), k)
-    k = 6.0 if cfg.k is None else cfg.k
-    specs = cfg.spec.value if cfg.spec.kind == "num-den" else [cfg.spec.value]
+    specs = spec.value if spec.kind == "num-den" else [spec.value]
     densities = [_factor(s, _DENSITY) for s in specs]
     moments = [d.moments for d in densities]
     if None in moments:
         family = specs[moments.index(None)][0]
         raise InvalidParamsError(f"{family} has no mean or variance; pass --interval")
     sds = [(mu, math.sqrt(var)) for mu, var in moments]
-    if cfg.spec.kind == "dist":
+    if spec.kind == "dist":
         (mu, sd), support = sds[0], densities[0].support
         lo, hi, s_lo, s_hi = mu - k * sd, mu + k * sd, support.lo, support.hi
     else:
@@ -257,23 +258,22 @@ def _gil_pelaez(cfg: RunConfig, xs: np.ndarray) -> Tuple[Evaluator, Evaluator]:
 
 
 class Engine(NamedTuple):
-    """One --engine id: the spec kinds it takes, its set-up, whether it has a CDF, the
-    default k of a normal spec's --auto-interval window and the RunConfig settings it reads."""
+    """One --engine id: the spec kinds it takes, its set-up, whether it has a CDF and the
+    RunConfig settings it reads."""
 
     takes: FrozenSet[str]
     setup: Setup
     cdf: bool
-    normal_k: float
     reads: FrozenSet[str] = frozenset()
 
 
 _TWO_FACTORS = frozenset({"normal", "num-den"})
 
 ENGINES: Dict[str, Engine] = {
-    "analytic": Engine(frozenset({"normal"}), _analytic, True, 2.0),
-    "mellin": Engine(_TWO_FACTORS, _mellin, False, 2.0, frozenset({"rel_tol", "cheb_nodes"})),
-    "broda-kan": Engine(_TWO_FACTORS, _broda_kan, True, 6.0, frozenset({"grid_n"})),
-    "gil-pelaez": Engine(frozenset({"dist"}), _gil_pelaez, True, 6.0, frozenset({"rel_tol"})),
+    "analytic": Engine(frozenset({"normal"}), _analytic, True),
+    "mellin": Engine(_TWO_FACTORS, _mellin, False, frozenset({"rel_tol", "cheb_nodes"})),
+    "broda-kan": Engine(_TWO_FACTORS, _broda_kan, True, frozenset({"grid_n"})),
+    "gil-pelaez": Engine(frozenset({"dist"}), _gil_pelaez, True, frozenset({"rel_tol"})),
 }
 
 # bench method id -> (engine id in ENGINES, the settings it takes, with defaults)
@@ -295,28 +295,18 @@ def _given(args: argparse.Namespace, reads: FrozenSet[str], reader: str) -> Dict
     return given
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    """The spec and the settings given; the engine must take the spec and read each setting."""
-    if args.k is not None and not args.k > 0.0:
-        raise InvalidParamsError(f"--k must be > 0, got {args.k!r}")
-    given = _given(args, ENGINES[args.engine].reads, f"the {args.engine} engine")
-    cfg = RunConfig(args.engine, _spec(args), args.k, **given)
-    takes = ENGINES[cfg.engine].takes
-    if cfg.spec.kind not in takes:
-        raise InvalidParamsError(
-            f"the {cfg.engine} engine takes {' or '.join(_FLAGS[k] for k in sorted(takes))}, "
-            f"not {_FLAGS[cfg.spec.kind]}"
-        )
-    return cfg
-
-
-def _choose_interval(cfg: RunConfig, interval: Optional[List[float]], auto: bool
-                     ) -> Tuple[float, float]:
-    """Explicit --interval wins; otherwise the auto window.  Either must be
-    finite with lo < hi (a huge --k overflows the auto window)."""
+def _choose_interval(spec: Spec, interval: Optional[List[float]], k: Optional[float],
+                     auto: bool) -> Tuple[float, float]:
+    """The explicit interval, or when auto the window of spec at half-width k.
+    Either must be finite with lo < hi (a huge --k overflows the window)."""
+    sizers = [flag for flag, v in (("--auto-interval", auto), ("--k", k is not None)) if v]
+    if interval is not None and sizers:
+        raise InvalidParamsError(f"pass --interval or {' and '.join(sizers)}, not both")
+    if k is not None and not k > 0.0:
+        raise InvalidParamsError(f"--k must be > 0, got {k!r}")
     if interval is None and not auto:
         raise InvalidParamsError("pass --interval LO HI or --auto-interval")
-    lo, hi = interval if interval is not None else _window(cfg)
+    lo, hi = interval if interval is not None else _window(spec, k)
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise InvalidParamsError(f"interval must be finite with lo < hi, got ({lo!r}, {hi!r})")
     return lo, hi
@@ -334,13 +324,17 @@ def cmd_grid(args: argparse.Namespace) -> int:
     """pdf or cdf (the subcommand) on --n points of the interval."""
     if args.n_points < 0:
         raise InvalidParamsError(f"--n must be >= 0, got {args.n_points!r}")
-    cfg = _run_config(args)
-    engine = ENGINES[cfg.engine]
+    engine = ENGINES[args.engine]
+    cfg = RunConfig(_spec(args), **_given(args, engine.reads, f"the {args.engine} engine"))
+    if cfg.spec.kind not in engine.takes:
+        takes = " or ".join(_FLAGS[k] for k in sorted(engine.takes))
+        raise InvalidParamsError(f"the {args.engine} engine takes {takes}, "
+                                 f"not {_FLAGS[cfg.spec.kind]}")
     if args.subcommand == "cdf" and not engine.cdf:
         raise InvalidParamsError(
-            f"the {cfg.engine} engine computes densities only; use cdf with another engine"
+            f"the {args.engine} engine computes densities only; use cdf with another engine"
         )
-    lo, hi = _choose_interval(cfg, args.interval, args.auto_interval)
+    lo, hi = _choose_interval(cfg.spec, args.interval, args.k, args.auto_interval)
     xs = np.linspace(lo, hi, args.n_points)
     pdf, cdf = engine.setup(cfg, xs)  # run for an empty grid too, so spec errors still exit 1
     values = (cdf if args.subcommand == "cdf" else pdf)() if xs.size else xs
@@ -363,7 +357,7 @@ def cmd_modality(args: argparse.Namespace) -> int:
 
 
 def cmd_interval(args: argparse.Namespace) -> int:
-    lo, hi = _choose_interval(_run_config(args), None, True)
+    lo, hi = _choose_interval(_spec(args), None, args.k, True)
     _write(args.out, f"{lo:.17g},{hi:.17g}\n")
     return 0
 
@@ -380,8 +374,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         raise InvalidParamsError("bench needs --std-ratio A B")
     given = _given(args, frozenset().union(*(METHODS[m][1] for m in args.methods)), "any --method")
     sr = StdRatioParams(*args.std_ratio)
-    k = 2.0 if args.k is None else args.k
-    interval = args.interval or normal_ratio.sd_window((sr.a, 1.0), (sr.b, 1.0), k)
+    interval = _choose_interval(Spec.std_ratio(sr), args.interval, args.k, args.interval is None)
 
     def run(method: str, **opts: object) -> bench.BenchRecord:
         return bench.run_experiment(
@@ -417,12 +410,12 @@ def _add_dist_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_engine_args(p: argparse.ArgumentParser, grid: bool) -> None:
-    p.add_argument("--engine", choices=list(ENGINES), default="analytic")
     p.add_argument("--k", type=float, default=None,
-                   help="interval half-width in sd units (default 2 for a normal spec on "
-                        "the analytic and mellin engines, 6 otherwise)")
+                   help="auto-interval half-width in sd units (default 2 for a normal spec, "
+                        "6 otherwise)")
     p.add_argument("--out", default="-")
     if grid:  # the interval command reads none of these
+        p.add_argument("--engine", choices=list(ENGINES), default="analytic")
         p.add_argument("--interval", nargs=2, type=float, metavar=("LO", "HI"))
         p.add_argument("--auto-interval", action="store_true")
         p.add_argument("--n", type=int, default=1000, dest="n_points")

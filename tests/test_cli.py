@@ -271,17 +271,21 @@ def test_bench_json(tmp_path):
     assert {r["method_id"] for r in rows} == {"mellin-de@0.001", "analytic"}
 
 
-@pytest.mark.parametrize("a, b, window", [
-    ("0", "1", (-2.0, 2.0)),  # a = 0: no practical moments of the standardized ratio
-    ("1", "0", (-2.0, 3.0)),  # b = 0: the union of the factors' 2-sd windows
-    ("1.5", "1", evaluation_interval(StdRatioParams(1.5, 1.0), 2.0)),
-])
-def test_bench_default_window_is_the_interval_window(a, b, window, tmp_path, capsys):
+@pytest.mark.parametrize("a, b, window, method", [
+    ("0", "1", (-2.0, 2.0), "analytic"),  # a = 0: no practical moments of the standardized ratio
+    ("1", "0", (-2.0, 3.0), "analytic"),  # b = 0: the union of the factors' 2-sd windows
+    ("1.5", "1", evaluation_interval(StdRatioParams(1.5, 1.0), 2.0), "analytic"),
+    ("1.5", "1", evaluation_interval(StdRatioParams(1.5, 1.0), 2.0), "broda-kan"),
+    ("1.5", "1", evaluation_interval(StdRatioParams(1.5, 1.0), 2.0), "mellin-de-cheb"),
+], ids=["0-1-window0", "1-0-window1", "1.5-1-window2", "1.5-1-broda-kan", "1.5-1-mellin-de-cheb"])
+def test_bench_default_window_is_the_interval_window(a, b, window, method, tmp_path, capsys):
+    # every method times the grid of pdf --auto-interval on the same spec, whatever its engine
     assert main(["interval", "--std-ratio", a, b]) == 0
     assert capsys.readouterr().out == f"{window[0]:.17g},{window[1]:.17g}\n"
     out = tmp_path / "bench.csv"
-    rc = main(["bench", "--std-ratio", a, b, "--method", "analytic", "--n", "5", "--runs", "1",
-               "--reps", "10", "--out", str(out)])
+    settings = {"broda-kan": ["--grid-n", "64"], "mellin-de-cheb": ["--cheb-nodes", "17"]}
+    rc = main(["bench", "--std-ratio", a, b, "--method", method, *settings.get(method, []),
+               "--n", "5", "--runs", "1", "--reps", "10", "--out", str(out)])
     assert rc == 0
     rows = list(csv.DictReader(out.read_text().splitlines()))
     assert {(float(r["lo"]), float(r["hi"])) for r in rows} == {window}
@@ -311,8 +315,7 @@ _HAKE = ["40", "65", "15", "18", "0.5", "50"]
         ["cdf", "--engine", "broda-kan", "--biv", "1", "2", "1", "1", "0",
          "--num", "normal", "0", "1", "--den", "chisq", "5", "--interval", "0", "1", "--n", "2"],
         ["modality", "--std-ratio", "1.5", "1", "--dist", "normal", "0", "1"],
-        ["interval", "--engine", "gil-pelaez", "--dist", "normal", "0", "1", "--num", "normal",
-         "0", "1"],
+        ["interval", "--dist", "normal", "0", "1", "--num", "normal", "0", "1"],
         ["pdf", "--engine", "mellin", "--num", "normal", "0", "1", "--interval", "0", "1"],
         # bad values, each on a spec's own flags
         ["pdf", "--std-ratio", "-1", "1", "--interval", "0", "1", "--n", "2"],
@@ -320,14 +323,14 @@ _HAKE = ["40", "65", "15", "18", "0.5", "50"]
         ["pdf", "--biv", "1", "2", "1", "1", "1.5", "--interval", "0", "1", "--n", "2"],
         ["pdf", "--hake", *_HAKE[:-1], "0", "--interval", "0", "1", "--n", "2"],
         ["pdf", "--hake", *_HAKE[:-1], "50.7", "--interval", "0", "1", "--n", "2"],
-        ["interval", "--engine", "broda-kan", "--hake", *_HAKE[:-1], "inf"],
+        ["interval", "--hake", *_HAKE[:-1], "inf"],
         ["pdf", "--engine", "broda-kan", "--num", "normal", "x", "1", "--den", "chisq", "5",
          "--auto-interval", "--n", "2"],
         ["pdf", "--engine", "gil-pelaez", "--dist", "chisq", "inf", "--auto-interval", "--n", "2"],
         # --n >= 0, and --k > 0 when given
         ["pdf", "--std-ratio", "1.5", "1", "--interval", "0", "1", "--n", "-3"],
         ["pdf", "--std-ratio", "1.5", "1", "--auto-interval", "--k", "0"],
-        ["interval", "--engine", "broda-kan", "--std-ratio", "1.5", "1", "--k", "-1"],
+        ["interval", "--std-ratio", "1.5", "1", "--k", "-1"],
         # the auto window must be finite, as --interval must
         ["interval", "--std-ratio", "1.5", "1", "--k", "1e308"],
         ["pdf", "--engine", "analytic", "--std-ratio", "1.5", "1", "--auto-interval",
@@ -339,13 +342,12 @@ _HAKE = ["40", "65", "15", "18", "0.5", "50"]
          "--n", "0", "--cheb-nodes", "0"],
         ["pdf", "--engine", "mellin", "--std-ratio", "1.5", "1", "--interval", "0", "1",
          "--n", "1", "--cheb-nodes", "0"],
-        # interval refuses a spec its engine does not take
-        ["interval", "--engine", "gil-pelaez", "--std-ratio", "1.5", "1"],
-        ["interval", "--engine", "analytic", "--num", "normal", "1", "1", "--den", "chisq", "5"],
+        # --interval sets the window, so --auto-interval and --k may not size another
+        ["pdf", "--std-ratio", "1.5", "1", "--interval", "0", "1", "--n", "2", "--auto-interval"],
+        ["cdf", "--std-ratio", "1.5", "1", "--interval", "0", "1", "--n", "2", "--k", "3"],
         # a Cauchy law has no moments to size a window from
-        ["interval", "--engine", "gil-pelaez", "--dist", "cauchy", "0", "1"],
-        ["interval", "--engine", "broda-kan", "--num", "normal", "1", "0.5", "--den", "cauchy",
-         "0.5", "1"],
+        ["interval", "--dist", "cauchy", "0", "1"],
+        ["interval", "--num", "normal", "1", "0.5", "--den", "cauchy", "0.5", "1"],
         # an empty grid still builds its engine, so a spec it refuses exits 1
         ["pdf", "--engine", "mellin", "--biv", "1.5", "1", "1", "1", "0.5",
          "--interval", "0", "1", "--n", "0"],
@@ -368,6 +370,35 @@ def test_errors_exit_one(argv, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pdf", "--std-ratio", "1.5", "1", "--interval", "0", "1", "--n", "2", "--k", "0.001"], "--k"),
+    (["pdf", "--std-ratio", "1.5", "1", "--interval", "0", "1", "--n", "2", "--auto-interval"],
+     "--auto-interval"),
+    (["bench", "--std-ratio", "1.5", "1", "--method", "analytic", "--interval", "0", "1",
+      "--k", "3"], "--k"),
+], ids=["pdf-k", "pdf-auto-interval", "bench-k"])
+def test_interval_refuses_a_second_window(argv, flag, tmp_path, capsys):
+    # --interval sets the window; a flag that would size another is refused, not ignored
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: pass --interval or {flag}, not both\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1", "nan"])
+@pytest.mark.parametrize("argv", [
+    ["pdf", "--std-ratio", "1.5", "1", "--auto-interval", "--n", "2"],
+    ["cdf", "--engine", "broda-kan", "--std-ratio", "1.5", "1", "--auto-interval", "--n", "2"],
+    ["interval", "--std-ratio", "1.5", "1"],
+    ["bench", "--std-ratio", "1.5", "1", "--method", "analytic"],
+], ids=lambda argv: argv[0])
+def test_every_command_gives_one_k_message(argv, k, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(argv + ["--k", k, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --k must be > 0, got {float(k)!r}\n"
+    assert not out.exists()
 
 
 def test_bench_without_a_spec_exits_one_and_writes_nothing(tmp_path, capsys):
@@ -395,7 +426,7 @@ _REPEATED = [
     ["pdf", "--engine", "analytic", "--std-ratio", "1.5", "1", "--auto-interval", "--n", "7"],
     ["cdf", "--engine", "analytic", "--hake", *_HAKE, "--auto-interval", "--n", "7"],
     ["modality", "--std-ratio", "3", "1.2", "--practical"],
-    ["interval", "--engine", "broda-kan", "--std-ratio", "1.5", "1"],
+    ["interval", "--num", "normal", "1", "0.5", "--den", "chisq", "5"],
     ["bench", "--std-ratio", "1.5", "1", "--method", "analytic", "--method", "mellin-de",
      "--rel-tol", "1e-3", "--interval", "-1", "1", "--n", "5", "--runs", "1", "--reps", "10",
      "--format", "json"],
@@ -426,7 +457,7 @@ def test_main_repeats_byte_identical_on_one_parser(tmp_path, capsys):
 
 def test_tiny_numerator_sd_runs_end_to_end(capsys):
     # sigma1 = 1e-170 squares to 0: the window comes from the sds themselves
-    assert main(["interval", "--engine", "analytic", "--biv", "1", "2", "1e-170", "1", "0"]) == 0
+    assert main(["interval", "--biv", "1", "2", "1e-170", "1", "0"]) == 0
     assert capsys.readouterr().out == "0,1\n"
     # X1 = 1 to within 1e-20: F(w) = P(1/X2 <= w), X2 ~ N(2, 1), on the window [0, 1]
     assert main(["cdf", "--engine", "analytic", "--biv", "1", "2", "1e-20", "1", "0",
@@ -470,22 +501,41 @@ def test_module_entry_point_exits_with_main(monkeypatch, capsys):
 
 
 def test_interval_broda_kan_hake(capsys):
-    # the window comes from the marginal normal CFs the Broda-Kan grid is built from
-    rc = main(["interval", "--engine", "broda-kan", "--hake", "40", "65", "15", "18", "0.5", "50"])
+    # a Broda-Kan grid on a Hake ratio spans the normal spec's k = 2 window, as every engine's does
+    rc = main(["pdf", "--engine", "broda-kan", "--hake", *_HAKE, "--auto-interval", "--n", "3",
+               "--grid-n", "64"])
     assert rc == 0
-    lo, hi = (float(v) for v in capsys.readouterr().out.strip().split(","))
-    assert abs(lo - 0.16445) <= 5e-6 and abs(hi - 0.66888) <= 5e-6
-    assert math.isclose(0.5 * (lo + hi), 25.0 / 60.0, rel_tol=1e-9)
+    lo, mid, hi = (x for x, _ in _rows(capsys.readouterr().out))
+    assert abs(lo - 0.33259) <= 5e-6 and abs(hi - 0.50074) <= 5e-6
+    assert math.isclose(mid, 25.0 / 60.0, rel_tol=1e-9)
 
 
-def test_interval_num_den_same_window_on_mellin_and_broda_kan(capsys):
-    # both engines size it from the factors' DensityFn.moments, k = 6
-    spec = ["--num", "normal", "1", "1", "--den", "chisq", "5"]
-    windows = []
-    for engine in ("mellin", "broda-kan"):
-        assert main(["interval", "--engine", engine] + spec) == 0
-        windows.append(capsys.readouterr().out)
-    assert windows[0] == windows[1]
+# name -> (spec kind, argv); the Hake ratio is correlated, so mellin refuses it
+_WINDOW_SPECS = {
+    "std-ratio": ("normal", ["--std-ratio", "1.5", "1"]),
+    "biv-rho-0": ("normal", ["--biv", "1", "2", "0.5", "0.7", "0"]),
+    "hake": ("normal", ["--hake", *_HAKE]),
+    "num-den": ("num-den", ["--num", "normal", "1", "1", "--den", "chisq", "5"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WINDOW_SPECS))
+def test_auto_window_is_the_same_on_every_engine_and_is_the_interval_window(name, capsys):
+    # the window belongs to the spec: every engine that takes it puts its pdf points on
+    # the same x column, bit for bit, and the column's ends are the window interval prints
+    kind, spec = _WINDOW_SPECS[name]
+    engines = [e for e, row in cli.ENGINES.items()
+               if kind in row.takes and (e, name) != ("mellin", "hake")]
+    assert len(engines) >= 2
+    columns = []
+    for engine in engines:
+        grid_n = ["--grid-n", "64"] if "grid_n" in cli.ENGINES[engine].reads else []
+        assert main(["pdf", "--engine", engine, *spec, "--auto-interval", "--n", "5",
+                     *grid_n]) == 0, capsys.readouterr().err
+        columns.append([ln.split(",")[0] for ln in capsys.readouterr().out.splitlines()[1:]])
+    assert all(column == columns[0] for column in columns)
+    assert main(["interval", *spec]) == 0
+    assert capsys.readouterr().out == f"{columns[0][0]},{columns[0][-1]}\n"
 
 
 _NORMAL_SPECS = [
@@ -499,22 +549,32 @@ _NORMAL_SPECS = [
 ]
 
 
+def _grid_ends(engine, argv, capsys):
+    """The first and last x of engine's two-point --auto-interval pdf grid."""
+    assert main(["pdf", "--engine", engine, *argv, "--auto-interval", "--n", "2"]) == 0
+    return tuple(x for x, _ in _rows(capsys.readouterr().out))
+
+
 @pytest.mark.parametrize("k", [None, 3.7])
 @pytest.mark.parametrize("spec, params", _NORMAL_SPECS)
 @pytest.mark.parametrize("engine", ["analytic", "mellin"])
 def test_interval_normal_spec_equals_evaluation_interval(engine, spec, params, k, capsys):
-    # the factors' means and sds through cf.sd_window give evaluation_interval bit for bit
+    # the factors' means and sds through cf.sd_window give evaluation_interval bit for
+    # bit, in interval and in the grid of an engine that takes the spec
     given = [] if k is None else ["--k", str(k)]
-    assert main(["interval", "--engine", engine, *spec, *given]) == 0
+    assert main(["interval", *spec, *given]) == 0
     lo, hi = evaluation_interval(params, 2.0 if k is None else k)
     assert capsys.readouterr().out == f"{lo:.17g},{hi:.17g}\n"
+    if engine == "analytic" or params.rho == 0.0:
+        assert _grid_ends(engine, [*spec, *given], capsys) == (lo, hi)
 
 
 @pytest.mark.parametrize("engine", ["analytic", "mellin"])
 def test_interval_zero_denominator_mean_takes_union_window(engine, capsys):
     # mu2 = 0 has no practical moments: the union of N(1,1) and N(0,1) +/- 2 sd
-    assert main(["interval", "--engine", engine, "--std-ratio", "1", "0"]) == 0
+    assert main(["interval", "--std-ratio", "1", "0"]) == 0
     assert capsys.readouterr().out == "-2,3\n"
+    assert _grid_ends(engine, ["--std-ratio", "1", "0"], capsys) == (-2.0, 3.0)
 
 
 def test_mellin_auto_interval_uniform_ratio(capsys):
@@ -540,7 +600,7 @@ def test_mellin_auto_interval_uniform_ratio(capsys):
     (["uniform", "1", "2"], ["normal", "1", "1"], (-math.inf, math.inf)),
 ])
 def test_auto_interval_is_cut_to_the_ratio_support(num, den, support, capsys):
-    assert main(["interval", "--engine", "mellin", "--num", *num, "--den", *den]) == 0
+    assert main(["interval", "--num", *num, "--den", *den]) == 0
     got = tuple(float(v) for v in capsys.readouterr().out.split(","))
     moments = [cli._factor(s, cli._DENSITY).moments for s in (num, den)]
     lo, hi = sd_window(*[(mu, math.sqrt(var)) for mu, var in moments], 6.0)
@@ -549,7 +609,7 @@ def test_auto_interval_is_cut_to_the_ratio_support(num, den, support, capsys):
 
 def test_interval_gil_pelaez_normal_reads_exact_moments(capsys):
     # the CF's own moments, not the h = 1e-4 stencil (off by 3.7e-6 of the width)
-    assert main(["interval", "--engine", "gil-pelaez", "--dist", "normal", "0.3", "0.05"]) == 0
+    assert main(["interval", "--dist", "normal", "0.3", "0.05"]) == 0
     lo, hi = (float(v) for v in capsys.readouterr().out.strip().split(","))
     assert abs(lo - 0.0) <= 1e-15 and abs(hi - 0.6) <= 1e-15
 
@@ -560,7 +620,7 @@ def test_interval_gil_pelaez_normal_reads_exact_moments(capsys):
     (["normal", "1", "0.5"], (-2.0, 4.0)),  # a law on the real line keeps its moment window
 ], ids=["chisq", "uniform", "normal"])
 def test_dist_auto_interval_is_cut_to_the_law_support(dist, window, capsys):
-    assert main(["interval", "--engine", "gil-pelaez", "--dist", *dist]) == 0
+    assert main(["interval", "--dist", *dist]) == 0
     assert tuple(float(v) for v in capsys.readouterr().out.split(",")) == window
 
 
@@ -658,8 +718,14 @@ _ENGINE_SPECS = {"analytic": "std-ratio", "mellin": "std-ratio", "broda-kan": "s
 
 
 def test_settings_cover_every_run_config_setting():
-    fields = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"engine", "spec", "k"}
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)} - {"spec"}
     assert set(_SETTINGS) == fields and set(_ENGINE_SPECS) == set(cli.ENGINES)
+
+
+def test_run_config_holds_only_what_an_engine_reads():
+    # a field that no engine reads has no place in RunConfig
+    reads = frozenset().union(*(engine.reads for engine in cli.ENGINES.values()))
+    assert {f.name for f in dataclasses.fields(cli.RunConfig)} == {"spec"} | reads
 
 
 @pytest.mark.parametrize("setting", sorted(_SETTINGS))
@@ -681,7 +747,8 @@ def test_an_engine_reads_each_setting_it_declares_and_refuses_the_rest(engine, s
 
 
 @pytest.mark.parametrize("flag", [["--n", "7"], ["--rel-tol", "0.5"], ["--cheb-nodes", "2"],
-                                  ["--grid-n", "3"], ["--interval", "0", "1"], ["--auto-interval"]],
+                                  ["--grid-n", "3"], ["--interval", "0", "1"], ["--auto-interval"],
+                                  ["--engine", "analytic"]],
                          ids=lambda flag: flag[0])
 def test_interval_refuses_the_flags_it_does_not_read(flag):
     with pytest.raises(SystemExit) as exc:
@@ -755,7 +822,7 @@ def test_grid_rows_are_written_as_per_row_formatting_writes_them(monkeypatch, tm
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2250738585072014e-308,
                         1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 123456789.0])
     engine = cli.Engine(frozenset({"normal"}), lambda cfg, xs: (lambda: special[:xs.size], None),
-                        False, 2.0)
+                        False)
     monkeypatch.setitem(cli.ENGINES, "analytic", engine)
     out = tmp_path / "grid.csv"
     assert main(["pdf", "--std-ratio", "1", "2", "--interval", "1e-300", "1e300",

@@ -145,8 +145,8 @@ _COMMANDS = {
     "broda-kan-num-den-window": (["pdf", "--engine", "broda-kan", "--num", "normal", "1", "0.5",
                                   "--den", "chisq", "5", "--auto-interval", "--n", "5",
                                   "--grid-n", "64"], _CF | _MELLIN),
-    "interval-num-den": (["interval", "--engine", "broda-kan", "--num", "normal", "1", "0.5",
-                          "--den", "chisq", "5"], _MELLIN),
+    "interval-num-den": (["interval", "--num", "normal", "1", "0.5", "--den", "chisq", "5"],
+                         _MELLIN),
     "gil-pelaez-dist-window": (["cdf", "--engine", "gil-pelaez", "--dist", "normal", "0", "1",
                                 "--auto-interval", "--n", "5"], _CF | _MELLIN),
 }
