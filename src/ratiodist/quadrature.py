@@ -18,7 +18,7 @@ its Jacobian sc (x - a)/z.  Every map ends where its weight is 0: the tables
 past _T_LIMIT, and a power row also where its nodes overflow.  A new map
 kind plugs in at _T_LIMIT, _table and _Lanes, and a location or scale of a
 map at _Lanes; callers name the interval and, for a half-line row, an
-optional power map.
+optional power map: one per row, or one for every half-line row.
 
 Refinement halves the step h, at most 18 times (max_levels), and evaluates
 only the new odd-index nodes; previous work is reused through I_new =
@@ -69,8 +69,10 @@ as the one or two rows of a single point, keep Python floats per lane
 evaluation count, levels and errors do not depend on the block size.
 
 A row's nodes depend on its interval and power map alone, so rows of one
-integrand call that share an interval (lo and hi) and are not power rows
-get identical rows of x, in every call.
+integrand call that share an interval (lo and hi) get identical rows of x,
+in every call, unless they take a power map per row.  A scalar power map,
+one for every half-line row, forms x - lo and the weights on one node row
+and broadcasts them, so its rows that share lo get identical rows too.
 An integrand may rely on that: a factor that depends on x but not on the
 row needs evaluating on one row of x only.  A non-finite value at a summed
 node raises IntegrandError carrying the batch index of its row, so a caller
@@ -125,8 +127,8 @@ _BLOCK_CELLS = 32_768
 _SMALL_ROWS = 12
 
 # A row integrand: given the batch indices of the rows in x, the values at x.
-# Rows of one call that share an interval (lo and hi) and are not power rows
-# get identical rows of x.
+# Rows of one call that share an interval (lo and hi) and take no per-row
+# power map get identical rows of x.
 RowIntegrand = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -224,7 +226,9 @@ class _Lanes:
     """The map of a batch of rows, one lane per t-side of each row.
 
     Lanes [0, m) are the t > 0 sides of the m rows, lanes [m, 2m) their
-    t < 0 sides.
+    t < 0 sides.  A power map is a pair of arrays (c, sc) over the batch,
+    or one pair of scalars for every row, whose x - lo and weights nodes
+    forms on one node row and broadcasts.
     """
 
     def __init__(self, kind: str, lo: np.ndarray, hi: np.ndarray, rows: np.ndarray, power):
@@ -241,11 +245,13 @@ class _Lanes:
         elif kind == "real":  # the half-line path, on the real-line table
             self.x0, self.base = np.zeros(m), np.zeros(2 * m)
         elif kind == "power":
-            c, sc = power[0][rows], power[1][rows]
+            self.one = np.ndim(power[0]) == 0  # one scalar map for every row
+            c, sc = map(float, power) if self.one else (power[0][rows], power[1][rows])
             self.x0 = lo + c
-            self.w0 = _HALF_PI * sc * c
+            self.w0 = np.broadcast_to(_HALF_PI * sc * c, (m,))
             self.base = np.concatenate([lo, lo])
-            self.c, self.sc = np.concatenate([c, c]), np.concatenate([sc, sc])
+            self.c, self.sc = (c, sc) if self.one else (np.concatenate([c, c]),
+                                                         np.concatenate([sc, sc]))
         else:
             halfw = 0.5 * (hi - lo)
             self.x0 = 0.5 * (lo + hi)
@@ -260,8 +266,9 @@ class _Lanes:
         if self.kind in ("half", "real"):
             return self.base[sel, None] + tab.off[side, a:b], tab.w[side, a:b]
         if self.kind == "power":
-            z, sc = tab.off[side, a:b], self.sc[sel, None]
-            d = self.c[sel, None] * z ** sc  # x - lo, without cancellation
+            z = tab.off[side, a:b]
+            c, sc = (self.c, self.sc) if self.one else (self.c[sel, None], self.sc[sel, None])
+            d = c * z ** sc  # x - lo, without cancellation
             w = tab.w[side, a:b] * (sc * d / z)
             w[~np.isfinite(w)] = 0.0  # the map ends: d / z is 0/0 past the table, inf past overflow
             return self.base[sel, None] + d, w
@@ -651,9 +658,11 @@ def integrate_rows(F: RowIntegrand, lo, hi, cfg: QuadratureConfig, power=None) -
     line.  power, when given, is a pair of arrays (c, sc): a row on
     (lo, oo) with c[i] > 0 takes the power map x = lo + c z^sc on the
     exp-sinh nodes z instead, its t = 0 node at lo + c, and is swept with
-    the other power rows; sc is read on those rows only.  F(idx, x) returns
-    the integrand of rows idx at x, shape (len(idx), n); rows of one call
-    that share an interval and are not power rows get identical rows of x.
+    the other power rows; sc is read on those rows only.  A pair of scalars
+    (c > 0, sc) is one power map for every row on (lo, oo).  F(idx, x)
+    returns the integrand of rows idx at x, shape (len(idx), n); rows of
+    one call that share an interval get identical rows of x, unless power
+    is a pair of arrays and maps them.
     Every row must converge: NonConvergenceError otherwise, and
     IntegrandError, whose row is the failing row's index and whose node is
     the failing x, on any non-finite value at a summed node.

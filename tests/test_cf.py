@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import random
 import warnings
 
 import numpy as np
@@ -141,17 +142,18 @@ def test_cf_is_checked_once_when_built():
 
 
 def test_gil_pelaez_evaluates_one_cf_row_per_integrand_call(monkeypatch):
-    # every row spans (0, oo), so the rows of a call share their t nodes and
-    # phi is evaluated on one of them: CF values = one node row per call
+    # every row spans (0, oo) on one power map, so the rows of a call share
+    # their t nodes and phi is evaluated on one of them: CF values = one node
+    # row per call
     node_rows = []
     sweep = cf_module.integrate_rows
 
-    def recorded_sweep(F, lo, hi, cfg):
+    def recorded_sweep(F, lo, hi, cfg, power):
         def G(idx, t):
             assert (t == t[:1]).all()
             node_rows.append(t.shape[1])
             return F(idx, t)
-        return sweep(G, lo, hi, cfg)
+        return sweep(G, lo, hi, cfg, power)
 
     monkeypatch.setattr(cf_module, "integrate_rows", recorded_sweep)
     calls = []
@@ -176,15 +178,98 @@ def test_gil_pelaez_integrand_error_names_the_point(fn):
 
 @pytest.mark.parametrize("fn", [gil_pelaez_pdf, gil_pelaez_cdf])
 def test_gil_pelaez_non_convergence_names_the_point(fn):
-    # x = 0.5 and 2 converge and x = 1e3 does not: the error names 1e3 and
+    # x = 0.5 and 2 converge and x = 1e8 does not: the error names 1e8 and
     # carries that point's last value and error estimate
     with pytest.raises(NonConvergenceError) as one:
-        fn(normal_cf(1.0, 0.5), 1e3)
-    with pytest.raises(NonConvergenceError, match=r"at x=1000\.0: no convergence ") as exc:
-        fn(normal_cf(1.0, 0.5), np.array([0.5, 1e3, 2.0]))
+        fn(normal_cf(1.0, 0.5), 1e8)
+    with pytest.raises(NonConvergenceError, match=r"at x=100000000\.0: no convergence ") as exc:
+        fn(normal_cf(1.0, 0.5), np.array([0.5, 1e8, 2.0]))
     assert fn.__name__ in str(exc.value)
     assert (exc.value.value, exc.value.err) == (one.value.value, one.value.err)
     assert f"err_est={exc.value.err!r}, value={exc.value.value!r}" in str(exc.value)
+
+
+def test_gil_pelaez_far_point_converges_to_its_limit():
+    # 1998 sd from the mean of N(1, 0.5): on the CF's own scale the sweep
+    # converges (2.0e-15 and 1 - 2.7e-15); at unit scale it raised
+    cf = normal_cf(1.0, 0.5)
+    assert abs(gil_pelaez_pdf(cf, 1e3)) <= 1e-14
+    assert abs(gil_pelaez_cdf(cf, 1e3) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("fn", [gil_pelaez_pdf, gil_pelaez_cdf])
+@pytest.mark.parametrize("make", [normal_cf, cauchy_cf])
+def test_gil_pelaez_is_scale_invariant(make, fn, monkeypatch):
+    # the map sits at the CF's decay scale, so X -> sigma X moves every node
+    # with the law: sigma f(mu + sigma z) and F(mu + sigma z) are the unit
+    # law's values, from the same integrand calls on the same cells
+    from ratiodist import quadrature
+
+    sizes = []
+    call = quadrature._call
+
+    def recorded(F, idx, x):
+        sizes.append(x.size)
+        return call(F, idx, x)
+
+    monkeypatch.setattr(quadrature, "_call", recorded)
+    z = np.array([-3.0, -1.2, -0.3, 0.0, 0.4, 1.1, 2.5])
+    got = {}
+    for sigma in (1e-3, 1.0, 1e3):
+        sizes.clear()
+        v = fn(make(0.25 * sigma, sigma), sigma * (0.25 + z))
+        got[sigma] = (sigma * v if fn is gil_pelaez_pdf else v), (len(sizes), sum(sizes))
+    for sigma in (1e-3, 1e3):
+        assert np.max(np.abs(got[sigma][0] - got[1.0][0])) <= 1e-13
+        assert got[sigma][1] == got[1.0][1]
+
+
+def test_gil_pelaez_searches_the_decay_scale_of_a_cf_without_one():
+    # the array-only N(0,1) has no decay_scale: cf_decay_range finds it, and
+    # the map lands where normal_cf's closed form puts it
+    n0 = CharFn(lambda t: np.exp(-t * t / 2) * np.ones(t.shape), label="array-only N(0,1)")
+    xs = np.linspace(-4.0, 4.0, 17)
+    for fn in (gil_pelaez_pdf, gil_pelaez_cdf):
+        assert np.max(np.abs(fn(n0, xs) - fn(normal_cf(0.0, 1.0), xs))) <= 1e-13
+    point_mass = CharFn(lambda t: np.ones(np.shape(t), dtype=complex), label="point mass at 0")
+    for fn in (gil_pelaez_pdf, gil_pelaez_cdf):
+        with pytest.raises(UndecayedCFError, match="point mass at 0"):
+            fn(point_mass, np.array([0.5, 1.0]))
+
+
+def test_gil_pelaez_seeded_sweep_matches_closed_forms_or_raises():
+    # 120 seeded normal and Cauchy laws, |mu| in [1e-3, 1e3] and sigma or
+    # gamma in [1e-3, 1e3], 15 points each within 6 scales of mu: every
+    # density and CDF is within 1e-12 of its scale (1/sigma, 1) or raises
+    # NonConvergenceError naming a point.  The calls that raise are narrow
+    # normal densities (sigma < 0.011) off 0: e^{-itx} phi(t) cancels phases
+    # up to |mu| T = 5e3 to 7e5, whose rounding, eps |mu| T, passes the
+    # 1e-12 tolerance.  8 of the 240 calls raise; on the unit-scale map 9 did
+    rng = random.Random(33)
+    raised = []
+    for i in range(120):
+        mu = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.0)
+        s = 10.0 ** rng.uniform(-3.0, 3.0)
+        xs = mu + s * np.array(sorted(rng.uniform(-6.0, 6.0) for _ in range(15)))
+        z = (xs - mu) / s
+        if i % 2:
+            law = cauchy_cf(mu, s)
+            want = (1.0 / (math.pi * s * (1.0 + z * z)),
+                    np.array([0.5 + math.atan(v) / math.pi for v in z.tolist()]))
+        else:
+            law = normal_cf(mu, s)
+            want = (np.exp(-0.5 * z * z) / (s * math.sqrt(2.0 * math.pi)),
+                    np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()]))
+        for fn, w, scale in ((gil_pelaez_pdf, want[0], 1.0 / s), (gil_pelaez_cdf, want[1], 1.0)):
+            try:
+                got = fn(law, xs)
+            except NonConvergenceError as exc:
+                assert f"{fn.__name__} at x=" in str(exc)
+                raised.append((i, fn.__name__))
+                continue
+            assert np.max(np.abs(got - w)) <= 1e-12 * scale, (i, fn.__name__)
+    assert len(raised) <= 8
+    assert all(i % 2 == 0 and name == "gil_pelaez_pdf" for i, name in raised)
 
 
 def test_cf_engines_evaluate_no_cf_at_infinite_points():

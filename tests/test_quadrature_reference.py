@@ -226,6 +226,34 @@ def test_power_row_ends_where_its_nodes_overflow(n):
     assert np.all(np.abs(got.value - math.gamma(0.1)) <= 1e-3 * math.gamma(0.1))
 
 
+# the Gil-Pelaez density integrand of N(0, 1) at x = 0.7 on its map t = T z^(1/2),
+# T = sqrt(2 ln 1e14), and its integral sqrt(pi/2) e^(-0.7^2/2)
+_GP_ROW = (lambda t: np.exp(-0.5 * t * t) * np.cos(0.7 * t),
+           (0.0, math.sqrt(2.0 * math.log(1e14)), 0.5), math.sqrt(_HALF_PI) * math.exp(-0.245))
+
+
+@pytest.mark.parametrize("n", [1, quadrature._SMALL_ROWS + 1])
+@pytest.mark.parametrize("name", sorted(POWER) + ["gil-pelaez"])
+def test_scalar_power_map_sums_the_reference_nodes(name, n):
+    # one scalar (c, sc) maps every half-line row: each row sums exactly the
+    # reference's power nodes, and the rows, which share lo, see one row of x
+    # in every call.  One row takes the small-block sweep, _SMALL_ROWS + 1 the
+    # array sweep
+    f, (lo, c, sc), exact = _GP_ROW if name == "gil-pelaez" else POWER[name]
+    cfg = QuadratureConfig(rel_tol=1e-10)
+    want, n_evals, levels = reference_de_integrate(f, ("power", lo, math.inf, c, sc), cfg)
+
+    def F(idx, x):
+        assert (x == x[:1]).all()
+        return f(x)
+
+    got = integrate_rows(F, np.full(n, lo), np.full(n, math.inf), cfg, (c, sc))
+    assert (got.levels == levels).all() and (got.n_evals == n_evals).all()
+    assert np.all(np.abs(got.value - want) <= 1e-15 * abs(want))
+    if exact is not None:
+        assert abs(want - exact) <= 1e-14 * exact
+
+
 @pytest.mark.parametrize("rel_tol", [1e-10, 1e-3])
 def test_mixed_batch_rows_match_single_rows(rel_tol, monkeypatch):
     # every case as rows of one batch, all four maps interleaved and each map
