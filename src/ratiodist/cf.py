@@ -9,14 +9,14 @@ evaluated by double-exponential (DE) quadrature on the CF's own scale: the
 power map t = T z^(1/2) on the half-line (exp-sinh) nodes z, with T the
 decay scale past which |phi| < 1e-14 (CharFn.decay_scale, or
 cf_decay_range's search when the CF has none).  Its t = 0 node sits at T
-and its t < 0 side covers (0, T), where the integrand lives.  At unit scale
-(t = z) the t < 0 side spent about three quarters of each row's nodes
-resolving t -> 0, where Re[e^{-itx} phi(t)] is flat, and the cost grew as
-the law narrowed: N(0, 1e-3) on 41 points of +-3 sd took 100,205 integrand
-cells, against 7,421 on its own scale.  T scales as 1/sigma for a law of
-scale sigma, so sigma f(mu + sigma z), with mu/sigma fixed, makes the same
-integrand calls at every sigma.  The exponent 1/2 is _GP_SC: from 0.25 to 0.5 the cells and times
-stay within 20% of each other, and 1 takes 1.8-1.9x the cells of 1/2.
+and its t < 0 side covers (0, T), where the integrand lives, so the nodes
+move with the law: T scales as 1/sigma, and sigma f(mu + sigma z), with
+mu/sigma fixed, takes the same integrand calls at every sigma.  On the
+exp-sinh map at unit scale (t = z), 46% of a 101-point N(0, 1) grid's
+integrand cells lay below t = 0.05, where Re[e^{-itx} phi(t)] is flat, and
+a narrow law cost more: 41 points of N(0, 1e-3) took 13.5x the cells.  The
+exponent 1/2 (_GP_SC) is a measured choice: from 0.25 to 0.5 the cost stays
+within 20%, and 1 takes 1.8-1.9x the cells.
 
 Both take a float (giving a float) or a NumPy array of points (giving an
 array of its shape); each finite point is a row of one batch of the DE
@@ -113,7 +113,7 @@ _BARY = np.array([[(-1.0) ** i * math.comb(_TABLE_P - 1, i),
                    (-1.0) ** i * math.comb(_TABLE_P - 3, i - 1) if i else 0.0]
                   for i in range(_TABLE_P)])[:, :, None, None]
 _GP_CFG = QuadratureConfig(rel_tol=1e-12, abs_floor=1e-13)
-_GP_SC = 0.5  # the Gil-Pelaez map t = T z^sc: 0.25-0.5 cost about the same, 1 about twice as much
+_GP_SC = 0.5  # exponent of the Gil-Pelaez map t = T z^sc (module docstring)
 
 
 @dataclass(frozen=True)
@@ -291,11 +291,11 @@ def _gil_pelaez(cf: CharFn, x, part: Callable[[np.ndarray, np.ndarray], np.ndarr
 def gil_pelaez_pdf(cf: CharFn, x, cfg: QuadratureConfig = _GP_CFG):
     """Density at x from one CF by DE quadrature on the CF's own scale.
 
-    The nodes are t = T z^(1/2) on the exp-sinh nodes z, with T the decay
-    scale of the CF (see the module docstring): they sit where phi has
-    mass, whatever the law's scale, so a narrow law costs no more than a
-    wide one.  A CF without decay_scale has T searched by cf_decay_range,
-    which raises UndecayedCFError when |phi| does not decay (a point mass).
+    The nodes are t = T z^(1/2) on the exp-sinh nodes z, with T the CF's
+    decay scale (see the module docstring), so a narrow law costs no more
+    than a wide one.  A CF without decay_scale has T searched by
+    cf_decay_range, which raises UndecayedCFError for a CF that does not
+    decay, such as a point mass.
     The default cfg is tuned for rapidly decaying CFs.  A CF with only
     polynomial decay leaves the transformed integrand oscillatory over many
     scales; pass a looser tolerance (around 1e-8) and max_levels of 16-17.
