@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 
 # defining module -> the public names it gives the package
 _EXPORTS = {
-    "errors": """AccuracyWarning GridError IntegrandError InvalidParamsError NonConvergenceError
+    "errors": """AccuracyWarning IntegrandError InvalidParamsError NonConvergenceError
                  QuadratureError RatioDistError SingularProductError UndecayedCFError""",
     "special": "bvn_cdf erf erfc std_normal_cdf",
     "quadrature": """ChebInterpolant QuadratureConfig QuadratureResult cheb_build cheb_eval_many
@@ -29,7 +29,7 @@ _EXPORTS = {
                        evaluation_interval hake_params modality_curve normal_approx_cdf
                        practical_moments ratio_cdf ratio_pdf_hinkley ratio_pdf_phamgia
                        ratio_practical_moments std_ratio_cdf std_ratio_pdf to_standard""",
-    "mellin": """Chebyshev DensityFn Direct Support cauchy_density chi_square_density
+    "mellin": """Chebyshev DensityFn Support cauchy_density chi_square_density
                  normal_density product_pdf ratio_interpolant ratio_pdf ratio_pdf_grid
                  uniform_density""",
     "cf": """CharFn Grid2DConfig JointCharFn auto_grid bivariate_normal_joint_cf broda_kan_cdf
@@ -37,8 +37,8 @@ _EXPORTS = {
              chi_square_cf gil_pelaez_cdf gil_pelaez_pdf normal_cf product_joint_cf
              six_sigma_interval""",
     "oracle": """SampleSet Sampler chi_square_sampler ks_distance mc_ratio_samples normal_sampler
-                 reference_pdf_grid uniform_sampler""",
-    "bench": "BenchRecord eps_max export method_ids run_experiment",
+                 uniform_sampler""",
+    "bench": "BenchRecord eps_max export run_experiment",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

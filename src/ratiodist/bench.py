@@ -15,7 +15,7 @@ realizations, which each call the pdf evaluator once.  One untimed warm-up
 realization precedes the measured runs.  Timing uses the monotonic
 perf_counter clock; runtime_mean and runtime_cv pool all measured
 realizations, and eps_max comes from the final realization against the
-closed-form reference grid.
+closed form, normal_ratio.std_ratio_pdf, on the same grid.
 """
 
 from __future__ import annotations
@@ -31,15 +31,13 @@ import numpy as np
 
 from .cli import ENGINES, METHODS, RunConfig, Spec
 from .errors import InvalidParamsError
-from .normal_ratio import StdRatioParams
-from .oracle import reference_pdf_grid
+from .normal_ratio import StdRatioParams, std_ratio_pdf
 
 __all__ = [
     "BenchRecord",
     "BASELINE_METHOD",
     "BASELINE_REL_TOL",
     "METHODS",
-    "method_ids",
     "eps_max",
     "run_experiment",
     "export",
@@ -93,10 +91,6 @@ def eps_max(values: Sequence[float], reference: Sequence[float]) -> float:
     return float(np.max(np.abs(v - r)))
 
 
-def method_ids() -> Tuple[str, ...]:
-    return tuple(sorted(METHODS))
-
-
 def _as_params(params: Union[StdRatioParams, Tuple[float, float]]) -> StdRatioParams:
     if isinstance(params, StdRatioParams):
         return params
@@ -127,7 +121,7 @@ def run_experiment(
     """
     if method not in METHODS:
         raise InvalidParamsError(
-            f"unknown method {method!r}; registered: {', '.join(method_ids())}"
+            f"unknown method {method!r}; registered: {', '.join(sorted(METHODS))}"
         )
     engine, takes = METHODS[method]
     unknown = sorted(set(opts) - set(takes))
@@ -161,7 +155,7 @@ def run_experiment(
 
     mean_s = fmean(times)
     cv = pstdev(times) / mean_s if mean_s > 0.0 else 0.0
-    err = eps_max(values, reference_pdf_grid(sr.a, sr.b, xs))
+    err = eps_max(values, std_ratio_pdf(sr, xs))
 
     if isinstance(baseline, BenchRecord):
         baseline = baseline.runtime_mean_s
@@ -204,8 +198,8 @@ def _row(rec: BenchRecord) -> Dict[str, object]:
     }
 
 
-def export(records: Sequence[BenchRecord], format: str, path: str) -> None:
-    """Write records as CSV (fixed column schema) or JSON (same field names).
+def export(records: Sequence[BenchRecord], format: str) -> str:
+    """Records as CSV text (fixed column schema) or JSON text (same field names).
 
     CSV reals carry 17 significant digits and JSON reals their shortest repr;
     both round-trip 64-bit floats.
@@ -224,10 +218,7 @@ def export(records: Sequence[BenchRecord], format: str, path: str) -> None:
                     for c in CSV_COLUMNS.split(",")
                 )
             )
-        text = "\n".join(lines) + "\n"
-    elif fmt == "json":
-        text = json.dumps([_row(rec) for rec in records], indent=2) + "\n"
-    else:
-        raise InvalidParamsError(f"format must be 'csv' or 'json', got {format!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        return json.dumps([_row(rec) for rec in records], indent=2) + "\n"
+    raise InvalidParamsError(f"format must be 'csv' or 'json', got {format!r}")

@@ -87,7 +87,6 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .errors import (
-    GridError,
     IntegrandError,
     InvalidParamsError,
     NonConvergenceError,
@@ -181,11 +180,11 @@ class Grid2DConfig:
 
     def __post_init__(self) -> None:
         if self.N < 1 or int(self.N) != self.N:
-            raise GridError(f"N must be a positive integer, got {self.N!r}")
+            raise InvalidParamsError(f"N must be a positive integer, got {self.N!r}")
         if not (self.h1 > 0.0 and math.isfinite(self.h1)):
-            raise GridError(f"h1 must be positive and finite, got {self.h1!r}")
+            raise InvalidParamsError(f"h1 must be positive and finite, got {self.h1!r}")
         if not (self.h2 > 0.0 and math.isfinite(self.h2)):
-            raise GridError(f"h2 must be positive and finite, got {self.h2!r}")
+            raise InvalidParamsError(f"h2 must be positive and finite, got {self.h2!r}")
 
 
 def normal_cf(mu: float, sigma: float) -> CharFn:
@@ -602,7 +601,7 @@ def auto_grid(cf1: CharFn, cf2: CharFn, n: int = 500) -> Grid2DConfig:
     cap the 1/t2 factor has already suppressed the truncated tail.
     """
     if n < 1 or int(n) != n:
-        raise GridError(f"n must be a positive integer, got {n!r}")
+        raise InvalidParamsError(f"n must be a positive integer, got {n!r}")
     d1 = cf_decay_range(cf1)
     d2 = cf_decay_range(cf2)
     t1 = min(d1, _H_MAX * n)

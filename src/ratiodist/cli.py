@@ -2,9 +2,9 @@
 
 Subcommands: pdf and cdf write x,value CSV; modality prints the shape
 verdict; interval prints the --auto-interval window; bench runs the
-timed accuracy protocol and exports records to the file named by --out
-(bench needs --out, in a directory that exists; it checks both before
-running anything).
+timed accuracy protocol and exports its records.  Each writes to the file
+named by --out, or to stdout for --out - (the default); bench checks that
+the file's directory exists before it times anything.
 
 The other subcommands read exactly one distribution spec into a Spec of
 one of three kinds: "normal" (a BivNormalParams from --biv, --hake, or
@@ -365,8 +365,6 @@ def cmd_interval(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     from . import bench  # bench imports this module; only this command needs it
 
-    if args.out == "-":
-        raise InvalidParamsError("bench needs --out PATH for the records file")
     folder = os.path.dirname(args.out)
     if folder and not os.path.isdir(folder):
         raise InvalidParamsError(f"--out {args.out!r}: no directory {folder!r} to write it in")
@@ -393,7 +391,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         sweep = [{"rel_tol": t, "label": f"{method}@{t:g}"} for t in given.get("rel_tol", [])]
         for extra in (sweep if "rel_tol" in takes else []) or [{}]:
             records.append(run(method, baseline=base, **opts, **extra))
-    bench.export(records, args.format, args.out)
+    _write(args.out, bench.export(records, args.format))
     return 0
 
 

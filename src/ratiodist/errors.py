@@ -55,10 +55,6 @@ def raise_at_point(exc, what: str, var: str, points, node: str):
     raise NonConvergenceError(f"{what} {at}: {exc}", value=exc.value, err=exc.err) from exc
 
 
-class GridError(RatioDistError, ValueError):
-    """A 2D inversion grid is malformed (non-positive steps, zero nodes)."""
-
-
 class UndecayedCFError(RatioDistError):
     """A characteristic function did not fall below the decay threshold
     within the probed range, so no finite truncation point exists."""

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,11 +151,6 @@ class DensityFn:
 
 
 @dataclass(frozen=True)
-class Direct:
-    """Evaluate the convolution integral independently at every grid point."""
-
-
-@dataclass(frozen=True)
 class Chebyshev:
     """Build one barycentric interpolant from n_nodes direct evaluations (2^k + 1, k >= 2)."""
 
@@ -164,8 +159,6 @@ class Chebyshev:
     def __post_init__(self) -> None:
         check_n_nodes(self.n_nodes)
 
-
-GridAccel = Union[Direct, Chebyshev]
 
 
 def normal_density(mu: float = 0.0, sigma: float = 1.0) -> DensityFn:
@@ -402,10 +395,11 @@ def ratio_pdf_grid(
     f2: DensityFn,
     grid: Sequence[float],
     cfg: QuadratureConfig = QuadratureConfig(),
-    accel: GridAccel = Direct(),
+    accel: Optional[Chebyshev] = None,
 ) -> np.ndarray:
     """Ratio density over an ordered grid, directly or via one interpolant.
 
+    accel None evaluates the convolution integral at every grid point.
     Chebyshev acceleration samples the ratio density at n_nodes Lobatto
     points over [min(grid), max(grid)] and evaluates the barycentric
     interpolant at the grid; for smooth densities this trades thousands of
@@ -418,15 +412,15 @@ def ratio_pdf_grid(
         raise InvalidParamsError("grid points must be finite")
     if np.any(np.diff(pts) < 0.0):
         raise InvalidParamsError("grid must be sorted ascending")
-    if isinstance(accel, Chebyshev):
-        if pts[0] == pts[-1]:
-            return np.full(pts.shape, _integrate_pieces(f1, f2, False, pts[:1], cfg)[0])
-        return cheb_eval_many(
-            ratio_interpolant(f1, f2, float(pts[0]), float(pts[-1]), accel.n_nodes, cfg), pts
-        )
-    if not isinstance(accel, Direct):
+    if accel is None:
+        return _integrate_pieces(f1, f2, False, pts, cfg)
+    if not isinstance(accel, Chebyshev):
         raise InvalidParamsError(f"unknown acceleration mode {accel!r}")
-    return _integrate_pieces(f1, f2, False, pts, cfg)
+    if pts[0] == pts[-1]:
+        return np.full(pts.shape, _integrate_pieces(f1, f2, False, pts[:1], cfg)[0])
+    return cheb_eval_many(
+        ratio_interpolant(f1, f2, float(pts[0]), float(pts[-1]), accel.n_nodes, cfg), pts
+    )
 
 
 def ratio_interpolant(

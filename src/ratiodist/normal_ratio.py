@@ -278,7 +278,7 @@ def _cdf(a: float, b: float, t: np.ndarray) -> np.ndarray:
     exact = (np.abs(u) < _SPLIT_MAX) & (b < _SPLIT_MAX)
     ue = np.where(exact, u, 0.0)
     prod = ue * b
-    h = np.where(exact, ((prod - sa) + _product_error(ue, b, prod)) / s, rho * b - sa * rho_c)
+    h = np.where(exact, ((prod - sa) + _product_error(ue, b, prod)) / s, rho * b - sa / s)
     both = bvn_cdf(np.concatenate([h, -h]), np.repeat([b, -b], n),
                    np.tile(rho, 2), np.tile(rho_c, 2))
     tail = np.where(at_inf, 0.0, both[:n] + both[n:])

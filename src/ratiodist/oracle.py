@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidParamsError
-from .normal_ratio import StdRatioParams, std_ratio_pdf
 
 __all__ = [
     "Sampler",
@@ -34,7 +33,6 @@ __all__ = [
     "chi_square_sampler",
     "mc_ratio_samples",
     "ks_distance",
-    "reference_pdf_grid",
 ]
 
 _CHUNK = 1 << 19
@@ -156,17 +154,3 @@ def ks_distance(samples: SampleSet, cdf: Callable[[np.ndarray], np.ndarray]) -> 
     d_minus = np.max(fv - (i - 1) / n)
     return float(max(d_plus, d_minus))
 
-
-def reference_pdf_grid(a: float, b: float, grid: Sequence[float]) -> np.ndarray:
-    """Closed-form standardized-ratio density over grid, the benchmark reference.
-
-    Double precision: the closed form is accurate to a few ulp, which sets
-    the ~1e-13 floor quoted in the accuracy contracts.
-    """
-    sr = StdRatioParams(a, b)
-    xs = np.asarray(grid, dtype=float)
-    if xs.ndim != 1:
-        raise InvalidParamsError(f"grid must be one-dimensional, got shape {xs.shape}")
-    if not np.all(np.isfinite(xs)):
-        raise InvalidParamsError("grid values must be finite")
-    return std_ratio_pdf(sr, xs)

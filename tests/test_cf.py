@@ -11,7 +11,6 @@ import pytest
 
 from ratiodist.errors import (
     AccuracyWarning,
-    GridError,
     IntegrandError,
     InvalidParamsError,
     NonConvergenceError,
@@ -473,7 +472,7 @@ def test_auto_grid_ranges():
     assert math.isclose(cfg.h2, 2.0 * cfg.h1, rel_tol=1e-12)
     capped = auto_grid(chi_square_cf(5), normal_cf(0.0, 1.0))
     assert math.isclose(capped.h1, 0.05, rel_tol=1e-12)
-    with pytest.raises(GridError):
+    with pytest.raises(InvalidParamsError):
         auto_grid(normal_cf(0.0, 1.0), normal_cf(0.0, 1.0), n=0)
 
 
@@ -490,7 +489,7 @@ def test_broda_kan_refuses_a_sum_that_is_not_finite(fn):
 def test_grid2dconfig_validation(kwargs):
     base = {"N": 500, "h1": 0.01, "h2": 0.01}
     base.update(kwargs)
-    with pytest.raises(GridError):
+    with pytest.raises(InvalidParamsError):
         Grid2DConfig(**base)
 
 
@@ -815,6 +814,51 @@ def test_broda_kan_far_points_are_right_or_warn():
         return
     assert np.max(np.abs(cdf - ratio_cdf(p, xs))) <= 1e-8
     assert np.max(np.abs(pdf - ratio_pdf_phamgia(p, xs))) <= 1e-8 * peak
+
+
+def _on_auto_grid(fn, p, x):
+    """fn(jcf, x, cfg) on p's joint CF and its marginals' auto_grid."""
+    return fn(bivariate_normal_joint_cf(p), x,
+              auto_grid(normal_cf(p.mu1, p.sigma1), normal_cf(p.mu2, p.sigma2)))
+
+
+_SIGMA001 = BivNormalParams(1.0, 2.0, 0.01, 0.01, 0.0)
+_HAKE0_RHO099 = dataclasses.replace(_HAKE0, rho=0.99)
+_N_OVER_CAUCHY = (normal_cf(1.0, 0.5), cauchy_cf(0.5, 1.0))
+
+# case -> (the Broda-Kan value on its auto_grid, the truth, the tolerance)
+_BK_SILENT = {
+    # truths: Pham-Gia, 1/(pi (1 + w^2)) and, beside the log singularity at
+    # 0, mpmath quad at 40 digits (Mellin's ratio_pdf gives the same digits)
+    "sigma0.01": (lambda: _on_auto_grid(broda_kan_pdf_joint, _SIGMA001, 0.5),
+                  ratio_pdf_phamgia(_SIGMA001, 0.5), 1e-8 * 71.365),
+    "normal-w50": (lambda: broda_kan_pdf_indep(normal_cf(0.0, 1.0), normal_cf(0.0, 1.0), 50.0),
+                   1.0 / (math.pi * 2501.0), 1e-8 / math.pi),
+    "hake0-rho0.99-pdf": (lambda: _on_auto_grid(broda_kan_pdf_joint, _HAKE0_RHO099, 1.0),
+                          ratio_pdf_phamgia(_HAKE0_RHO099, 1.0), 1e-8 * 17.152),
+    "hake0-rho0.99-cdf": (lambda: _on_auto_grid(broda_kan_cdf, _HAKE0_RHO099, 1.0),
+                          ratio_cdf(_HAKE0_RHO099, 1.0), 1e-8),
+    "normal-cauchy-1e-9": (lambda: broda_kan_pdf_indep(*_N_OVER_CAUCHY, 1e-9),
+                           1.6986460474982994635, 1e-8 * 1.6986),
+    "normal-cauchy-0.01": (lambda: broda_kan_pdf_indep(*_N_OVER_CAUCHY, 0.01),
+                           0.60318956319579172342, 1e-8 * 0.60319),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "Broda-Kan is silently wrong on these rows of ROADMAP's silent table (item 2): 15.55 for "
+    "71.37 at sigma 0.01, 3.2e-5 for 1.27e-4 at w = 50, pdf -0.040 and cdf 0.99888 on hake0 "
+    "at rho 0.99, and 0.3095, 0.4761 for 1.6986, 0.6032 on N(1, 0.5)/Cauchy(0.5, 1) near its "
+    "log singularity at 0 (items 2, 18)"))
+@pytest.mark.parametrize("case", _BK_SILENT)
+def test_broda_kan_silent_rows_are_right_or_warn(case):
+    compute, want, tol = _BK_SILENT[case]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = compute()
+    if any(issubclass(w.category, AccuracyWarning) for w in seen):
+        return
+    assert abs(got - want) <= tol, (got, want)
 
 
 def _negated(cf):

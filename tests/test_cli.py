@@ -247,17 +247,21 @@ def test_bench_checks_out_before_running(monkeypatch, capsys, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("bench ran an experiment before checking --out")
 
-    monkeypatch.setattr(bench, "run_experiment", refuse)
     argv = ["bench", "--std-ratio", "1.5", "1", "--method", "broda-kan",
             "--n", "50", "--runs", "1", "--reps", "10"]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: bench needs --out PATH for the records file\n"
     # an --out whose directory does not exist: one error line, and no file made
-    out = tmp_path / "missing" / "b.csv"
-    assert main(argv + ["--out", str(out)]) == 1
+    with monkeypatch.context() as m:
+        m.setattr(bench, "run_experiment", refuse)
+        out = tmp_path / "missing" / "b.csv"
+        assert main(argv + ["--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "missing" in err
     assert not out.parent.exists()
+    # no --out: the records go to stdout, as every command's output does
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == bench.CSV_COLUMNS and len(lines) == 3 and captured.err == ""
 
 
 def test_bench_json(tmp_path):

@@ -11,18 +11,18 @@ import pytest
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 _PUBLIC = """
-AccuracyWarning BenchRecord BivNormalParams CharFn ChebInterpolant Chebyshev DensityFn Direct
-Grid2DConfig GridError HakeInputs IntegrandError InvalidParamsError JointCharFn MODALITY_A0
+AccuracyWarning BenchRecord BivNormalParams CharFn ChebInterpolant Chebyshev DensityFn
+Grid2DConfig HakeInputs IntegrandError InvalidParamsError JointCharFn MODALITY_A0
 Modality NonConvergenceError PracticalMoments QuadratureConfig QuadratureError QuadratureResult
 RatioDistError RatioTransform SampleSet Sampler SingularProductError StdRatioParams Support
 UndecayedCFError auto_grid bivariate_normal_joint_cf broda_kan_cdf broda_kan_pdf_indep
 broda_kan_pdf_joint bvn_cdf cauchy_cf cauchy_density cf_decay_range cf_moments cheb_build
 cheb_eval_many chi_square_cf chi_square_density chi_square_sampler classify_modality cohens_d
 de_integrate eps_max erf erfc evaluation_interval export gil_pelaez_cdf gil_pelaez_pdf
-hake_params ks_distance mc_ratio_samples method_ids modality_curve normal_approx_cdf normal_cf
+hake_params ks_distance mc_ratio_samples modality_curve normal_approx_cdf normal_cf
 normal_density normal_sampler practical_moments product_joint_cf product_pdf ratio_cdf
 ratio_interpolant ratio_pdf ratio_pdf_grid ratio_pdf_hinkley ratio_pdf_phamgia
-ratio_practical_moments reference_pdf_grid run_experiment six_sigma_interval std_normal_cdf
+ratio_practical_moments run_experiment six_sigma_interval std_normal_cdf
 std_ratio_cdf std_ratio_pdf to_standard uniform_density uniform_sampler
 """.split()
 
@@ -89,8 +89,8 @@ def test_import_ratiodist_loads_no_submodule(package):
     assert package["loaded"] == []
 
 
-def test_all_holds_the_82_public_names(package):
-    assert len(_PUBLIC) == 82
+def test_all_holds_the_78_public_names(package):
+    assert len(_PUBLIC) == 78
     assert package["all"] == sorted(_PUBLIC)
     assert package["missing"] == []
 
@@ -107,6 +107,14 @@ def test_star_import_binds_exactly_all_and_dir_lists_it(package):
 def test_import_cli_loads_neither_bench_nor_oracle_nor_statistics(cli):
     assert not {"ratiodist.bench", "ratiodist.oracle"} & set(cli["loaded"])
     assert not cli["statistics"]
+
+
+def test_import_bench_loads_the_cli_and_no_oracle():
+    # the bench's accuracy reference is the closed form itself, not a Monte Carlo helper
+    loaded = _probe("import json, sys\nimport ratiodist.bench\n"
+                    "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ratiodist.'))))")
+    assert loaded == sorted(f"ratiodist.{m}" for m in ("bench", "cli", "errors", "normal_ratio",
+                                                       "special"))
 
 
 def test_submodules_resolve_after_importing_cli(cli):

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -343,16 +344,61 @@ def test_std_ratio_cdf_seeded_sweep_against_density_integral() -> None:
     assert compared >= 600
 
 
+def _point_mass_cdf(w: float) -> float:
+    """P(1/X2 <= w) for X2 ~ N(2, 1)."""
+    if w > 0.0:
+        return std_normal_cdf(-2.0) + std_normal_cdf(2.0 - 1.0 / w)
+    return std_normal_cdf(-2.0) - std_normal_cdf(1.0 / w - 2.0)
+
+
 @pytest.mark.parametrize(("sigma1", "w", "want"), [
     (1e-20, 0.0, std_normal_cdf(-2.0)),
     (1e-100, 0.5, 0.5 + std_normal_cdf(-2.0)),
     (1e-100, 1.0, std_normal_cdf(1.0) + std_normal_cdf(-2.0)),
+    # a = mu1/sigma1 passes 1e150 with |t|, where h = (t b - a)/s is formed
+    # without the product split and a/s is still O(1)
+    *[(s1, w, _point_mass_cdf(w)) for s1 in (1e-150, 1e-200, 1e-300)
+      for w in (0.5, 1.0, -3.0, 10.0)],
 ])
 def test_ratio_cdf_tiny_numerator_sd(sigma1, w, want) -> None:
     # X1 = 1 to within sigma1, so F(w) = P(1/X2 <= w) for X2 ~ N(2, 1): the
-    # density-integration CDF returned 0.0, 4.0e-88 and 1.0 here
+    # density-integration CDF returned 0.0, 4.0e-88 and 1.0 at the first three
     p = BivNormalParams(1.0, 2.0, sigma1, 1.0, 0.0)
     assert abs(ratio_cdf(p, w) - want) <= 1e-15
+
+
+def _right_or_warns(compute, want, rel):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = compute()
+    if any(issubclass(w.category, AccuracyWarning) for w in seen):
+        return
+    assert abs(got - want) <= rel * want, (got, want)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ratio_pdf_phamgia reads 0.0, with only NumPy's overflow warning, once sigma1 <= 1e-154: "
+    "0 for 0.24197 at w = 1, and 0 for 1.59577 at w = 0.5 at sigma1 = 1e-160; the far cut "
+    "of std_ratio_pdf assumes a moderate a (ROADMAP's silent table)"))
+@pytest.mark.parametrize("sigma1, w", [(1e-154, 1.0), (1e-160, 0.5)])
+def test_ratio_pdf_point_mass_numerator_is_right_or_warns(sigma1, w) -> None:
+    # X1 = 1 to within sigma1, so f(w) = f2(1/w)/w^2 for X2 ~ N(2, 1)
+    want = math.exp(-0.5 * (1.0 / w - 2.0) ** 2) / math.sqrt(2.0 * math.pi) / (w * w)
+    p = BivNormalParams(1.0, 2.0, sigma1, 1.0, 0.0)
+    _right_or_warns(lambda: ratio_pdf_phamgia(p, w), want, 1e-14)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ratio_cdf at w = -1e200 reads 0.0 for 2.02e-212, with no warning: the leading quantity "
+    "(h - b) s is formed from h and loses every digit once a/|t| falls below an ulp of b "
+    "(ROADMAP item 12)"))
+def test_ratio_cdf_far_tail_keeps_relative_digits_or_warns() -> None:
+    # W <= w < 0 takes X2 within X1/|w| of 0, on the side opposite X1, so
+    # F(w) = f_X2(0) E[X1 | X2 = 0] / |w| to relative O(1/|w|)
+    p = BivNormalParams(100.0, 2.0, 0.01, 0.25, 0.3)
+    f2_at_0 = math.exp(-0.5 * (p.mu2 / p.sigma2) ** 2) / (math.sqrt(2.0 * math.pi) * p.sigma2)
+    mean_x1 = p.mu1 - p.rho * p.sigma1 / p.sigma2 * p.mu2
+    _right_or_warns(lambda: ratio_cdf(p, -1e200), f2_at_0 * mean_x1 / 1e200, 1e-10)
 
 
 def test_ratio_cdf_reflection() -> None:

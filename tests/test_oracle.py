@@ -13,7 +13,6 @@ from ratiodist.oracle import (
     ks_distance,
     mc_ratio_samples,
     normal_sampler,
-    reference_pdf_grid,
     uniform_sampler,
 )
 
@@ -136,12 +135,3 @@ def test_uniform_ratio_stays_in_support():
     assert ss.values.min() >= 2.0 / 3.0
     assert ss.values.max() <= 1.5
 
-
-def test_reference_pdf_grid():
-    vals = reference_pdf_grid(0.0, 0.0, np.array([0.0, 1.0]))
-    assert math.isclose(vals[0], 1.0 / math.pi, rel_tol=1e-14)
-    assert math.isclose(vals[1], 1.0 / (2.0 * math.pi), rel_tol=1e-14)
-    with pytest.raises(InvalidParamsError):
-        reference_pdf_grid(0.0, 0.0, np.zeros((2, 2)))
-    with pytest.raises(InvalidParamsError):
-        reference_pdf_grid(0.0, 0.0, np.array([0.0, math.nan]))
